@@ -83,7 +83,8 @@ def single_job_optimal_cut(table: CostTable, include_cloud: bool = True) -> int:
     """The Neurosurgeon cut: minimize one job's latency f + g (+ cloud)."""
     totals = table.f + table.g
     if include_cloud:
-        totals = totals + np.array([table.cloud_rest(i) for i in range(table.k)])
+        # the rest column: the same subtraction as CostTable.cloud_rest
+        totals = totals + (table.cloud[-1] - table.cloud)
     return int(np.argmin(totals))
 
 

@@ -9,7 +9,7 @@ See :mod:`repro.engine.engine` for the cache architecture and
 """
 
 from repro.engine.cache import CacheStats, LRUCache
-from repro.engine.engine import PlanningEngine, PricedModel
+from repro.engine.engine import PlanningEngine, PricedModel, PricingKernel
 from repro.engine.keys import (
     channel_fingerprint,
     device_fingerprint,
@@ -23,6 +23,7 @@ __all__ = [
     "LRUCache",
     "PlanningEngine",
     "PricedModel",
+    "PricingKernel",
     "channel_fingerprint",
     "device_fingerprint",
     "network_fingerprint",

@@ -75,9 +75,9 @@ from repro.profiling.latency import (
     node_mobile_time,
 )
 from repro.utils.units import BITS_PER_BYTE, mbps
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_non_negative, require_positive
 
-__all__ = ["PlanningEngine", "PricedModel"]
+__all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
 
 #: Baseline schemes the engine plans besides JPS.
 BASELINES = {"LO": local_only, "CO": cloud_only, "PO": partition_only}
@@ -152,7 +152,7 @@ class _DagStructure:
 
 
 @dataclass(frozen=True)
-class _PricingKernel:
+class PricingKernel:
     """A model's cost table with the bandwidth factored out.
 
     ``uplink_time`` is affine in ``1/B`` for fixed framing:
@@ -162,6 +162,11 @@ class _PricingKernel:
     bit-identical to pricing through a concrete channel, so one cached
     kernel (one content-addressed key per model) serves an entire
     bandwidth vector.
+
+    The columns are validated once, at construction: ``f`` and ``cloud``
+    non-negative and non-decreasing, ``wire_bits >= 0`` and
+    ``setup_latency >= 0``, which together keep ``g >= 0`` at every
+    positive rate. Pricing calls then only check their rates.
     """
 
     model_name: str
@@ -173,13 +178,29 @@ class _PricingKernel:
     setup_latency: float
     graph: Dag | None
     cuts: tuple[Cut, ...] | None    # frontier kernels carry the real cuts
+    rest: np.ndarray = field(init=False, repr=False)  # cloud time after each cut
+
+    def __post_init__(self) -> None:
+        for name in ("f", "cloud"):
+            column = getattr(self, name)
+            if np.any(column < 0):
+                raise ValueError(f"{name} must be non-negative")
+            if np.any(np.diff(column) < 0):
+                raise ValueError(f"{name} must be non-decreasing")
+        if np.any(self.wire_bits < 0):
+            raise ValueError("wire_bits must be non-negative")
+        require_non_negative(self.setup_latency, "setup_latency")
+        # the same subtraction as CostTable.cloud_rest, once per kernel
+        object.__setattr__(self, "rest", self.cloud[-1] - self.cloud)
+
+    def _g(self, rates: float | np.ndarray) -> np.ndarray:
+        # a rate, or a column of rates for one g row per rate
+        return np.where(self.wire_bits > 0, self.setup_latency + self.wire_bits / rates, 0.0)
 
     def g_at(self, uplink_bps: float) -> np.ndarray:
         """The ``g`` column at one uplink rate (bit-exact channel pricing)."""
         require_positive(uplink_bps, "uplink_bps")
-        return np.where(
-            self.wire_bits > 0, self.setup_latency + self.wire_bits / uplink_bps, 0.0
-        )
+        return self._g(uplink_bps)
 
     def table_at(self, uplink_bps: float) -> CostTable:
         return CostTable(
@@ -190,6 +211,30 @@ class _PricingKernel:
             cloud=self.cloud.copy(),
             graph=self.graph,
         )
+
+    def single_job_cuts(
+        self, rates: Sequence[float] | np.ndarray, include_cloud: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The single-job optimal cut at every uplink rate of a vector.
+
+        Prices the rates as one (rates x positions) ``g`` matrix and
+        returns ``(cut, f, unit)`` arrays: each rate's cut position, its
+        mobile stage ``f`` and one job's whole pipeline ``f + g + cloud
+        rest``. Rate by rate this is bit-identical to
+        :func:`~repro.core.baselines.single_job_optimal_cut` on
+        ``table_at(rate)`` followed by ``stage_lengths`` and
+        ``cloud_rest`` (ties go to the first position).
+        """
+        rates = np.asarray(rates, dtype=float)
+        if not (rates > 0).all():
+            raise ValueError(f"uplink rates must be > 0, got {rates.tolist()!r}")
+        g = self._g(rates[:, None])
+        totals = self.f + g
+        if include_cloud:
+            totals = totals + self.rest
+        cut = totals.argmin(axis=1)
+        f = self.f[cut]
+        return cut, f, f + g[np.arange(len(rates)), cut] + self.rest[cut]
 
 
 @dataclass(frozen=True)
@@ -247,7 +292,7 @@ class PlanningEngine:
         self._tables: LRUCache[CostTable] = LRUCache(self.max_entries)
         self._frontier_tables: LRUCache[FrontierTable] = LRUCache(self.max_entries)
         self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
-        self._pricing: LRUCache[_PricingKernel] = LRUCache(self.max_entries)
+        self._pricing: LRUCache[PricingKernel] = LRUCache(self.max_entries)
         self._dags: LRUCache[_DagStructure] = LRUCache(self.max_entries)
         self._dag_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
 
@@ -563,30 +608,48 @@ class PlanningEngine:
     # ------------------------------------------------------------------
     # bandwidth-vectorized pricing
     # ------------------------------------------------------------------
-    def _pricing_kernel(
+    def pricing_kernel(
         self,
-        network: Network,
-        chosen: Structure,
-        setup_latency: float,
-        header_bytes: float,
-        protocol_overhead: float,
-        predictor: LayerPredictor | None,
-        predictor_key,
-    ) -> _PricingKernel:
+        model: str | Network,
+        *,
+        structure: str | Structure = Structure.AUTO,
+        predictor: LayerPredictor | None = None,
+        predictor_key=None,
+        setup_latency: float = DEFAULT_SETUP_LATENCY,
+        header_bytes: float = DEFAULT_HEADER_BYTES,
+        protocol_overhead: float = 1.05,
+    ) -> PricingKernel:
+        """The memoized bandwidth-independent kernel of one model + framing.
+
+        The single lookup path behind :meth:`priced_table`,
+        :meth:`plan_batch` and the fleet's EFT scorer: one
+        ``pricing_kernels`` cache lookup per call, which is what the
+        engine's hit/miss counters count. The framing is validated here
+        with :class:`~repro.net.channel.Channel`'s rules, so no caller
+        can price an upload as free (``protocol_overhead <= 0``) or at a
+        negative cost.
+        """
+        require_non_negative(setup_latency, "setup_latency")
+        require_non_negative(header_bytes, "header_bytes")
+        require_positive(protocol_overhead, "protocol_overhead")
+        network = self.resolve(model)
+        chosen = self._resolve_structure(network, structure)
+        if chosen is Structure.PATHS:
+            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
         key = (
             ("pricing", chosen.value)
             + self._base_key(network, predictor, predictor_key)
             + (setup_latency, header_bytes, protocol_overhead)
         )
 
-        def build() -> _PricingKernel:
+        def build() -> PricingKernel:
             if chosen is Structure.LINE:
-                structure = self._line_structure(network, predictor, predictor_key)
-                payloads = structure.volumes.astype(float)
+                line = self._line_structure(network, predictor, predictor_key)
+                payloads = line.volumes.astype(float)
                 model_name = network.name
-                positions: tuple[str, ...] = structure.order
-                f, cloud = structure.f, structure.cloud
-                graph, cuts = structure.graph, None
+                positions: tuple[str, ...] = line.order
+                f, cloud = line.f, line.cloud
+                graph, cuts = line.graph, None
             elif chosen is Structure.DAG:
                 dag = self._dag_structure(network, predictor, predictor_key)
                 payloads = np.where(
@@ -618,7 +681,7 @@ class PlanningEngine:
                 ((payloads + header_bytes) * protocol_overhead) * BITS_PER_BYTE,
                 0.0,
             )
-            return _PricingKernel(
+            return PricingKernel(
                 model_name=model_name,
                 positions=positions,
                 f=f,
@@ -661,18 +724,14 @@ class PlanningEngine:
         cache lookup per (model, framing) instead of one table build per
         bandwidth estimate.
         """
-        network = self.resolve(model)
-        chosen = self._resolve_structure(network, structure)
-        if chosen is Structure.PATHS:
-            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
-        kernel = self._pricing_kernel(
-            network,
-            chosen,
-            setup_latency,
-            header_bytes,
-            protocol_overhead,
-            predictor,
-            predictor_key,
+        kernel = self.pricing_kernel(
+            model,
+            structure=structure,
+            predictor=predictor,
+            predictor_key=predictor_key,
+            setup_latency=setup_latency,
+            header_bytes=header_bytes,
+            protocol_overhead=protocol_overhead,
         )
         return PricedModel(
             table=kernel.table_at(uplink_bps),
@@ -777,14 +836,14 @@ class PlanningEngine:
             raise ValueError(
                 f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
             )
-        kernel = self._pricing_kernel(
+        kernel = self.pricing_kernel(
             network,
-            chosen,
-            setup_latency,
-            header_bytes,
-            protocol_overhead,
-            predictor,
-            predictor_key,
+            structure=chosen,
+            predictor=predictor,
+            predictor_key=predictor_key,
+            setup_latency=setup_latency,
+            header_bytes=header_bytes,
+            protocol_overhead=protocol_overhead,
         )
         schedules: list[Schedule] = []
         for rate in rates:

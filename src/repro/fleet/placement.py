@@ -7,11 +7,17 @@ Three policies, selected by :class:`~repro.fleet.config.PlacementConfig`:
   order. Stateless per request, the classic load balancer.
 * ``eft`` — every request goes to the server with the smallest
   *estimated finish time*: each server prices the request's model at
-  its estimator's current rate through the shared
-  :meth:`~repro.engine.PlanningEngine.priced_table` kernel (a warm
-  cache lookup, not a table build), takes the single-job optimal cut,
-  and estimates ``outstanding × f + (f + g + cloud)`` — the backlog
-  serialized on the mobile stage plus one request's own pipeline.
+  its estimator's current rate, takes the single-job optimal cut, and
+  estimates ``outstanding × f + (f + g + cloud)`` — the backlog
+  serialized on the mobile stage plus one request's own pipeline —
+  plus, on a shared batching cloud, its GPU lane's queue delay. Ties
+  go to the first server. Per arrival this costs one
+  :meth:`~repro.engine.PlanningEngine.pricing_kernel` lookup per
+  server (a warm cache hit, counted by the engine's cache statistics),
+  one vectorized :meth:`~repro.engine.PricingKernel.single_job_cuts`
+  pass per distinct (kernel, ``include_cloud``) group — homogeneous
+  servers share one — and one ``queue_delay()`` read per distinct
+  cloud lane.
 * ``affinity`` — each client binds to one server on first contact
   (least-loaded at that instant) and the binding is sticky. A binding
   *migrates* when its server has carried at least
@@ -29,7 +35,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.baselines import single_job_optimal_cut
 from repro.fleet.config import PlacementConfig
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer
@@ -38,6 +43,7 @@ from repro.serving.workload import Request
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.cloud.server import BatchingServer
+    from repro.engine import PricingKernel
 
 __all__ = ["Placer"]
 
@@ -100,36 +106,50 @@ class Placer:
         assert best is not None
         return best
 
-    def _finish_time(self, name: str, request: Request) -> float:
-        server = self.servers[name]
-        estimator = server.estimator
-        priced = server.planner.priced_table(
-            request.model,
-            estimator.estimate_bps,
-            setup_latency=estimator.setup_latency,
-            header_bytes=estimator.header_bytes,
-            protocol_overhead=estimator.protocol_overhead,
-        )
-        cut = single_job_optimal_cut(priced.table, include_cloud=server.include_cloud)
-        f, g = priced.table.stage_lengths(cut)
-        unit = f + g + priced.table.cloud_rest(cut)
-        # backlog serializes on the mobile stage; the new request then
-        # pays its own full pipeline
-        eft = server.outstanding * f + unit
-        cloud = self.cloud_of.get(name)
-        if cloud is not None:
-            # shared batching cloud: also pay the queue of formed-but-
-            # unfinished batches (plus the current hold) on this
-            # server's GPU — two servers tied on mobile backlog now
-            # split by how congested their cloud lane is
-            eft += cloud.queue_delay()
-        return eft
-
     def _eft(self, request: Request) -> tuple[str, float]:
+        # one kernel lookup per server: the engine's cache counters (and
+        # so the fleet report) count exactly these
+        groups: dict[tuple[int, bool], tuple[PricingKernel, list[int]]] = {}
+        rates = []
+        for index, name in enumerate(self._order):
+            server = self.servers[name]
+            estimator = server.estimator
+            kernel = server.planner.pricing_kernel(
+                request.model,
+                setup_latency=estimator.setup_latency,
+                header_bytes=estimator.header_bytes,
+                protocol_overhead=estimator.protocol_overhead,
+            )
+            rates.append(estimator.estimate_bps)
+            key = (id(kernel), server.include_cloud)
+            groups.setdefault(key, (kernel, []))[1].append(index)
+        # one vectorized cut pass per (kernel, include_cloud) group
+        f = [0.0] * len(rates)
+        unit = [0.0] * len(rates)
+        for (_, include_cloud), (kernel, members) in groups.items():
+            _, f_cut, unit_cut = kernel.single_job_cuts(
+                [rates[i] for i in members], include_cloud
+            )
+            for i, f_i, unit_i in zip(members, f_cut.tolist(), unit_cut.tolist()):
+                f[i], unit[i] = f_i, unit_i
         best = None
         best_eft = None
-        for name in self._order:
-            eft = self._finish_time(name, request)
+        delays: dict[int, float] = {}
+        for index, name in enumerate(self._order):
+            # backlog serializes on the mobile stage; the new request then
+            # pays its own full pipeline
+            eft = self.servers[name].outstanding * f[index] + unit[index]
+            cloud = self.cloud_of.get(name)
+            if cloud is not None:
+                # shared batching cloud: also pay the queue of formed-but-
+                # unfinished batches (plus the current hold) on this
+                # server's GPU lane, read once per lane per arrival — two
+                # servers tied on mobile backlog now split by how
+                # congested their cloud lane is
+                lane = id(cloud)
+                if lane not in delays:
+                    delays[lane] = cloud.queue_delay()
+                eft += delays[lane]
             if best_eft is None or eft < best_eft:
                 best, best_eft = name, eft
         assert best is not None and best_eft is not None

@@ -1,9 +1,12 @@
 """PlanningEngine: memoized caches are exact, keyed, bounded, observable."""
 
+import numpy as np
 import pytest
 
+from repro.api import list_models
+from repro.core.baselines import single_job_optimal_cut
 from repro.core.joint import jps
-from repro.engine import LRUCache, PlanningEngine
+from repro.engine import LRUCache, PlanningEngine, PricingKernel
 from repro.engine.keys import channel_fingerprint, network_fingerprint
 from repro.experiments.runner import ExperimentEnv
 from repro.net.bandwidth import TrafficShaper
@@ -260,3 +263,148 @@ def test_plan_batch_prices_one_kernel_per_model(engine):
     second = engine.stats()["pricing_kernels"]
     assert second["misses"] == 1
     assert second["hits"] >= 1
+
+
+# ----------------------------------------------------------------------
+# pricing kernels: batched single-job cuts and input validation
+# ----------------------------------------------------------------------
+
+KERNEL_MODELS = [m for m in list_models() if m != "inception-v4"]
+
+
+@pytest.fixture(scope="module")
+def warm_engine():
+    return PlanningEngine()
+
+
+def tie_rates(kernel: PricingKernel, include_cloud: bool) -> list[float]:
+    """Rates where two positions' single-job totals cross, and neighbors."""
+    crosses = kernel.wire_bits > 0
+    base = kernel.f + np.where(crosses, kernel.setup_latency, 0.0)
+    if include_cloud:
+        base = base + kernel.rest
+    rates = []
+    for i in range(len(base)):
+        for j in range(i + 1, len(base)):
+            gap = base[j] - base[i]
+            if gap != 0:
+                rate = (kernel.wire_bits[i] - kernel.wire_bits[j]) / gap
+                if 0 < rate < np.inf:
+                    rates += [np.nextafter(rate, 0), rate, np.nextafter(rate, np.inf)]
+    return rates
+
+
+def assert_cuts_match_per_rate(kernel: PricingKernel, rates, include_cloud: bool):
+    cut, f, unit = kernel.single_job_cuts(rates, include_cloud)
+    assert cut.shape == f.shape == unit.shape == (len(rates),)
+    for i, rate in enumerate(rates):
+        table = kernel.table_at(rate)
+        position = single_job_optimal_cut(table, include_cloud=include_cloud)
+        f_ref, g_ref = table.stage_lengths(position)
+        unit_ref = f_ref + g_ref + table.cloud_rest(position)
+        assert int(cut[i]) == position, (rate, include_cloud)
+        assert float(f[i]).hex() == f_ref.hex()
+        assert float(unit[i]).hex() == unit_ref.hex()
+
+
+@pytest.mark.parametrize("include_cloud", [True, False])
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_single_job_cuts_match_the_per_rate_cut(warm_engine, name, include_cloud):
+    kernel = warm_engine.pricing_kernel(name)
+    rng = np.random.default_rng(7)
+    log_uniform = list(10 ** rng.uniform(4.0, 9.0, size=32))
+    repeated = [log_uniform[3]] * 3 + [log_uniform[0], log_uniform[3]]
+    for rates in (log_uniform, repeated, tie_rates(kernel, include_cloud)):
+        if rates:
+            assert_cuts_match_per_rate(kernel, rates, include_cloud)
+
+
+@pytest.mark.parametrize("include_cloud", [True, False])
+def test_single_job_cuts_dag_kernel(warm_engine, include_cloud):
+    kernel = warm_engine.pricing_kernel("multitask-perception", structure="dag")
+    rates = [mbps(b) for b in (0.3, 1.0, 4.0, 25.0, 300.0)]
+    assert_cuts_match_per_rate(kernel, rates + tie_rates(kernel, include_cloud), include_cloud)
+
+
+def toy_kernel(**overrides) -> PricingKernel:
+    columns = dict(
+        model_name="toy",
+        positions=("a", "b", "c"),
+        f=np.array([0.0, 1.0, 5.0]),
+        cloud=np.array([0.0, 0.5, 1.0]),
+        payload_bytes=np.array([1.0, 0.5, 0.0]),
+        wire_bits=np.array([8.0, 4.0, 0.0]),
+        setup_latency=0.25,
+        graph=None,
+        cuts=None,
+    )
+    columns.update(overrides)
+    return PricingKernel(**columns)
+
+
+def test_single_job_cuts_exact_ties_go_to_the_first_position():
+    kernel = toy_kernel()
+    # dyadic columns: positions a and b tie exactly at 4 b/s without
+    # the cloud rest and at 8 b/s with it
+    for rate, include_cloud in ((4.0, False), (8.0, True)):
+        cut, _, unit = kernel.single_job_cuts([rate, rate], include_cloud)
+        assert cut.tolist() == [0, 0]
+        totals = kernel.f + kernel.table_at(rate).g
+        if include_cloud:
+            totals = totals + kernel.rest
+        assert totals[0] == totals[1]
+        assert_cuts_match_per_rate(kernel, [rate], include_cloud)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+def test_single_job_cuts_rejects_non_positive_rates(rate):
+    with pytest.raises(ValueError, match="rates must be > 0"):
+        toy_kernel().single_job_cuts([1e6, rate])
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"f": np.array([0.0, -1.0, 5.0])}, "f must be non-negative"),
+        ({"f": np.array([0.0, 2.0, 1.0])}, "f must be non-decreasing"),
+        ({"cloud": np.array([0.0, -0.5, 1.0])}, "cloud must be non-negative"),
+        ({"cloud": np.array([0.0, 1.0, 0.5])}, "cloud must be non-decreasing"),
+        ({"wire_bits": np.array([8.0, -4.0, 0.0])}, "wire_bits must be non-negative"),
+        ({"setup_latency": -1e-3}, "setup_latency"),
+    ],
+)
+def test_pricing_kernel_validates_its_columns_once(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        toy_kernel(**overrides)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_pricing_kernel_rejects_non_positive_protocol_overhead(engine, value):
+    # an overhead of 0 used to zero every wire_bits entry: free uploads
+    with pytest.raises(ValueError, match="protocol_overhead"):
+        engine.priced_table("alexnet", 1e6, protocol_overhead=value)
+    with pytest.raises(ValueError, match="protocol_overhead"):
+        engine.plan_batch("alexnet", 4, [1e6], protocol_overhead=value)
+
+
+def test_pricing_kernel_rejects_negative_header_bytes(engine):
+    with pytest.raises(ValueError, match="header_bytes"):
+        engine.priced_table("alexnet", 1e6, header_bytes=-100)
+    with pytest.raises(ValueError, match="header_bytes"):
+        engine.pricing_kernel("alexnet", header_bytes=-100)
+
+
+def test_pricing_kernel_rejects_negative_setup_latency(engine):
+    # used to pass at 1 Mbps and fail only once g went negative
+    with pytest.raises(ValueError, match="setup_latency"):
+        engine.priced_table("alexnet", 1e6, setup_latency=-1e-3)
+    with pytest.raises(ValueError, match="setup_latency"):
+        engine.plan_batch("alexnet", 4, [1e6], setup_latency=-1e-3)
+
+
+def test_pricing_kernel_is_the_one_cached_lookup(engine):
+    kernel = engine.pricing_kernel("alexnet")
+    assert engine.priced_table("alexnet", mbps(5.0)).table.positions == kernel.positions
+    assert engine.pricing_kernel("alexnet") is kernel
+    assert engine.stats()["pricing_kernels"]["hits"] == 2
+    assert engine.stats()["pricing_kernels"]["misses"] == 1

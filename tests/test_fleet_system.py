@@ -189,7 +189,7 @@ def test_eft_placement_prices_through_the_shared_planner():
     assert set(arrivals) == {"server0", "server1", "server2"}
     assert all(count > 0 for count in arrivals.values())
     assert report.violations == ()
-    # the scorer's priced_table calls hit the planner's warm caches
+    # the scorer's pricing_kernel lookups hit the planner's warm caches
     assert planner.stats_snapshot()["totals"]["hits"] > 0
 
 
