@@ -39,7 +39,7 @@ fault injection, gateway resilience policies, and the differential
 oracle — see ``docs/robustness.md``).
 """
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 #: Facade names re-exported lazily from :mod:`repro.api` (PEP 562), so
 #: ``import repro`` stays light and experiment modules that import
@@ -105,7 +105,6 @@ _API_EXPORTS = frozenset(
         "ObservabilityConfig",
         "FleetGateway",
         "run_system",
-        "ENGINE_CORES",
         "default_fleet",
         "capacity_scenario",
         "fleet_accounting_violations",

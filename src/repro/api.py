@@ -69,7 +69,6 @@ from repro.faults import (
     run_fault_scenario,
 )
 from repro.fleet import (
-    ENGINE_CORES,
     SCENARIO_SLO,
     SLO_SCENARIOS,
     AdmissionConfig,
@@ -173,7 +172,6 @@ __all__ = [
     "ObservabilityConfig",
     "FleetGateway",
     "run_system",
-    "ENGINE_CORES",
     "default_fleet",
     "capacity_scenario",
     "fleet_accounting_violations",

@@ -20,7 +20,7 @@ fleet [--servers N] [--clients C] [--rate R] [--horizon T] [--model M]
       [--mbps X] [--deadline D] [--placement P] [--scheme S] [--seed K]
       [--queue-depth Q] [--compare-single] [--json PATH]
       [--cloud-gpus K] [--max-batch B] [--max-wait S] [--cloud-policy P]
-      [--telemetry] [--slo] [--watch] [--core fast|heap]
+      [--telemetry] [--slo] [--watch]
                                N-server fleet through the unified
                                SystemConfig/run_system API: placement,
                                admission, per-server audit; exit 1 on
@@ -79,7 +79,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.runner import SCHEMES, ExperimentEnv
-from repro.fleet import ENGINE_CORES, PLACEMENT_POLICIES
+from repro.fleet import PLACEMENT_POLICIES
 from repro.fleet.config import SLO_SCENARIOS
 from repro.nn.zoo import MODELS
 from repro.serving.gateway import GATEWAY_SCHEMES
@@ -230,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch", action="store_true",
         help="print the per-window operator table after the run "
              "(implies --telemetry)",
-    )
-    p.add_argument(
-        "--core", choices=list(ENGINE_CORES), default="fast",
-        help="event core: the SoA fast engine (default) or the heap "
-             "parity oracle — reports are byte-identical either way",
     )
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -623,11 +618,11 @@ def main(argv: list[str] | None = None) -> int:
                 )
             return config
 
-        report = run_system(_config(args.servers), planner=planner, core=args.core)
+        report = run_system(_config(args.servers), planner=planner)
         document = report.as_dict()
         violations = len(report.violations) + len(report.clock_violations)
         if args.compare_single and args.servers != 1:
-            single = run_system(_config(1), planner=planner, core=args.core)
+            single = run_system(_config(1), planner=planner)
             violations += len(single.violations) + len(single.clock_violations)
             document["single_server"] = single.as_dict()["fleet"]
             document["fleet_gain_within_deadline"] = (

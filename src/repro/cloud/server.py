@@ -37,8 +37,7 @@ from typing import Callable
 from repro.cloud.model import CloudGpuModel
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer, Tracer
-from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine
+from repro.sim.engine import Engine, Resource
 from repro.utils.validation import require_positive
 
 __all__ = ["BATCHING_POLICIES", "GPU_ASSIGNMENTS", "BatchingServer", "LeastQueuedRouter"]
@@ -56,7 +55,7 @@ class BatchingServer:
 
     def __init__(
         self,
-        engine: Engine | FastEngine,
+        engine: Engine,
         model: CloudGpuModel | None = None,
         max_batch: int = 8,
         max_wait: float = 0.02,
@@ -79,7 +78,7 @@ class BatchingServer:
         self.policy = policy
         self.tracer = tracer or NullTracer()
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
-        self.resource = engine.resource(name)
+        self.resource = Resource(engine, name)
         #: One entry per completed batch: start/end window, member labels.
         self.batch_log: list[dict] = []
         self.submitted: list[str] = []

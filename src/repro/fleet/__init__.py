@@ -29,7 +29,6 @@ from repro.fleet.config import (
     with_slo_telemetry,
 )
 from repro.fleet.fleet import (
-    ENGINE_CORES,
     FleetGateway,
     FleetResult,
     SystemReport,
@@ -40,7 +39,6 @@ from repro.fleet.invariants import fleet_accounting_violations
 from repro.fleet.placement import Placer
 
 __all__ = [
-    "ENGINE_CORES",
     "PLACEMENT_POLICIES",
     "SCENARIO_SLO",
     "SLO_SCENARIOS",

@@ -44,30 +44,14 @@ from repro.serving.estimator import AdaptiveChannelEstimator
 from repro.serving.gateway import Gateway, GatewayResult, ServedRecord
 from repro.serving.workload import Request, generate_requests
 from repro.sim.engine import Engine
-from repro.sim.fast import FastEngine
 
 __all__ = [
-    "ENGINE_CORES",
     "FleetGateway",
     "FleetResult",
     "SystemReport",
     "events_by_kind",
     "run_system",
 ]
-
-#: Event cores :func:`run_system` can drive a fleet on. ``fast`` is the
-#: structure-of-arrays core (the default); ``heap`` is the original
-#: binary-heap engine, kept as the parity oracle — both produce
-#: byte-identical reports (see docs/performance.md).
-ENGINE_CORES = ("fast", "heap")
-
-
-def _make_engine(core: str) -> "Engine | FastEngine":
-    if core == "fast":
-        return FastEngine()
-    if core == "heap":
-        return Engine()
-    raise ValueError(f"unknown engine core {core!r} (use one of {ENGINE_CORES})")
 
 #: Trace lane of fleet-level instants (rejects, migrations).
 FLEET_LANE = ("fleet", "events")
@@ -101,14 +85,12 @@ class FleetGateway:
         config: SystemConfig,
         planner: PlanningEngine | None = None,
         tracer: "Tracer | NullTracer | None" = None,
-        engine: "Engine | FastEngine | None" = None,
     ) -> None:
         self.config = config
         self.planner = planner or PlanningEngine()
         self.tracer = tracer or NullTracer()
-        # one shared virtual clock for every server; the SoA core by
-        # default, the heap core (or any compatible engine) on request
-        self.engine = engine if engine is not None else FastEngine()
+        # one shared virtual clock for every server
+        self.engine = Engine()
         self.metrics = MetricsRegistry()
         self.records: list[ServedRecord] = []
         self.per_server_arrivals: dict[str, int] = {}
@@ -470,13 +452,12 @@ def _run_once(
     config: SystemConfig,
     planner: PlanningEngine,
     tracer: "Tracer | NullTracer | None",
-    core: str = "fast",
 ) -> SystemReport:
     workload = config.workload
     requests = generate_requests(
         list(workload.clients), workload.horizon, workload.seed
     )
-    fleet = FleetGateway(config, planner=planner, tracer=tracer, engine=_make_engine(core))
+    fleet = FleetGateway(config, planner=planner, tracer=tracer)
     clock = MonotoneClockMonitor().attach(fleet.engine)
     result = fleet.run(requests)
     document = fleet.report(result)
@@ -498,7 +479,6 @@ def run_system(
     config: SystemConfig,
     planner: PlanningEngine | None = None,
     tracer: "Tracer | NullTracer | None" = None,
-    core: str = "fast",
 ) -> SystemReport:
     """Execute a :class:`SystemConfig` end to end (see module docstring).
 
@@ -509,22 +489,17 @@ def run_system(
     stream is replayed with every resilience policy stripped (bare pass
     untraced, exactly like the legacy fault scenario) and the report
     carries the baseline plus a policy-vs-no-policy comparison.
-
-    ``core`` picks the event engine (:data:`ENGINE_CORES`): ``"fast"``
-    is the structure-of-arrays core, ``"heap"`` the original engine.
-    Reports are byte-identical across cores — the hypothesis parity
-    suite (``tests/test_engine_parity.py``) holds them to that.
     """
     planner = planner or PlanningEngine()
     if config.faults is None or not config.faults.compare_no_policy:
-        return _run_once(config, planner, tracer, core)
+        return _run_once(config, planner, tracer)
 
     # policy pass first (traced), then the stripped baseline untraced —
     # the order and span the legacy fault scenario is golden-locked to
     obs = tracer or NullTracer()
     with obs.span("faults/policy", lane=("scenario", "policy")):
-        report = _run_once(config, planner, tracer, core)
-    bare = _run_once(config.without_resilience(), planner, None, core)
+        report = _run_once(config, planner, tracer)
+    bare = _run_once(config.without_resilience(), planner, None)
 
     def _census(rep: SystemReport, kind: str) -> int:
         return sum(block["events"].get(kind, 0) for block in rep.servers.values())

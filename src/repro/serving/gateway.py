@@ -42,7 +42,6 @@ from repro.serving.estimator import AdaptiveChannelEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.workload import Request
 from repro.sim.engine import Engine, Resource
-from repro.sim.fast import FastEngine, FastResource
 from repro.utils.validation import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -185,9 +184,9 @@ class GatewayResult:
     records: list[ServedRecord]
     metrics: MetricsRegistry
     replan_events: list[dict]
-    mobile: Resource | FastResource
-    uplink: Resource | FastResource
-    cloud: Resource | FastResource
+    mobile: Resource
+    uplink: Resource
+    cloud: Resource
     pending: int                      # admitted but unfinished (truncated runs)
 
 
@@ -215,7 +214,7 @@ class Gateway:
         tracer: Tracer | NullTracer | None = None,
         resilience: ResiliencePolicy | None = None,
         faults: FaultInjector | FaultPlan | None = None,
-        engine: Engine | FastEngine | None = None,
+        engine: Engine | None = None,
         name: str | None = None,
         cloud_server: "BatchingServer | None" = None,
         telemetry=None,
@@ -260,14 +259,10 @@ class Gateway:
         # fleet placement context, keyed by request id, consumed into the
         # request's trace tree at finish (see note_placement)
         self._placements: dict[int, dict] = {}
-        # the engine seam: standalone gateways default to the SoA core
-        # (byte-identical event order, see repro.sim.fast); a fleet (or
-        # a parity test) passes a shared engine of either core, and the
-        # resources come from the engine's own factory
-        self._engine = engine if engine is not None else FastEngine()
-        self._mobile = self._engine.resource("mobile-cpu")
-        self._uplink = self._engine.resource("uplink")
-        self._cloud = self._engine.resource("cloud-gpu")
+        self._engine = engine if engine is not None else Engine()
+        self._mobile = Resource(self._engine, "mobile-cpu")
+        self._uplink = Resource(self._engine, "uplink")
+        self._cloud = Resource(self._engine, "cloud-gpu")
         # opt-in shared batching cloud (repro.cloud): when set, the cloud
         # stage routes through the hold-and-batch server instead of the
         # gateway's private GPU — strictly opt-in, like faults/resilience

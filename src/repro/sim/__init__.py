@@ -1,13 +1,6 @@
 """Discrete-event simulation of the mobile→uplink→cloud pipeline."""
 
 from repro.sim.engine import Busy, Engine, Resource, SimulationError
-from repro.sim.fast import (
-    ChainResult,
-    FastEngine,
-    FastResource,
-    run_chain,
-    run_chain_scalar,
-)
 from repro.sim.perturb import (
     executed_makespan,
     perturbed_schedule,
@@ -25,10 +18,7 @@ from repro.sim.trace import render_gantt, validate_against_recurrence
 
 __all__ = [
     "Busy",
-    "ChainResult",
     "Engine",
-    "FastEngine",
-    "FastResource",
     "JobTrace",
     "PipelineResult",
     "Resource",
@@ -37,8 +27,6 @@ __all__ = [
     "executed_makespan",
     "perturbed_schedule",
     "render_gantt",
-    "run_chain",
-    "run_chain_scalar",
     "simulate_schedule",
     "simulate_schedule_on_timeline",
     "straggler_schedule",

@@ -11,15 +11,17 @@ before optimizing):
   the monotonically increasing sequence number makes simultaneous
   events fire in schedule order, so runs are fully deterministic.
 * A :class:`Resource` serializes its users. ``acquire`` enqueues a
-  continuation invoked when the resource frees up; a continuation
-  returns the hold duration and optionally a completion callback.
+  request; when the resource frees up the request holds it for its
+  duration and then fires its completion callback. The one in-flight
+  grant lives in slots on the resource and completes through a bound
+  method cached at construction, so a grant allocates no closure.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Engine", "Resource", "SimulationError"]
@@ -32,14 +34,10 @@ class SimulationError(RuntimeError):
 class Engine:
     """Event loop with a virtual clock."""
 
-    def __init__(self, log_busy: bool = True) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self.now = 0.0
-        #: Default busy-interval retention for resources built through
-        #: :meth:`resource` — long sweeps turn it off so million-event
-        #: runs don't accumulate :class:`Busy` records.
-        self.log_busy = log_busy
         #: Optional observer fired with the clock value before each event
         #: callback. The fault-injection invariant monitor
         #: (:class:`repro.faults.invariants.MonotoneClockMonitor`) hooks
@@ -49,21 +47,11 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at ``now + delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        # `not >=` also rejects NaN, which would corrupt the heap order
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         heapq.heappush(self._heap, (self.now + delay, self._sequence, callback))
         self._sequence += 1
-
-    def resource(self, name: str, log_busy: bool | None = None) -> "Resource":
-        """A :class:`Resource` bound to this engine.
-
-        The serving stack creates resources through this factory so
-        either event core (this one or :class:`repro.sim.fast.FastEngine`)
-        supplies its own resource type behind the same seam.
-        """
-        return Resource(
-            self, name, log_busy=self.log_busy if log_busy is None else log_busy
-        )
 
     def run(self, until: float | None = None) -> float:
         """Drain the event heap; returns the final clock value.
@@ -72,15 +60,24 @@ class Engine:
         it keeps its original sequence number and still fires *before*
         same-timestamp events scheduled after the paused run.
         """
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        heap = self._heap
+        heappop = heapq.heappop
+        limit = float("inf") if until is None else until
+        now = self.now
+        # read once per run: observers (the monotone-clock monitor)
+        # attach before `run`, so re-reading per event buys nothing
+        on_advance = self.on_advance
+        while heap:
+            if heap[0][0] > limit:
                 break
-            time, _, callback = heapq.heappop(self._heap)
-            if time < self.now - 1e-12:
-                raise SimulationError(f"event at {time} is before now={self.now}")
-            self.now = max(self.now, time)
-            if self.on_advance is not None:
-                self.on_advance(self.now)
+            time, _, callback = heappop(heap)
+            if time > now:
+                now = time
+                self.now = now
+            elif time < now - 1e-12:
+                raise SimulationError(f"event at {time} is before now={now}")
+            if on_advance is not None:
+                on_advance(now)
             callback()
         return self.now
 
@@ -98,7 +95,6 @@ class Busy:
     label: str
 
 
-@dataclass
 class Resource:
     """An exclusive, FIFO resource (CPU core, network link, GPU).
 
@@ -107,19 +103,33 @@ class Resource:
     and then fires ``on_done(start_time, end_time)``. ``duration`` may
     be a callable mapping the grant time to a length — that is how
     time-varying links (a transfer started later sees different rates)
-    plug into the engine.
+    plug into the engine. Every grant is recorded in ``busy_log``.
     """
 
-    engine: Engine
-    name: str
-    busy_log: list[Busy] = field(default_factory=list)
-    #: Retain per-grant :class:`Busy` records (Gantt traces, overlap
-    #: audits). Opt out on long runs: ``total_busy_time`` stays exact
-    #: either way via the running accumulator.
-    log_busy: bool = True
-    _queue: deque = field(default_factory=deque)
-    _busy: bool = False
-    _busy_time: float = 0.0
+    __slots__ = (
+        "engine",
+        "name",
+        "busy_log",
+        "_queue",
+        "_busy",
+        "_busy_time",
+        "_label",
+        "_start",
+        "_on_done",
+        "_complete",
+    )
+
+    def __init__(self, engine: Engine, name: str) -> None:
+        self.engine = engine
+        self.name = name
+        self.busy_log: list[Busy] = []
+        self._queue: deque = deque()
+        self._busy = False
+        self._busy_time = 0.0
+        self._label = ""
+        self._start = 0.0
+        self._on_done: Callable[[float, float], None] | None = None
+        self._complete = self._finish
 
     def acquire(
         self,
@@ -127,10 +137,11 @@ class Resource:
         duration: float | Callable[[float], float],
         on_done: Callable[[float, float], None] | None = None,
     ) -> None:
-        if not callable(duration) and duration < 0:
-            raise SimulationError(f"{self.name}: negative duration {duration}")
+        if not callable(duration) and not duration >= 0:
+            raise SimulationError(f"{self.name}: duration must be >= 0, got {duration}")
         self._queue.append((label, duration, on_done))
-        self._pump()
+        if not self._busy:
+            self._pump()
 
     def _pump(self) -> None:
         if self._busy or not self._queue:
@@ -140,22 +151,26 @@ class Resource:
         start = self.engine.now
         if callable(duration):
             duration = duration(start)
-            if duration < 0:
+            if not duration >= 0:
                 raise SimulationError(
                     f"{self.name}: callable duration returned {duration}"
                 )
+        self._label = label
+        self._start = start
+        self._on_done = on_done
+        self.engine.schedule(duration, self._complete)
 
-        def _finish() -> None:
-            end = self.engine.now
-            self._busy_time += end - start
-            if self.log_busy:
-                self.busy_log.append(Busy(start=start, end=end, label=label))
-            self._busy = False
-            if on_done is not None:
-                on_done(start, end)
-            self._pump()
-
-        self.engine.schedule(duration, _finish)
+    def _finish(self) -> None:
+        end = self.engine.now
+        start = self._start
+        on_done = self._on_done
+        self._busy_time += end - start
+        self.busy_log.append(Busy(start=start, end=end, label=self._label))
+        self._busy = False
+        self._on_done = None
+        if on_done is not None:
+            on_done(start, end)
+        self._pump()
 
     @property
     def total_busy_time(self) -> float:
@@ -167,4 +182,4 @@ class Resource:
         """Fraction of ``[0, horizon]`` this resource was busy."""
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        return self.total_busy_time / horizon
+        return self._busy_time / horizon

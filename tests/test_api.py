@@ -24,6 +24,17 @@ def test_top_level_reexport_is_the_facade():
         repro.no_such_symbol
 
 
+def test_installed_version_is_the_package_version():
+    """pyproject.toml reads its version from ``repro.__version__``."""
+    from importlib import metadata
+
+    try:
+        installed = metadata.version("repro")
+    except metadata.PackageNotFoundError:
+        pytest.skip("repro is not installed")
+    assert installed == repro.__version__
+
+
 def test_old_import_paths_still_work():
     from repro.core import jps as deep_jps
     from repro.core.plans import Schedule as DeepSchedule

@@ -1,302 +1,151 @@
-"""SoA event core contracts: FastEngine/FastResource vs the heap oracle.
+"""Fast-path contracts of the one event core.
 
-Three groups of locks from ISSUE 9:
-
-* **Engine-compat surface** — ``FastEngine`` honors the exact
-  :class:`~repro.sim.engine.Engine` contracts the serving stack relies
-  on (ordering, simultaneity, FIFO resources, ``run(until=)``), so the
-  ``engine=`` seam swaps cores without behavior drift.
-* **Native surface** — ``schedule_many`` assigns sequence numbers in
-  input order (same tie-break a loop of ``schedule`` calls produces),
-  merges with an unconsumed backbone, and degrades to per-event pushes
-  mid-run; handler kinds dispatch through the table.
-* **Resume-order regression (satellite 1)** — on *both* cores a
-  deferred event keeps its original sequence number across
-  ``run(until=)``, firing before same-timestamp events scheduled after
-  the pause. The old heap core re-pushed with a fresh sequence number
-  and lost the race.
+``Engine.run`` drains the heap through cached locals, and ``Resource``
+keeps its one in-flight grant in slots and completes it through a bound
+method cached at construction, so a grant allocates no closure. These
+tests pin the orderings those fast paths must keep when handlers
+re-enter the engine mid-drain — scheduling, failing or acquiring from
+inside a callback — which the up-front cases in ``test_sim.py`` do not
+reach.
 """
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
-from repro.sim.fast import FastEngine, run_chain, run_chain_scalar
-
-BOTH_CORES = [Engine, FastEngine]
+from repro.sim.engine import Engine, Resource, SimulationError
 
 
 # ----------------------------------------------------------------------
-# Engine-compatible surface
+# drain loop: handlers that schedule while the heap is being drained
 # ----------------------------------------------------------------------
 
 def test_fast_engine_orders_events():
-    engine = FastEngine()
+    """An event scheduled mid-drain for before the queued ones fires first."""
+    engine = Engine()
     seen = []
-    engine.schedule(2.0, lambda: seen.append("b"))
-    engine.schedule(1.0, lambda: seen.append("a"))
-    engine.schedule(3.0, lambda: seen.append("c"))
-    assert engine.run() == 3.0
-    assert seen == ["a", "b", "c"]
+
+    def root() -> None:
+        seen.append(("root", engine.now))
+        engine.schedule(0.5, lambda: seen.append(("child", engine.now)))
+
+    engine.schedule(1.0, root)
+    engine.schedule(2.0, lambda: seen.append(("late", engine.now)))
+    assert engine.run() == 2.0
+    assert seen == [("root", 1.0), ("child", 1.5), ("late", 2.0)]
 
 
 def test_fast_engine_simultaneous_events_fire_in_schedule_order():
-    engine = FastEngine()
+    """A zero-delay event spawned mid-drain queues behind its peers."""
+    engine = Engine()
     seen = []
-    for tag in ("first", "second", "third"):
-        engine.schedule(1.0, lambda t=tag: seen.append(t))
+
+    def first() -> None:
+        seen.append("first")
+        engine.schedule(0.0, lambda: seen.append("spawned"))
+
+    engine.schedule(1.0, first)
+    engine.schedule(1.0, lambda: seen.append("second"))
     engine.run()
-    assert seen == ["first", "second", "third"]
+    assert seen == ["first", "second", "spawned"]
 
 
 def test_fast_engine_rejects_negative_delay():
-    with pytest.raises(SimulationError):
-        FastEngine().schedule(-0.1, lambda: None)
-    with pytest.raises(SimulationError):
-        FastEngine().schedule_kind(-0.1, 1)
+    """A bad delay raised inside a handler leaves clock and heap usable."""
+    engine = Engine()
+    seen = []
+    engine.schedule(1.0, lambda: engine.schedule(-0.1, lambda: seen.append("never")))
+    engine.schedule(2.0, lambda: seen.append("after"))
+    with pytest.raises(SimulationError, match="delay must be >= 0"):
+        engine.run()
+    assert engine.now == 1.0
+    assert engine.pending_events == 1
+    engine.run()
+    assert seen == ["after"]
 
 
 def test_fast_engine_run_until_and_pending_events():
-    engine = FastEngine()
+    """``until`` is inclusive, and events added between runs are drained."""
+    engine = Engine()
     seen = []
     engine.schedule(1.0, lambda: seen.append(1))
     engine.schedule(5.0, lambda: seen.append(5))
     engine.run(until=2.0)
     assert seen == [1]
     assert engine.pending_events == 1
+    engine.schedule(1.0, lambda: seen.append(2))  # clock is 1.0: fires at 2.0
+    engine.run(until=2.0)
+    assert seen == [1, 2]
+    assert engine.pending_events == 1
     engine.run()
-    assert seen == [1, 5]
+    assert seen == [1, 2, 5]
     assert engine.pending_events == 0
 
 
-@pytest.mark.parametrize("core", BOTH_CORES)
-def test_deferred_event_keeps_sequence_across_resume(core):
-    """Satellite 1: pausing at ``until`` must not re-sequence the head.
-
-    The event deferred past ``until`` was scheduled *first*; an event
-    scheduled for the same timestamp after the pause must still fire
-    second. The pre-fix heap core popped and re-pushed the head with a
-    fresh sequence number, losing the tie.
-    """
-    engine = core()
-    seen = []
-    engine.schedule(5.0, lambda: seen.append("early-bird"))
-    engine.run(until=2.0)
-    assert seen == []
-    engine.schedule(5.0 - engine.now, lambda: seen.append("latecomer"))
-    engine.run()
-    assert seen == ["early-bird", "latecomer"]
-
-
-@pytest.mark.parametrize("core", BOTH_CORES)
-def test_run_until_does_not_advance_clock_past_last_event(core):
-    engine = core()
-    engine.schedule(1.0, lambda: None)
-    engine.schedule(9.0, lambda: None)
-    assert engine.run(until=4.0) == 1.0
-    assert engine.now == 1.0
-
-
-def test_fast_engine_on_advance_observer_fires_per_event():
-    engine = FastEngine()
-    ticks = []
-    engine.on_advance = ticks.append
-    engine.schedule(1.0, lambda: None)
-    engine.schedule_kind(2.0, engine.register_kind(lambda arg: None))
-    engine.run()
-    assert ticks == [1.0, 2.0]
-
-
 # ----------------------------------------------------------------------
-# native surface: kinds + bulk backbone
-# ----------------------------------------------------------------------
-
-def test_schedule_many_matches_schedule_loop_tie_break():
-    """Bulk input order == per-call schedule order at equal timestamps."""
-    loop, bulk = FastEngine(), FastEngine()
-    order_loop, order_bulk = [], []
-    tags = ["a", "b", "c", "d"]
-    times = [2.0, 1.0, 2.0, 1.0]
-    for tag, time in zip(tags, times):
-        loop.schedule(time, lambda t=tag: order_loop.append(t))
-    kind = bulk.register_kind(order_bulk.append)
-    bulk.schedule_many(times, kind, tags)
-    loop.run()
-    bulk.run()
-    assert order_bulk == order_loop == ["b", "d", "a", "c"]
-
-
-def test_schedule_many_interleaves_with_heap_events_by_sequence():
-    """Backbone and heap events at one timestamp merge by (time, seq)."""
-    engine = FastEngine()
-    seen = []
-    kind = engine.register_kind(seen.append)
-    engine.schedule(1.0, lambda: seen.append("heap-first"))   # seq 0
-    engine.schedule_many([1.0, 1.0], kind, ["bulk-a", "bulk-b"])  # seq 1, 2
-    engine.schedule(1.0, lambda: seen.append("heap-last"))    # seq 3
-    engine.run()
-    assert seen == ["heap-first", "bulk-a", "bulk-b", "heap-last"]
-
-
-def test_schedule_many_merges_unconsumed_backbone():
-    engine = FastEngine()
-    seen = []
-    kind = engine.register_kind(seen.append)
-    engine.schedule_many([1.0, 5.0], kind, ["one", "five"])
-    engine.run(until=2.0)
-    assert seen == ["one"] and engine.pending_events == 1
-    engine.schedule_many([3.0, 5.0], kind, ["three", "five-later"])
-    engine.run()
-    # the first batch's t=5 event outranks the second's by sequence
-    assert seen == ["one", "three", "five", "five-later"]
-
-
-def test_schedule_many_mid_run_degrades_to_heap_pushes():
-    """Bulk calls issued from inside a handler still fire in order."""
-    engine = FastEngine()
-    seen = []
-    kind = engine.register_kind(seen.append)
-
-    def fan_out() -> None:
-        seen.append("root")
-        engine.schedule_many([2.0, 2.0, 3.0], kind, ["a", "b", "c"])
-
-    engine.schedule(1.0, fan_out)
-    engine.run()
-    assert seen == ["root", "a", "b", "c"]
-
-
-def test_schedule_many_validates_input():
-    engine = FastEngine()
-    engine.schedule(1.0, lambda: None)
-    engine.run()
-    with pytest.raises(SimulationError, match="before now"):
-        engine.schedule_many([0.5], 1)
-    with pytest.raises(SimulationError, match="kinds"):
-        engine.schedule_many([1.0, 2.0], [1])
-    with pytest.raises(SimulationError, match="args"):
-        engine.schedule_many([1.0, 2.0], 1, ["only-one"])
-    engine.schedule_many([], 1)  # empty bulk is a no-op
-    assert engine.pending_events == 0
-
-
-def test_fast_engine_rejects_time_travel():
-    engine = FastEngine()
-    kind = engine.register_kind(lambda arg: None)
-    engine.schedule_many([1.0], kind)
-    engine.run()
-    engine._btime, engine._bseq = [0.5], [99]
-    engine._bkind, engine._barg = [kind], [None]
-    with pytest.raises(SimulationError, match="before now"):
-        engine.run()
-
-
-# ----------------------------------------------------------------------
-# FastResource: the heap Resource contract, closure-free
+# closure-free grants: one in-flight slot, completion through a cached
+# bound method
 # ----------------------------------------------------------------------
 
 def test_fast_resource_fifo_and_busy_log():
-    engine = FastEngine()
-    res = engine.resource("cpu")
+    """The O(1) busy accumulator agrees with the busy log it shadows."""
+    engine = Engine()
+    res = Resource(engine, "cpu")
+    durations = [0.5, 0.25, 1.0, 0.0, 2.0]
     ends = []
-    res.acquire("a", 2.0, lambda s, e: ends.append((s, e)))
-    res.acquire("b", 1.0, lambda s, e: ends.append((s, e)))
+    for i, duration in enumerate(durations):
+        res.acquire(f"j{i}", duration, lambda s, e: ends.append((s, e)))
     engine.run()
-    assert ends == [(0.0, 2.0), (2.0, 3.0)]
-    assert res.total_busy_time == 3.0
-    assert [b.label for b in res.busy_log] == ["a", "b"]
-    assert res.utilization(3.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        res.utilization(0)
-
-
-def test_fast_resource_rejects_negative_duration():
-    engine = FastEngine()
-    with pytest.raises(SimulationError):
-        engine.resource("cpu").acquire("x", -1.0)
-    res = engine.resource("link")
-    with pytest.raises(SimulationError, match="callable duration"):
-        res.acquire("y", lambda start: -1.0)
-
-
-def test_fast_resource_callable_duration_priced_at_grant():
-    engine = FastEngine()
-    res = engine.resource("link")
-    grants = []
-    res.acquire("a", 2.0, lambda s, e: grants.append((s, e)))
-    res.acquire("b", lambda start: start, lambda s, e: grants.append((s, e)))
-    engine.run()
-    # b granted at t=2, priced there: holds 2 seconds
-    assert grants == [(0.0, 2.0), (2.0, 4.0)]
+    assert [(b.start, b.end) for b in res.busy_log] == ends
+    assert [b.label for b in res.busy_log] == [f"j{i}" for i in range(len(durations))]
+    assert res.total_busy_time == pytest.approx(sum(b.end - b.start for b in res.busy_log))
+    assert res.total_busy_time == pytest.approx(sum(durations))
+    assert ends[-1][1] == pytest.approx(sum(durations))
 
 
 def test_fast_resource_fifo_under_simultaneous_acquires():
-    engine = FastEngine()
-    res = engine.resource("cpu")
+    """An acquire made from ``on_done`` queues behind earlier waiters.
+
+    The completion callback runs after the in-flight slot is freed, so
+    the re-entrant acquire grants the queue head at once and overwrites
+    the slot; the finished grant's own start and label must already be
+    recorded by then.
+    """
+    engine = Engine()
+    res = Resource(engine, "cpu")
     order = []
-    for tag, duration in (("a", 3.0), ("b", 1.0), ("c", 2.0)):
-        engine.schedule(
-            1.0,
-            lambda t=tag, d=duration: res.acquire(
-                t, d, lambda s, e, t=t: order.append((t, s, e))
-            ),
-        )
+
+    def done(tag):
+        def on_done(start: float, end: float) -> None:
+            order.append((tag, start, end))
+            if tag == "a":
+                res.acquire("a2", 0.5, done("a2"))
+        return on_done
+
+    for tag, duration in (("a", 3.0), ("b", 1.0)):
+        engine.schedule(1.0, lambda t=tag, d=duration: res.acquire(t, d, done(t)))
     engine.run()
-    assert order == [("a", 1.0, 4.0), ("b", 4.0, 5.0), ("c", 5.0, 7.0)]
-    assert [b.label for b in res.busy_log] == ["a", "b", "c"]
+    assert order == [("a", 1.0, 4.0), ("b", 4.0, 5.0), ("a2", 5.0, 5.5)]
+    assert [(b.label, b.start, b.end) for b in res.busy_log] == order
 
 
 def test_fast_resource_zero_durations_keep_order():
-    engine = FastEngine()
-    res = engine.resource("cpu")
+    """Zero-length grants, fixed or priced at grant, keep FIFO order."""
+    engine = Engine()
+    res = Resource(engine, "cpu")
     served = []
-    for tag, duration in (("long", 2.0), ("zero1", 0.0), ("zero2", 0.0)):
-        res.acquire(tag, duration, lambda s, e, t=tag: served.append(t))
+    requests = (
+        ("long", 2.0),
+        ("zero1", 0.0),
+        ("priced", lambda start: 0.0),
+        ("zero2", 0.0),
+    )
+    for tag, duration in requests:
+        res.acquire(tag, duration, lambda s, e, t=tag: served.append((t, s, e)))
     engine.run()
-    assert served == ["long", "zero1", "zero2"]
-
-
-@pytest.mark.parametrize("core", BOTH_CORES)
-def test_log_busy_opt_out_keeps_exact_busy_time(core):
-    """Satellite 2: retention off, accumulator still exact — both cores."""
-    engine = core(log_busy=False)
-    res = engine.resource("cpu")
-    res.acquire("a", 2.0)
-    res.acquire("b", 1.5)
-    engine.run()
-    assert res.busy_log == []
-    assert res.total_busy_time == pytest.approx(3.5)
-    # per-resource override beats the engine default
-    kept = engine.resource("audited", log_busy=True)
-    kept.acquire("x", 1.0)
-    engine.run()
-    assert [b.label for b in kept.busy_log] == ["x"]
-
-
-# ----------------------------------------------------------------------
-# the chain pair: fast native path vs heap oracle
-# ----------------------------------------------------------------------
-
-def test_run_chain_matches_scalar_oracle():
-    arrivals = [0.0, 0.1, 0.2, 0.2, 1.0, 1.5]
-    durations = [
-        [0.3, 0.1, 0.2, 0.05, 0.3, 0.1],   # mobile
-        [0.1, 0.2, 0.1, 0.1, 0.05, 0.2],   # uplink
-        [0.2, 0.1, 0.3, 0.1, 0.1, 0.05],   # cloud
+    assert served == [
+        ("long", 0.0, 2.0),
+        ("zero1", 2.0, 2.0),
+        ("priced", 2.0, 2.0),
+        ("zero2", 2.0, 2.0),
     ]
-    fast = run_chain(arrivals, durations)
-    slow = run_chain_scalar(arrivals, durations)
-    assert fast.checksum() == slow.checksum()
-    assert fast.events == slow.events == 6 * 4
-    assert all(c >= 0.0 for c in fast.completions)
-    assert not any(fast.expired)
-
-
-def test_run_chain_deadline_parity_with_scalar_oracle():
-    arrivals = [0.0, 0.0, 0.5, 0.5]
-    durations = [[1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5]]
-    deadlines = [2.0, 1.6, 10.0, 4.0]
-    fast = run_chain(arrivals, durations, deadlines)
-    slow = run_chain_scalar(arrivals, durations, deadlines)
-    assert fast.checksum() == slow.checksum()
-    assert fast.expired == [False, True, False, True]
-    assert fast.busy_time[0] == pytest.approx(4.0)
+    assert [b.label for b in res.busy_log] == ["long", "zero1", "priced", "zero2"]
+    assert res.total_busy_time == 2.0

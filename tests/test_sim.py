@@ -39,6 +39,19 @@ def test_engine_rejects_negative_delay():
         Engine().schedule(-0.1, lambda: None)
 
 
+def test_engine_rejects_nan_delay():
+    """NaN slips past ``delay < 0``; on the heap it broke the event order."""
+    engine = Engine()
+    seen = []
+    engine.schedule(1.0, lambda: seen.append(1.0))
+    with pytest.raises(SimulationError, match="nan"):
+        engine.schedule(float("nan"), lambda: seen.append("nan"))
+    for delay in (2.0, 3.0, 0.5):
+        engine.schedule(delay, lambda d=delay: seen.append(d))
+    engine.run()
+    assert seen == [0.5, 1.0, 2.0, 3.0]
+
+
 def test_engine_run_until():
     engine = Engine()
     seen = []
@@ -51,6 +64,57 @@ def test_engine_run_until():
     assert seen == [1, 5]
 
 
+def test_deferred_event_keeps_sequence_across_resume():
+    """Pausing at ``until`` must not re-sequence the deferred head.
+
+    The event deferred past ``until`` was scheduled *first*; an event
+    scheduled for the same timestamp after the pause must still fire
+    second. Popping and re-pushing the head with a fresh sequence
+    number would lose the tie.
+    """
+    engine = Engine()
+    seen = []
+    engine.schedule(5.0, lambda: seen.append("early-bird"))
+    engine.run(until=2.0)
+    assert seen == []
+    engine.schedule(5.0 - engine.now, lambda: seen.append("latecomer"))
+    engine.run()
+    assert seen == ["early-bird", "latecomer"]
+
+
+def test_engine_rejects_time_travel():
+    """An event behind the clock (only reachable by corrupting the heap)
+    fails loudly instead of moving virtual time backwards."""
+    import heapq
+
+    engine = Engine()
+    engine.schedule(1.0, lambda: None)
+    engine.run()
+    heapq.heappush(engine._heap, (0.5, 99, lambda: None))
+    with pytest.raises(SimulationError, match="before now"):
+        engine.run()
+    assert engine.now == 1.0
+
+
+def test_run_until_does_not_advance_clock_past_last_event():
+    engine = Engine()
+    engine.schedule(1.0, lambda: None)
+    engine.schedule(9.0, lambda: None)
+    assert engine.run(until=4.0) == 1.0
+    assert engine.now == 1.0
+
+
+def test_on_advance_fires_once_per_event_with_the_new_clock():
+    engine = Engine()
+    ticks = []
+    engine.on_advance = ticks.append
+    engine.schedule(1.0, lambda: None)
+    engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, lambda: None)
+    engine.run()
+    assert ticks == [1.0, 1.0, 2.0]
+
+
 def test_resource_fifo_and_busy_log():
     engine = Engine()
     res = Resource(engine, "cpu")
@@ -60,6 +124,7 @@ def test_resource_fifo_and_busy_log():
     engine.run()
     assert ends == [(0.0, 2.0), (2.0, 3.0)]
     assert res.total_busy_time == 3.0
+    assert [b.label for b in res.busy_log] == ["a", "b"]
     assert res.utilization(3.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         res.utilization(0)
@@ -70,6 +135,35 @@ def test_resource_rejects_negative_duration():
     res = Resource(engine, "cpu")
     with pytest.raises(SimulationError):
         res.acquire("x", -1.0)
+
+
+def test_resource_rejects_nan_duration():
+    """NaN slips past ``duration < 0`` and used to log a (0, 0) grant."""
+    engine = Engine()
+    res = Resource(engine, "cpu")
+    with pytest.raises(SimulationError, match="cpu: .*nan"):
+        res.acquire("a", float("nan"))
+    engine.run()
+    assert res.busy_log == [] and res.total_busy_time == 0.0
+
+
+def test_resource_callable_duration_priced_at_grant():
+    engine = Engine()
+    res = Resource(engine, "link")
+    grants = []
+    res.acquire("a", 2.0, lambda s, e: grants.append((s, e)))
+    res.acquire("b", lambda start: start, lambda s, e: grants.append((s, e)))
+    engine.run()
+    # b granted at t=2, priced there: holds 2 seconds
+    assert grants == [(0.0, 2.0), (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_resource_rejects_bad_callable_duration(bad):
+    engine = Engine()
+    res = Resource(engine, "link")
+    with pytest.raises(SimulationError, match="link: callable duration returned"):
+        res.acquire("y", lambda start: bad)
 
 
 # ----------------------------------------------------------------------
