@@ -26,9 +26,12 @@ evaluated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+
+import numpy as np
 
 from repro.dag.graph import Dag
 from repro.dag.topology import ParallelBlock, parallel_blocks
@@ -41,6 +44,10 @@ __all__ = [
     "enumerate_frontier_cuts",
     "prune_dominated",
 ]
+
+#: Rows per numpy pass of the block batch pricer (:func:`_block_cut_bytes`);
+#: bounds its boolean matrices to a few MB however wide the block.
+_BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,16 +66,18 @@ class Cut:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.transfer_bytes < 0:
+        if not self.transfer_bytes >= 0:  # also rejects NaN
             raise ValueError(f"transfer_bytes must be >= 0, got {self.transfer_bytes!r}")
 
 
 def is_downward_closed(dag: Dag, mobile: Iterable[str]) -> bool:
     """True if ``mobile`` is closed under predecessors in ``dag``."""
-    mobile_set = set(mobile)
-    return all(
-        pred in mobile_set for v in mobile_set for pred in dag.predecessors(v)
-    )
+    mobile_set = frozenset(mobile)
+    pred = dag._pred
+    try:
+        return all(mobile_set.issuperset(pred[v]) for v in mobile_set)
+    except KeyError as exc:
+        raise KeyError(f"unknown node {exc.args[0]!r}") from None
 
 
 def cut_edge_tails(dag: Dag, mobile: Iterable[str]) -> list[str]:
@@ -78,13 +87,14 @@ def cut_edge_tails(dag: Dag, mobile: Iterable[str]) -> list[str]:
     uploaded. Order follows the DAG's deterministic topological order so
     that cut labels and trace output are stable.
     """
-    mobile_set = set(mobile)
-    tails = {
-        tail
-        for tail in mobile_set
-        if any(head not in mobile_set for head in dag.successors(tail))
-    }
-    return [v for v in dag.topological_order() if v in tails]
+    mobile_set = frozenset(mobile)
+    succ = dag._succ
+    try:
+        tails = [tail for tail in mobile_set if not mobile_set.issuperset(succ[tail])]
+    except KeyError as exc:
+        raise KeyError(f"unknown node {exc.args[0]!r}") from None
+    tails.sort(key=dag._topological_position().__getitem__)
+    return tails
 
 
 def cut_transfer_bytes(dag: Dag, mobile: Iterable[str]) -> float:
@@ -94,16 +104,8 @@ def cut_transfer_bytes(dag: Dag, mobile: Iterable[str]) -> float:
     the same tensor, so the maximum (they are equal for well-formed
     layer graphs) is charged a single time.
     """
-    mobile_set = set(mobile)
-    total = 0.0
-    for tail in cut_edge_tails(dag, mobile_set):
-        volumes = [
-            dag.volume(tail, head)
-            for head in dag.successors(tail)
-            if head not in mobile_set
-        ]
-        total += max(volumes)
-    return total
+    mobile_set = frozenset(mobile)
+    return _tail_bytes(dag, mobile_set, cut_edge_tails(dag, mobile_set))
 
 
 def make_cut(dag: Dag, mobile: Iterable[str], label: str = "") -> Cut:
@@ -115,9 +117,22 @@ def make_cut(dag: Dag, mobile: Iterable[str], label: str = "") -> Cut:
     return Cut(
         mobile=mobile_set,
         frontier=frontier,
-        transfer_bytes=cut_transfer_bytes(dag, mobile_set),
+        transfer_bytes=_tail_bytes(dag, mobile_set, frontier),
         label=label or ("empty" if not mobile_set else f"after:{'+'.join(frontier)}"),
     )
+
+
+def _tail_bytes(dag: Dag, mobile: frozenset[str], tails: Iterable[str]) -> float:
+    """Price already-found crossing ``tails`` (in topological order).
+
+    A left-to-right sum, from 0.0, of each tail's largest crossing
+    volume: the reference the batch pricer below reproduces bit for bit.
+    """
+    succ, volumes = dag._succ, dag._volumes
+    total = 0.0
+    for tail in tails:
+        total += max(volumes[tail, head] for head in succ[tail] if head not in mobile)
+    return total
 
 
 def _closure_up_to(dag: Dag, node: str) -> frozenset[str]:
@@ -127,14 +142,15 @@ def _closure_up_to(dag: Dag, node: str) -> frozenset[str]:
 
 def _block_cut_sets(
     dag: Dag, block: ParallelBlock, base: frozenset[str]
-) -> list[frozenset[str]]:
+) -> Iterator[frozenset[str]]:
     """All cuts threading through ``block``: one position per branch.
 
     Position ``p`` on a branch keeps its first ``p`` interior nodes on the
     mobile side. The all-zero combination duplicates "cut after entry"
-    and is skipped (the caller already emitted it).
+    and is skipped (the caller already emitted it). Sets are yielded
+    lazily, in :func:`itertools.product` order, so a caller's cap fires
+    before a wide block is materialized.
     """
-    sets: list[frozenset[str]] = []
     ranges = [range(len(branch) + 1) for branch in block.branches]
     for combo in product(*ranges):
         if all(p == 0 for p in combo):
@@ -142,8 +158,62 @@ def _block_cut_sets(
         mobile = set(base)
         for branch, position in zip(block.branches, combo):
             mobile.update(branch[:position])
-        sets.append(frozenset(mobile))
-    return sets
+        yield frozenset(mobile)
+
+
+def _block_cut_bytes(dag: Dag, block: ParallelBlock, base: frozenset[str]) -> np.ndarray:
+    """:func:`cut_transfer_bytes` of every :func:`_block_cut_sets` set, in order.
+
+    Each cut is a boolean row over the nodes that can matter: ``base``
+    OR one prefix mask per branch, rows in :func:`itertools.product`
+    order with the all-zero row dropped. An edge crosses where
+    ``row[tail] & ~row[head]``; each tail's largest crossing volume comes
+    from ``np.maximum.reduceat`` over the edges grouped by tail in
+    topological order (0.0 where none crosses, which adds nothing), and
+    the bytes from a sequential ``np.cumsum`` from 0.0 — the scalar
+    loop's summation order, so every value equals the scalar one bit for
+    bit. ``np.sum`` would add pairwise and could differ in the last bit.
+    Rows are priced ``_BATCH_ROWS`` at a time.
+    """
+    succ, volumes = dag._succ, dag._volumes
+    reach = set(base).union(*block.branches)  # every node some row puts on mobile
+    ordered = sorted(reach, key=dag._topological_position().__getitem__)
+    # only edges out of a reachable tail into a node outside ``base`` can cross
+    edges = [(t, h) for t in ordered for h in succ[t] if h not in base]
+    column: dict[str, int] = {}
+    for t, h in edges:
+        column.setdefault(t, len(column))
+        column.setdefault(h, len(column))
+    tail_col = np.array([column[t] for t, _ in edges], dtype=np.intp)
+    head_col = np.array([column[h] for _, h in edges], dtype=np.intp)
+    edge_bytes = np.array([volumes[e] for e in edges], dtype=float)
+    starts = np.flatnonzero(np.diff(tail_col, prepend=-1))
+
+    base_row = np.zeros(len(column), dtype=bool)
+    base_row[[c for v, c in column.items() if v in base]] = True
+    prefixes = []
+    for branch in block.branches:
+        masks = np.zeros((len(branch) + 1, len(column)), dtype=bool)
+        for p, v in enumerate(branch):
+            masks[p + 1 :, column[v]] = True  # v's branch successor is never in base
+        prefixes.append(masks)
+
+    sizes = tuple(len(branch) + 1 for branch in block.branches)
+    combos = prod(sizes)
+    result = np.empty(combos - 1)
+    for start in range(1, combos, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, combos)
+        digits = np.unravel_index(np.arange(start, stop), sizes)
+        rows = base_row | prefixes[0][digits[0]]
+        for masks, position in zip(prefixes[1:], digits[1:]):
+            rows |= masks[position]
+        crossing = rows[:, tail_col] & ~rows[:, head_col]
+        per_tail = np.zeros((stop - start, len(starts) + 1))
+        np.maximum.reduceat(
+            np.where(crossing, edge_bytes, 0.0), starts, axis=1, out=per_tail[:, 1:]
+        )
+        result[start - 1 : stop - 1] = np.cumsum(per_tail, axis=1)[:, -1]
+    return result
 
 
 def enumerate_frontier_cuts(

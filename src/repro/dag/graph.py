@@ -37,8 +37,11 @@ class Edge:
     volume: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.volume < 0:
-            raise ValueError(f"edge volume must be >= 0, got {self.volume!r}")
+        if not self.volume >= 0:  # also rejects NaN
+            raise ValueError(
+                f"edge {self.tail!r} -> {self.head!r}: volume must be >= 0, "
+                f"got {self.volume!r}"
+            )
 
 
 @dataclass
@@ -48,6 +51,9 @@ class Dag:
     Nodes and edges iterate in insertion order, which keeps every
     downstream algorithm (topological sort, path enumeration, schedule
     tie-breaking) deterministic for a given construction sequence.
+
+    The topological order is computed once per graph version:
+    :meth:`add_node` and :meth:`add_edge` drop the memoized order.
     """
 
     name: str = "dag"
@@ -55,6 +61,10 @@ class Dag:
     _succ: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _pred: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _volumes: dict[tuple[str, str], float] = field(default_factory=dict, repr=False)
+    _order: list[str] | None = field(default=None, init=False, repr=False, compare=False)
+    _position: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -68,6 +78,7 @@ class Dag:
         self._payloads[node_id] = payload
         self._succ[node_id] = []
         self._pred[node_id] = []
+        self._order = self._position = None
         return node_id
 
     def add_edge(self, tail: str, head: str, volume: float = 0.0) -> None:
@@ -79,11 +90,14 @@ class Dag:
             raise CycleError(f"self-loop on {tail!r}")
         if (tail, head) in self._volumes:
             raise ValueError(f"duplicate edge {tail!r} -> {head!r}")
-        if volume < 0:
-            raise ValueError(f"edge volume must be >= 0, got {volume!r}")
+        if not volume >= 0:  # also rejects NaN
+            raise ValueError(
+                f"edge {tail!r} -> {head!r}: volume must be >= 0, got {volume!r}"
+            )
         self._succ[tail].append(head)
         self._pred[head].append(tail)
         self._volumes[(tail, head)] = float(volume)
+        self._order = self._position = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -165,8 +179,16 @@ class Dag:
         """Kahn's algorithm; deterministic (insertion-order tie-break).
 
         Raises :class:`CycleError` if the graph contains a cycle, so any
-        caller holding a topological order may assume acyclicity.
+        caller holding a topological order may assume acyclicity. The
+        order is memoized until the next :meth:`add_node`/:meth:`add_edge`;
+        each call returns a fresh list.
         """
+        return list(self._topological_order())
+
+    def _topological_order(self) -> list[str]:
+        """The memoized order itself; shared, so callers must not mutate it."""
+        if self._order is not None:
+            return self._order
         in_deg = {v: len(self._pred[v]) for v in self._payloads}
         ready = [v for v in self._payloads if in_deg[v] == 0]
         order: list[str] = []
@@ -182,7 +204,14 @@ class Dag:
         if len(order) != len(self._payloads):
             stuck = sorted(v for v, d in in_deg.items() if d > 0)
             raise CycleError(f"graph contains a cycle through {stuck[:5]}")
+        self._order = order
         return order
+
+    def _topological_position(self) -> dict[str, int]:
+        """Node -> index in the memoized topological order."""
+        if self._position is None:
+            self._position = {v: i for i, v in enumerate(self._topological_order())}
+        return self._position
 
     def ancestors(self, node_id: str) -> set[str]:
         """All strict ancestors of ``node_id`` (nodes with a path to it)."""

@@ -117,7 +117,7 @@ def enumerate_closed_sets(
     caller should fall back to :func:`refine_closed_sets`.
     """
     require_positive(max_states, "max_states")
-    position = {v: i for i, v in enumerate(dag.topological_order())}
+    position = dag._topological_position()
     base = frozenset(dag.sources())
     seen: dict[frozenset[str], None] = {base: None}
     queue: list[frozenset[str]] = [base]
@@ -173,7 +173,7 @@ def refine_closed_sets(
     trade-off fastest, so those neighbors survive the budget cut.
     """
     require_positive(max_states, "max_states")
-    position = {v: i for i, v in enumerate(dag.topological_order())}
+    position = dag._topological_position()
     on_critical = set(critical_path(dag, node_time)[0])
     sources = set(dag.sources())
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.dag.cuts import cut_transfer_bytes
+from repro.dag.cuts import _block_cut_bytes, _closure_up_to, cut_transfer_bytes
 from repro.dag.graph import Dag
 from repro.dag.topology import (
     ParallelBlock,
@@ -133,17 +133,12 @@ def should_cluster_block(dag: Dag, block: ParallelBlock) -> bool:
     """
     if block.is_trivial:
         return False
-    base = dag.ancestors(block.entry) | {block.entry}
+    base = _closure_up_to(dag, block.entry)
     entry_bytes = cut_transfer_bytes(dag, base)
-
-    from repro.dag.cuts import _block_cut_sets  # local: avoid import cycle at module load
-
-    interior = _block_cut_sets(dag, block, frozenset(base))
-    # exclude the all-full combination: it is "cut before exit", which has
-    # *less* mobile compute than any cut containing exit and is a genuine
+    # the all-full combination is "cut before exit", which has *less*
+    # mobile compute than any cut containing exit and is a genuine
     # alternative, but it is still interior to the block for our purpose.
-    min_bytes = min(cut_transfer_bytes(dag, mobile) for mobile in interior)
-    return min_bytes >= entry_bytes
+    return bool(_block_cut_bytes(dag, block, base).min() >= entry_bytes)
 
 
 def collapse_clusterable_blocks(dag: Dag) -> Dag:

@@ -1,5 +1,8 @@
 """Cut semantics and frontier enumeration."""
 
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +70,19 @@ def test_cut_rejects_negative_bytes():
         Cut(mobile=frozenset(), frontier=(), transfer_bytes=-1)
 
 
+def test_cut_rejects_nan_bytes():
+    with pytest.raises(ValueError, match="transfer_bytes must be >= 0, got nan"):
+        Cut(mobile=frozenset({"a"}), frontier=("a",), transfer_bytes=math.nan)
+
+
+def test_unknown_nodes_are_named():
+    g = residual()
+    with pytest.raises(KeyError, match="unknown node 'zz'"):
+        is_downward_closed(g, {"zz"})
+    with pytest.raises(KeyError, match="unknown node 'zz'"):
+        cut_transfer_bytes(g, {"zz"})
+
+
 def test_enumerate_frontier_cuts_residual():
     g = residual()
     cuts = enumerate_frontier_cuts(g)
@@ -92,6 +108,25 @@ def test_enumerate_cut_cap():
     g = residual()
     with pytest.raises(ValueError, match="more than 2"):
         enumerate_frontier_cuts(g, max_cuts=2)
+
+
+def test_cut_cap_fires_before_a_wide_block_is_built():
+    """8 branches of 4 nodes: 5**8 interior cuts, but the cap is 100."""
+    g = Dag(name="wide")
+    g.add_node("in")
+    g.add_node("out")
+    for b in range(8):
+        chain = [g.add_node(f"b{b}.{i}") for i in range(4)]
+        for tail, head in zip(["in", *chain], [*chain, "out"]):
+            g.add_edge(tail, head, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 100 frontier cuts"):
+            enumerate_frontier_cuts(g, max_cuts=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_exhaustive_cut_space_tiny():

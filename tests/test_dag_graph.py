@@ -1,9 +1,11 @@
 """Dag structure: construction, invariants, traversals."""
 
+import math
+
 import networkx as nx
 import pytest
 
-from repro.dag.graph import CycleError, Dag
+from repro.dag.graph import CycleError, Dag, Edge
 
 
 def diamond() -> Dag:
@@ -41,6 +43,20 @@ def test_add_edge_validations():
         g.add_edge("a", "b", 2.0)
     with pytest.raises(ValueError, match="volume"):
         g.add_edge("b", "a", -1.0)
+
+
+def test_add_edge_rejects_nan_volume():
+    g = Dag()
+    g.add_node("a")
+    g.add_node("b")
+    with pytest.raises(ValueError, match="'a' -> 'b': volume must be >= 0, got nan"):
+        g.add_edge("a", "b", math.nan)
+    assert g.num_edges() == 0 and g.successors("a") == []
+
+
+def test_edge_rejects_nan_volume():
+    with pytest.raises(ValueError, match="'a' -> 'b': volume must be >= 0, got nan"):
+        Edge("a", "b", math.nan)
 
 
 def test_payload_roundtrip():
@@ -89,6 +105,54 @@ def test_topological_order_detects_cycles():
     g.add_edge("c", "a")
     with pytest.raises(CycleError):
         g.topological_order()
+
+
+def test_topological_order_follows_add_node_and_add_edge():
+    g = Dag()
+    for v in "cab":
+        g.add_node(v)
+    assert g.topological_order() == ["c", "a", "b"]
+    g.add_edge("b", "c")
+    assert g.topological_order() == ["a", "b", "c"]
+    g.add_node("z")
+    assert g.topological_order() == ["a", "b", "z", "c"]
+    g.add_edge("c", "z")
+    assert g.topological_order() == ["a", "b", "c", "z"]
+
+
+def test_topological_order_returns_a_fresh_list():
+    g = diamond()
+    order = g.topological_order()
+    order.reverse()
+    order.append("zzz")
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    assert g.topological_order() is not g.topological_order()
+
+
+def test_cyclic_graph_raises_on_every_call():
+    g = Dag()
+    for v in "abc":
+        g.add_node(v)
+    g.add_edge("a", "b")
+    g.add_edge("b", "c")
+    assert g.topological_order() == ["a", "b", "c"]
+    g.add_edge("c", "a")
+    for _ in range(3):
+        with pytest.raises(CycleError):
+            g.topological_order()
+
+
+def test_copy_has_an_independent_topological_order():
+    g = diamond()
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    clone = g.copy()
+    clone.add_node("e")
+    clone.add_edge("e", "a")
+    assert clone.topological_order() == ["e", "a", "b", "c", "d"]
+    assert g.topological_order() == ["a", "b", "c", "d"]
+    g.add_node("f")
+    assert clone.topological_order() == ["e", "a", "b", "c", "d"]
+    assert g == g.copy()
 
 
 def test_ancestors_descendants():
