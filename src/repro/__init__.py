@@ -39,7 +39,7 @@ fault injection, gateway resilience policies, and the differential
 oracle — see ``docs/robustness.md``).
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: Facade names re-exported lazily from :mod:`repro.api` (PEP 562), so
 #: ``import repro`` stays light and experiment modules that import
@@ -89,9 +89,6 @@ _API_EXPORTS = frozenset(
         "MetricsRegistry",
         "ClientSpec",
         "Request",
-        "ScenarioConfig",
-        "default_scenario",
-        "run_scenario",
         "BandwidthTimeline",
         # fleet serving behind the unified scenario API (repro.fleet)
         "SystemConfig",
@@ -106,6 +103,7 @@ _API_EXPORTS = frozenset(
         "FleetGateway",
         "run_system",
         "default_fleet",
+        "bandwidth_drop_scenario",
         "capacity_scenario",
         "fleet_accounting_violations",
         "steady_fleet_scenario",
@@ -131,8 +129,6 @@ _API_EXPORTS = frozenset(
         "TransferCorruption",
         "ClientOutage",
         "CostMisestimation",
-        "default_fault_scenario",
-        "run_fault_scenario",
         "accounting_violations",
         "MonotoneClockMonitor",
         "check_instance",

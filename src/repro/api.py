@@ -64,9 +64,7 @@ from repro.faults import (
     TransferCorruption,
     accounting_violations,
     check_instance,
-    default_fault_scenario,
     exhaustive_optimal,
-    run_fault_scenario,
 )
 from repro.fleet import (
     SCENARIO_SLO,
@@ -81,6 +79,7 @@ from repro.fleet import (
     SystemConfig,
     SystemReport,
     WorkloadConfig,
+    bandwidth_drop_scenario,
     blackout_fleet_scenario,
     capacity_scenario,
     contended_cloud_scenario,
@@ -130,9 +129,6 @@ from repro.serving import (
     Gateway,
     MetricsRegistry,
     Request,
-    ScenarioConfig,
-    default_scenario,
-    run_scenario,
 )
 from repro.sim.trace import pipeline_spans, write_pipeline_trace
 from repro.utils.units import mbps
@@ -156,9 +152,6 @@ __all__ = [
     "MetricsRegistry",
     "ClientSpec",
     "Request",
-    "ScenarioConfig",
-    "default_scenario",
-    "run_scenario",
     "BandwidthTimeline",
     # fleet serving behind the unified scenario API (repro.fleet)
     "SystemConfig",
@@ -173,6 +166,7 @@ __all__ = [
     "FleetGateway",
     "run_system",
     "default_fleet",
+    "bandwidth_drop_scenario",
     "capacity_scenario",
     "fleet_accounting_violations",
     "steady_fleet_scenario",
@@ -198,8 +192,6 @@ __all__ = [
     "TransferCorruption",
     "ClientOutage",
     "CostMisestimation",
-    "default_fault_scenario",
-    "run_fault_scenario",
     "accounting_violations",
     "MonotoneClockMonitor",
     "check_instance",

@@ -61,7 +61,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from repro.cloud import BATCHING_POLICIES
 from repro.core.analysis import fractional_lower_bound, speedup_report
@@ -462,12 +461,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "serve" and args.faults:
+        import dataclasses
         from pathlib import Path
 
-        from repro.faults import default_fault_scenario, run_fault_scenario
+        from repro.fleet import blackout_fleet_scenario, run_system
         from repro.utils.rng import DEFAULT_SEED
 
-        config = default_fault_scenario(
+        deadline = args.deadline if args.deadline is not None else 1.0
+        config = blackout_fleet_scenario(
             clients=args.clients,
             rate=args.rate,
             horizon=args.horizon,
@@ -475,35 +476,32 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed if args.seed is not None else DEFAULT_SEED,
             blackout_start=args.blackout_start,
             blackout_duration=args.blackout_duration,
-            deadline=args.deadline if args.deadline is not None else 1.0,
+            deadline=deadline,
             mbps=args.mbps,
         )
-        with warnings.catch_warnings():
-            # the CLI keeps the legacy report shape on purpose
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = run_fault_scenario(config)
+        # the policy run plus its no-policy baseline on the identical stream
+        config = dataclasses.replace(
+            config,
+            faults=dataclasses.replace(config.faults, compare_no_policy=True),
+        )
+        report = run_system(config)
         if args.json == "-":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
             return 0
-        comparison = report["comparison"]
-        deadline = config.clients[0].deadline
+        comparison = report.comparison
         print(
-            f"{args.model}: {args.clients} clients x {config.clients[0].rate:g} "
+            f"{args.model}: {args.clients} clients x {args.rate:g} "
             f"req/s over {args.horizon:g}s, blackout "
             f"{args.blackout_start:g}s +{args.blackout_duration:g}s, "
-            f"deadline {deadline:g}s ({report['arrivals']} arrivals)"
+            f"deadline {deadline:g}s ({report.arrivals} arrivals)"
         )
         print(f"{'side':<10s} {'in-deadline':>12s} {'completed':>10s} {'dropped':>8s}")
-        for side in ("policy", "no_policy"):
-            data = report[side]
+        for side, run in (("policy", report), ("no_policy", report.baseline)):
             print(
-                f"{side:<10s} {data['within_deadline']:>12d} "
-                f"{data['completed']:>10d} "
-                f"{data['report']['counters'].get('dropped', 0):>8d}"
+                f"{side:<10s} {run.within_deadline:>12d} "
+                f"{run.fleet['completed']:>10d} {run.fleet['dropped']:>8d}"
             )
-        violations = len(report["policy"]["violations"]) + len(
-            report["no_policy"]["violations"]
-        )
+        violations = len(report.violations) + len(report.baseline.violations)
         print(
             f"degradations {comparison['degradations']}, "
             f"recovery replans {comparison['recovery_replans']}, "
@@ -511,49 +509,62 @@ def main(argv: list[str] | None = None) -> int:
             f"accounting violations {violations}"
         )
         if args.json:
-            Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True))
+            Path(args.json).write_text(
+                json.dumps(report.as_dict(), indent=2, sort_keys=True)
+            )
             print(f"fault scenario report written to {args.json}")
         return 0 if violations == 0 else 1
 
     if args.command == "serve":
         import dataclasses
 
-        from repro.serving import default_scenario, run_scenario
+        from repro.engine import PlanningEngine
+        from repro.fleet import bandwidth_drop_scenario, run_system
+        from repro.utils.rng import DEFAULT_SEED
 
         schemes = (
             tuple(dict.fromkeys(args.scheme)) if args.scheme else ("JPS", "LO", "CO")
         )
-        config = default_scenario(
+        config = bandwidth_drop_scenario(
             clients=args.clients,
             rate=args.rate,
             horizon=args.horizon,
             model=args.model,
+            seed=args.seed if args.seed is not None else DEFAULT_SEED,
             drop_at=args.drop_at,
             mbps_before=args.mbps,
             mbps_after=args.drop_mbps,
             deadline=args.deadline,
-            schemes=schemes,
         )
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        config = dataclasses.replace(config, max_queue_depth=args.queue_depth)
-        with warnings.catch_warnings():
-            # the CLI keeps the legacy per-scheme report shape on purpose
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = run_scenario(config)
+        (server,) = config.servers
+        config = dataclasses.replace(
+            config,
+            servers=(dataclasses.replace(server, max_queue_depth=args.queue_depth),),
+        )
+        # one shared planner: later schemes re-plan from warm structure caches
+        planner = PlanningEngine()
+        reports = {
+            scheme: run_system(dataclasses.replace(config, scheme=scheme), planner=planner)
+            for scheme in schemes
+        }
+        document = {
+            "schemes": {scheme: report.as_dict() for scheme, report in reports.items()}
+        }
         if args.json == "-":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(json.dumps(document, indent=2, sort_keys=True))
             return 0
+        first = reports[schemes[0]]
         print(
             f"{args.model}: {args.clients} clients x {args.rate:g} req/s over "
             f"{args.horizon:g}s, uplink {args.mbps:g} -> {args.drop_mbps:g} Mbps "
-            f"({report['arrivals']} arrivals, {report['offered_load_rps']:.2f} req/s)"
+            f"({first.arrivals} arrivals, {first.offered_load_rps:.2f} req/s)"
         )
         print(
             f"{'scheme':<6s} {'served':>7s} {'dropped':>8s} {'p50':>8s} {'p95':>8s} "
             f"{'p99':>8s} {'thr/s':>7s} {'replans':>8s}"
         )
-        for scheme, data in report["schemes"].items():
+        for scheme, report in reports.items():
+            data = report.servers["gateway"]["report"]
             counters = data["counters"]
             latency = data["histograms"]["latency"]
             print(
@@ -565,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             from pathlib import Path
 
-            Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True))
+            Path(args.json).write_text(json.dumps(document, indent=2, sort_keys=True))
             print(f"metrics report written to {args.json}")
         return 0
 
@@ -730,17 +741,25 @@ def main(argv: list[str] | None = None) -> int:
             print("--timeline requires the fleet target", file=sys.stderr)
             return 2
         if args.target == "serving":
-            from repro.serving import default_scenario, run_scenario
+            from repro.engine import PlanningEngine
+            from repro.fleet import bandwidth_drop_scenario, run_system
+            from repro.utils.rng import DEFAULT_SEED
 
-            config = default_scenario()
-            if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                report = run_scenario(config, tracer=tracer)
+            # the planner shares the tracer, so its cold-cache builds land
+            # in the same trace as the gateway spans
+            planner = PlanningEngine(tracer=tracer)
+            seed = args.seed if args.seed is not None else DEFAULT_SEED
+            reports = [
+                run_system(
+                    bandwidth_drop_scenario(seed=seed, scheme=scheme),
+                    planner=planner,
+                    tracer=tracer,
+                )
+                for scheme in ("JPS", "LO", "CO")
+            ]
             # first scheme's report: gateway counters + engine cache gauges
             exposition = exposition_from_snapshot(
-                report["schemes"][config.schemes[0]]
+                reports[0].servers["gateway"]["report"]
             )
         elif args.target == "fleet":
             from repro.fleet.config import slo_acceptance_scenario

@@ -16,11 +16,10 @@ structure build, every re-plan after that is a priced-table miss.
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import replace
 
 from repro.engine import PlanningEngine
-from repro.serving.scenario import ScenarioConfig, run_scenario
-from repro.serving.workload import ClientSpec
+from repro.fleet import default_fleet, run_system
 from repro.utils.rng import DEFAULT_SEED
 
 __all__ = ["run", "render", "LOADS", "PRESETS_MBPS", "SUSTAINABLE_P95_S"]
@@ -52,28 +51,30 @@ def run(
     cells: list[dict] = []
     for preset, rate_mbps in presets.items():
         for load in loads:
-            config = ScenarioConfig(
-                clients=tuple(
-                    ClientSpec(name=f"client{i}", model=model, rate=load)
-                    for i in range(clients)
-                ),
-                bandwidth_steps=((0.0, rate_mbps),),
+            config = default_fleet(
+                servers=1,
+                clients=clients,
+                rate=load,
                 horizon=horizon,
-                schemes=SCHEMES,
+                model=model,
+                mbps=rate_mbps,
+                deadline=None,
                 seed=seed,
             )
-            with warnings.catch_warnings():
-                # the sweep is locked to the legacy per-scheme report shape
-                warnings.simplefilter("ignore", DeprecationWarning)
-                report = run_scenario(config, planner=planner)
+            reports = {
+                scheme: run_system(replace(config, scheme=scheme), planner=planner)
+                for scheme in SCHEMES
+            }
             cell: dict = {
                 "preset": preset,
                 "mbps": rate_mbps,
                 "load_per_client": load,
-                "offered_rps": report["offered_load_rps"],
+                "offered_rps": reports[SCHEMES[0]].offered_load_rps,
                 "schemes": {},
             }
-            for scheme, data in report["schemes"].items():
+            for scheme, report in reports.items():
+                ((_, block),) = report.servers.items()
+                data = block["report"]
                 latency = data["histograms"]["latency"]
                 counters = data["counters"]
                 dropped = counters.get("dropped", 0)

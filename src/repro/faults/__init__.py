@@ -1,12 +1,11 @@
 """Fault injection, resilience policies, and the differential oracle.
 
-The package splits along an import boundary: the core modules here
-(:mod:`~repro.faults.plan`, :mod:`~repro.faults.injector`,
+No module here (:mod:`~repro.faults.plan`, :mod:`~repro.faults.injector`,
 :mod:`~repro.faults.policy`, :mod:`~repro.faults.oracle`,
-:mod:`~repro.faults.invariants`) never import the serving stack, so
+:mod:`~repro.faults.invariants`) imports the serving stack, so
 :mod:`repro.serving.gateway` can depend on them without a cycle. The
-scenario helpers — which *do* drive gateways — live in
-:mod:`repro.faults.scenario` and are re-exported lazily below.
+blackout → degrade → recover acceptance scenario is
+:func:`repro.fleet.blackout_fleet_scenario`.
 """
 
 from __future__ import annotations
@@ -46,24 +45,7 @@ __all__ = [
     "TransferCorruption",
     "accounting_violations",
     "check_instance",
-    "default_fault_scenario",
     "exhaustive_optimal",
     "random_line_table",
-    "run_fault_scenario",
 ]
 
-#: Names resolved lazily from :mod:`repro.faults.scenario` (PEP 562),
-#: because that module imports the serving stack.
-_SCENARIO_EXPORTS = frozenset({"default_fault_scenario", "run_fault_scenario"})
-
-
-def __getattr__(name: str):
-    if name in _SCENARIO_EXPORTS:
-        from repro.faults import scenario
-
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SCENARIO_EXPORTS)

@@ -20,6 +20,7 @@ from repro.fleet.config import (
     ServerSpec,
     SystemConfig,
     WorkloadConfig,
+    bandwidth_drop_scenario,
     blackout_fleet_scenario,
     capacity_scenario,
     contended_cloud_scenario,
@@ -54,6 +55,7 @@ __all__ = [
     "SystemConfig",
     "SystemReport",
     "WorkloadConfig",
+    "bandwidth_drop_scenario",
     "blackout_fleet_scenario",
     "capacity_scenario",
     "contended_cloud_scenario",

@@ -1,11 +1,8 @@
 """The unified scenario surface: one ``SystemConfig``, one entry point.
 
-The serving stack had accreted three overlapping ways to describe a
-run — ``serving.ScenarioConfig``/``run_scenario``, the fault-scenario
-knobs of ``faults.run_fault_scenario``, and the ``repro serve`` CLI
-flags. :class:`SystemConfig` collapses them into one JSON-round-trippable
-dataclass hierarchy and adds what none of them could express: a *fleet*
-of edge/cloud servers.
+:class:`SystemConfig` describes a whole run as one JSON-round-trippable
+dataclass hierarchy, from a single offload gateway up to a *fleet* of
+edge/cloud servers.
 
 The hierarchy mirrors the questions a run must answer:
 
@@ -20,9 +17,8 @@ The hierarchy mirrors the questions a run must answer:
 * :class:`AdmissionConfig` — fleet-level admission control;
 * :class:`ChannelConfig` — estimator/framing constants shared by every
   uplink;
-* :class:`FaultsConfig` — the old ``run_fault_scenario`` knobs as a
-  sub-config: a fleet-wide fault plan + resilience policy and the
-  policy-vs-no-policy comparison switch;
+* :class:`FaultsConfig` — a fleet-wide fault plan + resilience policy
+  and the policy-vs-no-policy comparison switch;
 * :class:`~repro.cloud.config.CloudConfig` — opt-in shared batching
   cloud: N gateways contend for K hold-and-batch GPUs instead of each
   getting a free private one (absent: pre-batching behavior, golden
@@ -31,9 +27,10 @@ The hierarchy mirrors the questions a run must answer:
   placement/migration instant events.
 
 :func:`repro.fleet.run_system` executes a :class:`SystemConfig` and
-returns a :class:`~repro.fleet.fleet.SystemReport`. The old entry
-points remain as thin deprecated wrappers (byte-identical outputs,
-test-locked against ``tests/data/golden_system_compat.json``).
+returns a :class:`~repro.fleet.fleet.SystemReport`. The builders below
+name the acceptance scenarios: :func:`bandwidth_drop_scenario` (one
+gateway, mid-run rate drop), :func:`blackout_fleet_scenario` (blackout
+→ degrade → recover), and the fleet/cloud/SLO scenarios.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ __all__ = [
     "ObservabilityConfig",
     "SystemConfig",
     "default_fleet",
+    "bandwidth_drop_scenario",
     "capacity_scenario",
     "contended_cloud_scenario",
     "blackout_fleet_scenario",
@@ -279,13 +277,14 @@ class AdmissionConfig:
 
 @dataclass(frozen=True)
 class FaultsConfig:
-    """The old ``run_fault_scenario`` knobs as a ``SystemConfig`` block.
+    """Fleet-wide fault injection and resilience.
 
     ``plan`` applies to every uplink that does not carry its own
     per-server plan; ``resilience`` likewise. ``compare_no_policy``
     reruns the identical arrival stream with every resilience policy
-    stripped and attaches the baseline + comparison to the report —
-    exactly what ``run_fault_scenario`` produced.
+    stripped and attaches the baseline + comparison to the report; it
+    needs some server with an effective plan and some server with an
+    effective policy, or the baseline would replay the run itself.
     """
 
     plan: FaultPlan | None = None
@@ -318,8 +317,8 @@ class ObservabilityConfig:
     ``per_server_lanes`` names each gateway so its request/event lanes
     read ``<server>/req N`` in the exported trace; ``fleet_events``
     adds ``fleet/migrate`` and ``fleet/reject`` instant markers. Both
-    are off on the legacy-wrapper path so single-gateway traces stay
-    byte-identical to the pre-fleet code.
+    are off in :func:`bandwidth_drop_scenario`, so its single-gateway
+    trace reads ``req N`` / ``gateway`` lanes.
 
     ``telemetry`` turns on the windowed
     :class:`~repro.obs.timeseries.TelemetryHub` (arrival/outcome/queue/
@@ -387,6 +386,17 @@ class SystemConfig:
             raise ValueError(f"server names must be unique, got {names}")
         if self.scheme not in GATEWAY_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r} (use {GATEWAY_SCHEMES})")
+        if self.faults is not None and self.faults.compare_no_policy:
+            if all(self.fault_plan_for(s) is None for s in self.servers):
+                raise ValueError(
+                    "faults.compare_no_policy needs a fault plan on some server "
+                    "(faults.plan or a server's fault_plan)"
+                )
+            if all(self.resilience_for(s) is None for s in self.servers):
+                raise ValueError(
+                    "faults.compare_no_policy needs a resilience policy on some "
+                    "server (faults.resilience or a server's resilience)"
+                )
 
     # ------------------------------------------------------------------
     # effective per-server settings (spec overrides the fleet-wide block)
@@ -457,57 +467,6 @@ class SystemConfig:
             observability=ObservabilityConfig.from_dict(data.get("observability", {})),
         )
 
-    @classmethod
-    def from_scenario(
-        cls,
-        config,
-        scheme: str | None = None,
-        compare_no_policy: bool = False,
-        server_name: str = "gateway",
-    ) -> "SystemConfig":
-        """A single-server system equivalent to a legacy ``ScenarioConfig``.
-
-        ``config`` is duck-typed (any object with the ``ScenarioConfig``
-        attributes) so this module never imports the serving scenario —
-        the legacy wrappers import *us*.
-        """
-        faults = None
-        if config.fault_plan is not None or config.resilience is not None:
-            faults = FaultsConfig(
-                plan=config.fault_plan,
-                resilience=config.resilience,
-                compare_no_policy=compare_no_policy,
-            )
-        return cls(
-            workload=WorkloadConfig(
-                clients=tuple(config.clients),
-                horizon=config.horizon,
-                seed=config.seed,
-            ),
-            servers=(
-                ServerSpec(
-                    name=server_name,
-                    bandwidth_steps=tuple(config.bandwidth_steps),
-                    max_queue_depth=config.max_queue_depth,
-                    nominal_burst=config.nominal_burst,
-                    include_cloud=config.include_cloud,
-                ),
-            ),
-            scheme=scheme if scheme is not None else config.schemes[0],
-            channel=ChannelConfig(
-                ewma_alpha=config.ewma_alpha,
-                drift_threshold=config.drift_threshold,
-                setup_latency=config.setup_latency,
-                header_bytes=config.header_bytes,
-                protocol_overhead=config.protocol_overhead,
-            ),
-            faults=faults,
-            # legacy traces carry no server names or fleet markers
-            observability=ObservabilityConfig(
-                per_server_lanes=False, fleet_events=False
-            ),
-        )
-
 
 def default_fleet(
     servers: int = 4,
@@ -559,6 +518,50 @@ def default_fleet(
         ),
         scheme=scheme,
         placement=PlacementConfig(policy=placement),
+    )
+
+
+def bandwidth_drop_scenario(
+    clients: int = 3,
+    rate: float = 2.0,
+    horizon: float = 60.0,
+    model: str = "alexnet",
+    seed: int = DEFAULT_SEED,
+    drop_at: float | None = None,
+    mbps_before: float = 8.0,
+    mbps_after: float = 4.0,
+    deadline: float | None = None,
+    scheme: str = "JPS",
+) -> SystemConfig:
+    """The single-gateway serving scenario behind ``repro serve``.
+
+    ``clients`` Poisson streams of ``rate`` req/s each, served by one
+    server named ``gateway`` over an uplink that starts at
+    ``mbps_before`` and drops to ``mbps_after`` at ``drop_at`` (default:
+    mid-horizon), enough drift to force the JPS gateway through at least
+    one re-plan. Trace lanes keep the single-gateway names (no server
+    prefix, no fleet markers).
+    """
+    config = default_fleet(
+        servers=1,
+        clients=clients,
+        rate=rate,
+        horizon=horizon,
+        model=model,
+        deadline=deadline,
+        seed=seed,
+        scheme=scheme,
+    )
+    when = horizon / 2 if drop_at is None else drop_at
+    return replace(
+        config,
+        servers=(
+            ServerSpec(
+                name="gateway",
+                bandwidth_steps=((0.0, mbps_before), (when, mbps_after)),
+            ),
+        ),
+        observability=ObservabilityConfig(per_server_lanes=False, fleet_events=False),
     )
 
 
@@ -646,15 +649,17 @@ def blackout_fleet_scenario(
     deadline: float = 1.0,
     mbps: float = 8.0,
 ) -> SystemConfig:
-    """The PR 5 blackout-degrade-recover scenario as a ``SystemConfig``.
+    """The blackout → degrade → recover scenario.
 
-    Same plan/policy numbers as
-    :func:`repro.faults.scenario.default_fault_scenario` (one uplink
-    blacking out for ``blackout_duration`` seconds, detection tuned to
-    two quarter-second timeouts) but built directly on the fleet
-    surface so SLO telemetry can observe it: during the blackout the
-    deadline-hit-rate burn spikes and the SLO alert must fire, then
-    clear once the probe finds the recovered channel.
+    ``clients`` Poisson streams with a relative ``deadline`` over a flat
+    ``mbps`` uplink that blacks out for ``blackout_duration`` seconds at
+    ``blackout_start``. The paired policy is tuned so the blackout is
+    detected well inside the deadline: two quarter-second timeouts
+    trigger degradation to local-only serving, and quarter-second probes
+    find the recovered channel fast enough to replan within the run.
+    ``repro serve --faults`` runs it with ``faults.compare_no_policy``
+    set; under SLO telemetry the deadline-hit-rate alert must fire
+    during the blackout and clear after recovery.
     """
     plan = FaultPlan(
         seed=seed,

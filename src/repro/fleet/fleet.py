@@ -11,12 +11,11 @@ estimator, fault injector, and resilience policy, so a blackout on one
 uplink degrades one server while the rest keep offloading — and the
 affinity placement policy migrates clients away from it.
 
-:func:`run_system` is the single entry point the ROADMAP asked for: it
-executes a :class:`~repro.fleet.config.SystemConfig` end to end
-(workload generation, fleet run, invariant audit) and returns a
-:class:`SystemReport`. The legacy ``run_scenario`` /
-``run_fault_scenario`` entry points are thin deprecated wrappers over
-it, test-locked byte-identical to their pre-fleet output.
+:func:`run_system` is the single entry point: it executes a
+:class:`~repro.fleet.config.SystemConfig` end to end (workload
+generation, fleet run, invariant audit) and returns a
+:class:`SystemReport`. ``repro serve``, ``repro fleet``, ``repro trace``
+and the serving/fleet/cloud experiments all run through it.
 
 Accounting is exact by construction: a request is either rejected at
 the fleet boundary (never reaching a server) or submitted to exactly
@@ -487,15 +486,15 @@ def run_system(
     fleet-scale re-planning affordable. When
     ``config.faults.compare_no_policy`` is set, the identical arrival
     stream is replayed with every resilience policy stripped (bare pass
-    untraced, exactly like the legacy fault scenario) and the report
-    carries the baseline plus a policy-vs-no-policy comparison.
+    untraced) and the report carries the baseline plus a
+    policy-vs-no-policy comparison.
     """
     planner = planner or PlanningEngine()
     if config.faults is None or not config.faults.compare_no_policy:
         return _run_once(config, planner, tracer)
 
     # policy pass first (traced), then the stripped baseline untraced —
-    # the order and span the legacy fault scenario is golden-locked to
+    # the order and span tests/data/golden_fault_scenario.json pins
     obs = tracer or NullTracer()
     with obs.span("faults/policy", lane=("scenario", "policy")):
         report = _run_once(config, planner, tracer)

@@ -10,16 +10,15 @@ executed on the mobile-CPU/uplink/cloud chain, and measured.
 
 Modules: :mod:`~repro.serving.workload` (clients + arrival processes),
 :mod:`~repro.serving.gateway` (admission, dispatch, re-planning),
-:mod:`~repro.serving.estimator` (EWMA channel tracking + drift),
-:mod:`~repro.serving.scenario` (end-to-end runs + the JSON report).
-Metrics live in :mod:`repro.obs.metrics`; multi-server serving in
-:mod:`repro.fleet`. See ``docs/serving.md``.
+:mod:`~repro.serving.estimator` (EWMA channel tracking + drift).
+Metrics live in :mod:`repro.obs.metrics`; end-to-end runs, from one
+gateway to a fleet, go through :func:`repro.fleet.run_system`. See
+``docs/serving.md``.
 """
 
 from repro.obs.metrics import Counter, MetricsRegistry, StreamingHistogram
 from repro.serving.estimator import AdaptiveChannelEstimator
 from repro.serving.gateway import GATEWAY_SCHEMES, Gateway, GatewayResult, ServedRecord
-from repro.serving.scenario import ScenarioConfig, default_scenario, run_scenario
 from repro.serving.workload import (
     ClientSpec,
     Request,
@@ -37,9 +36,6 @@ __all__ = [
     "Counter",
     "MetricsRegistry",
     "StreamingHistogram",
-    "ScenarioConfig",
-    "default_scenario",
-    "run_scenario",
     "ClientSpec",
     "Request",
     "burst_arrivals",

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.fleet import SystemConfig, blackout_fleet_scenario
 from repro.profiling.latency import CostTable
 
 
@@ -20,3 +23,9 @@ def make_table(f, g, cloud=None, name="synthetic") -> CostTable:
         g=g,
         cloud=np.asarray(cloud, dtype=float),
     )
+
+
+def compared_blackout(**overrides) -> SystemConfig:
+    """``blackout_fleet_scenario`` with its no-policy baseline run switched on."""
+    config = blackout_fleet_scenario(**overrides)
+    return replace(config, faults=replace(config.faults, compare_no_policy=True))

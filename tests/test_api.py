@@ -99,7 +99,7 @@ def test_serving_surface_reexported():
     assert api.AdaptiveChannelEstimator is serving.AdaptiveChannelEstimator
     assert api.MetricsRegistry is serving.MetricsRegistry
     assert api.ClientSpec is serving.ClientSpec
-    assert api.run_scenario is serving.run_scenario
+    assert api.Request is serving.Request
     assert api.OnlineJpsScheduler is online.OnlineJpsScheduler
     assert api.ReleasedJob is online.ReleasedJob
     assert api.clairvoyant_makespan is online.clairvoyant_makespan

@@ -138,8 +138,9 @@ def test_serve_json_to_stdout(capsys):
         "--scheme", "JPS", "--json", "-",
     )
     payload = json.loads(out[out.index("{"):])
-    assert payload["schemes"]["JPS"]["balance_ok"] is True
-    assert payload["arrivals"] > 0
+    jps = payload["schemes"]["JPS"]
+    assert jps["servers"]["gateway"]["report"]["balance_ok"] is True
+    assert jps["arrivals"] > 0
 
 
 def test_serve_faults_command(capsys, tmp_path):
@@ -156,8 +157,8 @@ def test_serve_faults_command(capsys, tmp_path):
     assert "accounting violations 0" in out
     payload = json.loads(artifact.read_text())
     assert payload["comparison"]["degradations"] >= 1
-    assert payload["policy"]["violations"] == []
-    assert payload["no_policy"]["violations"] == []
+    assert payload["violations"] == []
+    assert payload["baseline"]["violations"] == []
 
 
 def test_serve_faults_json_to_stdout(capsys):
@@ -168,8 +169,8 @@ def test_serve_faults_json_to_stdout(capsys):
         "--horizon", "10", "--json", "-",
     )
     payload = json.loads(out[out.index("{"):])
-    assert payload["config"]["fault_plan"]["blackouts"] == [[8.0, 10.0]]
-    assert payload["config"]["resilience"]["local_fallback"] is True
+    assert payload["config"]["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
+    assert payload["config"]["faults"]["resilience"]["local_fallback"] is True
 
 
 def test_experiment_serving(capsys):

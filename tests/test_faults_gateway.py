@@ -11,6 +11,7 @@ each policy mechanism in isolation and the strict opt-in contract
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,12 +23,12 @@ from repro.faults import (
     ResiliencePolicy,
     TransferCorruption,
     accounting_violations,
-    default_fault_scenario,
-    run_fault_scenario,
 )
+from repro.fleet import FaultsConfig, SystemConfig, bandwidth_drop_scenario, run_system
 from repro.net.timeline import BandwidthTimeline
-from repro.serving import Gateway, Request, default_scenario, run_scenario
+from repro.serving import Gateway, Request
 from repro.serving.gateway import MAX_BARE_RETRANSMITS
+from tests.helpers import compared_blackout
 
 
 def flat_timeline(rate_mbps: float = 8.0) -> BandwidthTimeline:
@@ -53,41 +54,40 @@ def spread(n: float, every: float = 0.5):
 
 @pytest.fixture(scope="module")
 def fault_report():
-    return run_fault_scenario(default_fault_scenario())
+    return run_system(compared_blackout())
 
 
 def test_acceptance_policy_beats_bare_within_deadline(fault_report):
-    comparison = fault_report["comparison"]
+    comparison = fault_report.comparison
     assert comparison["within_deadline_policy"] > comparison["within_deadline_no_policy"]
 
 
 def test_acceptance_degrades_and_recovers(fault_report):
-    comparison = fault_report["comparison"]
+    comparison = fault_report.comparison
     assert comparison["degradations"] >= 1
     assert comparison["recovery_replans"] >= 1
-    kinds = [e.get("kind") for e in fault_report["policy"]["report"]["replans"]]
+    kinds = [e.get("kind") for e in fault_report.servers["server0"]["report"]["replans"]]
     assert "degrade" in kinds and "recovery" in kinds
 
 
 def test_acceptance_accounting_is_exact(fault_report):
-    for side in ("policy", "no_policy"):
-        assert fault_report[side]["violations"] == []
-        assert fault_report[side]["clock_violations"] == []
-        assert fault_report[side]["report"]["balance_ok"]
-        assert fault_report[side]["report"]["pending"] == 0
+    for side in (fault_report, fault_report.baseline):
+        assert side.violations == () and side.clock_violations == ()
+        assert side.servers["server0"]["report"]["balance_ok"]
+        assert side.servers["server0"]["report"]["pending"] == 0
 
 
 def test_acceptance_is_deterministic(fault_report):
-    again = run_fault_scenario(default_fault_scenario())
+    again = run_system(compared_blackout())
 
-    def strip(doc):
+    def strip(report):
         # engine cache counters depend on planner reuse, drop them
-        out = json.loads(json.dumps(doc))
-        for side in ("policy", "no_policy"):
-            out[side]["report"].pop("engine_cache", None)
-            out[side]["report"]["counters"] = {
-                k: v
-                for k, v in out[side]["report"]["counters"].items()
+        out = json.loads(json.dumps(report.as_dict()))
+        for side in (out, out["baseline"]):
+            gateway = side["servers"]["server0"]["report"]
+            gateway.pop("engine_cache", None)
+            gateway["counters"] = {
+                k: v for k, v in gateway["counters"].items()
                 if not k.startswith("engine_")
             }
         return out
@@ -96,22 +96,34 @@ def test_acceptance_is_deterministic(fault_report):
 
 
 def test_acceptance_report_shape(fault_report):
-    assert fault_report["policy"]["report"]["resilience"]["policy"]["max_retries"] == 1
-    assert fault_report["policy"]["report"]["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
-    assert fault_report["config"]["fault_plan"]["seed"] == fault_report["config"]["seed"]
-    json.dumps(fault_report)                       # JSON-safe end to end
+    document = fault_report.as_dict()
+    gateway = document["servers"]["server0"]["report"]
+    assert gateway["resilience"]["policy"]["max_retries"] == 1
+    assert gateway["faults"]["plan"]["blackouts"] == [[8.0, 10.0]]
+    config = document["config"]
+    assert config["faults"]["plan"]["seed"] == config["workload"]["seed"]
+    json.dumps(document)                          # JSON-safe end to end
 
 
 def test_fault_scenario_rejects_incomplete_configs():
-    with pytest.raises(ValueError, match="fault_plan"):
-        run_fault_scenario(default_scenario())
-    from dataclasses import replace
-
-    config = default_fault_scenario()
-    with pytest.raises(ValueError, match="resilience"):
-        run_fault_scenario(replace(config, resilience=None))
-    with pytest.raises(ValueError, match="single scheme"):
-        run_fault_scenario(replace(config, schemes=("JPS", "LO")))
+    """Without a plan or a policy the baseline would replay the run itself."""
+    config = compared_blackout()
+    for faults, missing in (
+        (FaultsConfig(compare_no_policy=True), "fault plan"),
+        (replace(config.faults, resilience=None), "resilience policy"),
+    ):
+        with pytest.raises(ValueError, match=f"faults.compare_no_policy needs a {missing}"):
+            replace(config, faults=faults)
+        with pytest.raises(ValueError, match=f"faults.compare_no_policy needs a {missing}"):
+            SystemConfig.from_dict({**config.as_dict(), "faults": faults.as_dict()})
+    # a per-server plan and policy count as well
+    (server,) = config.servers
+    plan, policy = config.faults.plan, config.faults.resilience
+    replace(
+        config,
+        servers=(replace(server, fault_plan=plan, resilience=policy),),
+        faults=FaultsConfig(compare_no_policy=True),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +146,8 @@ def test_fault_free_report_has_no_fault_surface():
 
 
 def test_fault_free_scenario_echo_is_unchanged():
-    config = default_scenario(horizon=10.0)
-    assert "fault_plan" not in config.as_dict()
-    assert "resilience" not in config.as_dict()
+    echo = json.dumps(bandwidth_drop_scenario(horizon=10.0).as_dict())
+    assert "fault" not in echo and "resilience" not in echo
 
 
 # ----------------------------------------------------------------------

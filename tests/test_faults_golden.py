@@ -1,7 +1,8 @@
 """Golden file: the canonical blackout → degrade → recover scenario.
 
-The policy side of :func:`repro.faults.run_fault_scenario` runs under a
-tracer; its replan event log, the degrade/recover/replan instant
+:func:`repro.fleet.blackout_fleet_scenario` runs with its no-policy
+comparison and single-gateway trace lanes; the policy pass runs under a
+tracer, and its replan event log, the degrade/recover/replan instant
 markers from the exported Chrome trace, and the span-structure census
 must byte-match ``tests/data/golden_fault_scenario.json``. A structural
 test (degrade strictly inside the blackout, recovery strictly after it)
@@ -16,10 +17,12 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
-from repro.faults import default_fault_scenario, run_fault_scenario
+from repro.fleet import ObservabilityConfig, run_system
 from repro.obs import Tracer, chrome_trace_events, validate_chrome_events
+from tests.helpers import compared_blackout
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fault_scenario.json"
 
@@ -29,8 +32,13 @@ MARKER_NAMES = ("gateway/degrade", "gateway/recover", "gateway/replan")
 
 def golden_document() -> dict:
     """The pinned artifact: replan log + trace markers + span census."""
+    config = replace(
+        compared_blackout(),
+        # unprefixed request/event lanes, no fleet markers
+        observability=ObservabilityConfig(per_server_lanes=False, fleet_events=False),
+    )
     tracer = Tracer()
-    report = run_fault_scenario(default_fault_scenario(), tracer=tracer)
+    report = run_system(config, tracer=tracer).as_dict()
     events = chrome_trace_events(tracer.spans, tracer.instants)
     validate_chrome_events(events)
     span_counts: Counter = Counter()
@@ -46,9 +54,9 @@ def golden_document() -> dict:
         if e["ph"] == "i" and e["name"] in MARKER_NAMES
     ]
     return {
-        "blackout": report["config"]["fault_plan"]["blackouts"][0],
+        "blackout": report["config"]["faults"]["plan"]["blackouts"][0],
         "comparison": report["comparison"],
-        "replans": report["policy"]["report"]["replans"],
+        "replans": report["servers"]["server0"]["report"]["replans"],
         "markers": markers,
         "span_counts": dict(sorted(span_counts.items())),
     }

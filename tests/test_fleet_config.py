@@ -1,11 +1,9 @@
 """SystemConfig: the unified scenario surface round-trips through JSON.
 
-The whole point of collapsing the ScenarioConfig / fault-scenario knob
-split into one dataclass hierarchy is that a run is *one* document:
+The point of one dataclass hierarchy is that a run is *one* document:
 ``SystemConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg``
 must hold for every combination of blocks, including per-server fault
-plans and the FaultsConfig sub-config that replaced the old
-``run_fault_scenario`` arguments.
+plans and the fleet-wide FaultsConfig sub-config.
 """
 
 import json
@@ -29,10 +27,10 @@ from repro.fleet import (
     ServerSpec,
     SystemConfig,
     WorkloadConfig,
+    bandwidth_drop_scenario,
     capacity_scenario,
     default_fleet,
 )
-from repro.serving.scenario import default_scenario
 from repro.serving.workload import ClientSpec
 
 
@@ -97,13 +95,14 @@ def test_builders_round_trip_and_are_json_safe():
     for config in (
         default_fleet(servers=3, clients=4, speedups=(1.0, 2.0)),
         capacity_scenario(servers=2, clients=4),
+        bandwidth_drop_scenario(clients=2, deadline=2.0, scheme="LO"),
     ):
         wire = json.dumps(config.as_dict())  # raises if not JSON-safe
         assert SystemConfig.from_dict(json.loads(wire)) == config
 
 
 def test_faults_config_collapses_the_old_knob_split():
-    """The old run_fault_scenario options live in one sub-config now."""
+    """Fault plan, policy and the comparison switch live in one sub-config."""
     config = _rich_config()
     data = config.as_dict()["faults"]
     assert data["compare_no_policy"] is True
@@ -144,21 +143,12 @@ def test_without_resilience_strips_every_policy():
     assert bare.servers[1].fault_plan is not None
 
 
-def test_from_scenario_matches_the_legacy_fields():
-    legacy = default_scenario(clients=2, rate=1.0, horizon=10.0, deadline=2.0)
-    system = SystemConfig.from_scenario(legacy, scheme="LO")
-    assert system.scheme == "LO"
-    assert system.workload.clients == legacy.clients
-    assert system.workload.horizon == legacy.horizon
-    assert system.workload.seed == legacy.seed
-    (server,) = system.servers
-    assert server.bandwidth_steps == legacy.bandwidth_steps
-    assert server.max_queue_depth == legacy.max_queue_depth
-    assert system.channel.ewma_alpha == legacy.ewma_alpha
-    assert system.faults is None
-    # compat mode keeps the historical single-gateway trace lanes
-    assert system.observability.per_server_lanes is False
-    assert system.observability.fleet_events is False
+def test_bandwidth_drop_scenario_drops_the_one_gateway_uplink():
+    (server,) = bandwidth_drop_scenario(horizon=10.0).servers
+    assert server.name == "gateway"
+    assert server.bandwidth_steps == ((0.0, 8.0), (5.0, 4.0))  # mid-horizon
+    (server,) = bandwidth_drop_scenario(horizon=10.0, drop_at=2.0, mbps_after=1.0).servers
+    assert server.bandwidth_steps == ((0.0, 8.0), (2.0, 1.0))
 
 
 def test_validation_rejects_bad_configs():
@@ -174,7 +164,7 @@ def test_validation_rejects_bad_configs():
         SystemConfig(workload=workload, servers=(ServerSpec(name="a"),), scheme="XX")
     with pytest.raises(ValueError, match="placement policy"):
         PlacementConfig(policy="random")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one client"):
         WorkloadConfig(clients=())
     with pytest.raises(ValueError):
         ServerSpec(name="")

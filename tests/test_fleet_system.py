@@ -9,15 +9,15 @@ The two locks that matter most:
   accounting/clock violations. The counts are pinned: per-server
   dispatch is byte-for-byte the single-gateway code, so any drift here
   is a real behavior change, not noise.
-* **wrapper byte-identity** — ``run_scenario`` and
-  ``run_fault_scenario`` are now thin wrappers over ``run_system``;
-  ``tests/data/golden_system_compat.json`` was captured from the
-  pre-fleet implementations and the wrappers must reproduce it byte
-  for byte (same JSON serialization, same key order under sort_keys).
+* **pre-fleet golden bytes** — ``tests/data/golden_system_compat.json``
+  was captured from the pre-fleet single-gateway and fault-scenario
+  implementations; ``run_system`` on :func:`bandwidth_drop_scenario`
+  and :func:`blackout_fleet_scenario` must still reproduce every
+  gateway report and audit block in it byte for byte (same JSON
+  serialization, same key order under sort_keys).
 """
 
 import json
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,11 +31,13 @@ from repro.fleet import (
     ServerSpec,
     SystemConfig,
     WorkloadConfig,
+    bandwidth_drop_scenario,
     capacity_scenario,
     default_fleet,
     run_system,
 )
 from repro.serving.workload import ClientSpec
+from tests.helpers import compared_blackout
 
 GOLDEN = Path(__file__).parent / "data" / "golden_system_compat.json"
 
@@ -67,56 +69,43 @@ def test_fleet_serves_strictly_more_than_single_gateway_under_overload():
     assert (fleet.served, fleet.within_deadline) == (286, 104)
 
 
-def test_single_server_fleet_is_exactly_one_gateway():
-    """N=1 run_system equals the legacy gateway run, field for field."""
-    import repro.core.plans as plans
-    from repro.serving.scenario import default_scenario, run_scenario
-
-    legacy_cfg = default_scenario(clients=2, rate=1.0, horizon=12.0, deadline=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_scenario(legacy_cfg)
-    system = SystemConfig.from_scenario(legacy_cfg, scheme="JPS")
-    report = run_system(system)
-    assert json.dumps(plans.json_safe(report.servers["gateway"]["report"]),
-                      sort_keys=True) == json.dumps(
-        legacy["schemes"]["JPS"], sort_keys=True
-    )
-
-
 # ----------------------------------------------------------------------
-# wrapper byte-identity against the pre-fleet golden capture
+# run_system against the pre-fleet golden capture
 # ----------------------------------------------------------------------
 
 
-def test_legacy_wrappers_reproduce_the_pre_fleet_golden_bytes():
-    from repro.faults.scenario import default_fault_scenario, run_fault_scenario
-    from repro.serving.scenario import default_scenario, run_scenario
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        document = {
-            "scenario": run_scenario(
-                default_scenario(clients=2, rate=1.5, horizon=24.0, deadline=2.0)
-            ),
-            "fault": run_fault_scenario(
-                default_fault_scenario(clients=2, rate=2.0, horizon=16.0)
-            ),
-        }
-    produced = json.dumps(document, indent=2, sort_keys=True)
-    assert produced == GOLDEN.read_text().rstrip("\n")
+def _sorted_json(value) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
-def test_legacy_wrappers_warn_deprecation():
-    import pytest
+def test_run_system_reproduces_the_pre_fleet_golden_bytes():
+    golden = json.loads(GOLDEN.read_text())
 
-    from repro.faults.scenario import default_fault_scenario, run_fault_scenario
-    from repro.serving.scenario import default_scenario, run_scenario
+    # one gateway, three schemes in order on one planner: the reports
+    # embed the planner's cumulative engine_cache gauges
+    scenario = golden["scenario"]
+    assert set(scenario) == {"config", "arrivals", "offered_load_rps", "schemes"}
+    assert set(scenario["schemes"]) == {"JPS", "LO", "CO"}
+    planner = PlanningEngine()
+    config = bandwidth_drop_scenario(clients=2, rate=1.5, horizon=24.0, deadline=2.0)
+    for scheme in ("JPS", "LO", "CO"):
+        produced = run_system(replace(config, scheme=scheme), planner=planner).as_dict()
+        assert _sorted_json(produced["servers"]["gateway"]["report"]) == _sorted_json(
+            scenario["schemes"][scheme]
+        ), scheme
+        assert produced["arrivals"] == scenario["arrivals"]
+        assert produced["offered_load_rps"] == scenario["offered_load_rps"]
 
-    with pytest.warns(DeprecationWarning, match="run_system"):
-        run_scenario(default_scenario(clients=1, rate=0.5, horizon=4.0))
-    with pytest.warns(DeprecationWarning, match="run_system"):
-        run_fault_scenario(default_fault_scenario(clients=1, rate=0.5, horizon=6.0))
+    # the blackout scenario with its no-policy baseline
+    fault = golden["fault"]
+    assert set(fault) == {"config", "arrivals", "policy", "no_policy", "comparison"}
+    produced = run_system(compared_blackout(clients=2, rate=2.0, horizon=16.0)).as_dict()
+    for side, document in (("policy", produced), ("no_policy", produced["baseline"])):
+        ((_, block),) = document["servers"].items()
+        audit = {**block, "clock_violations": document["clock_violations"]}
+        assert _sorted_json(audit) == _sorted_json(fault[side]), side
+    assert _sorted_json(produced["comparison"]) == _sorted_json(fault["comparison"])
+    assert produced["arrivals"] == fault["arrivals"]
 
 
 # ----------------------------------------------------------------------
@@ -218,21 +207,9 @@ def test_heterogeneous_servers_get_scaled_planners():
 
 
 def test_compare_no_policy_attaches_baseline_and_comparison():
-    from repro.fleet import FaultsConfig
-
-    config = SystemConfig(
-        workload=WorkloadConfig(clients=_clients(2, 1.5, deadline=1.0), horizon=10.0),
-        servers=(ServerSpec(name="gateway"),),
-        faults=FaultsConfig(
-            plan=FaultPlan(blackouts=(Blackout(3.0, 5.0),)),
-            resilience=ResiliencePolicy(
-                max_retries=1, transfer_timeout=0.25, degrade_after_failures=2,
-                probe_interval=0.25, probe_bytes=16 * 1024.0,
-            ),
-            compare_no_policy=True,
-        ),
+    report = run_system(
+        compared_blackout(clients=2, rate=1.5, horizon=10.0, blackout_start=3.0)
     )
-    report = run_system(config)
     assert report.baseline is not None
     assert report.baseline.baseline is None  # no recursion
     comparison = report.comparison

@@ -13,6 +13,7 @@ import json
 
 from repro.cli import main
 from repro.engine import PlanningEngine
+from repro.fleet import bandwidth_drop_scenario, run_system
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
 from repro.obs import (
@@ -23,7 +24,6 @@ from repro.obs import (
     well_formed,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import default_scenario, run_scenario
 from repro.utils.units import mbps
 
 
@@ -35,10 +35,14 @@ def make_channel(uplink_mbps: float) -> Channel:
     )
 
 
-def small_scenario(**overrides):
-    defaults = dict(clients=1, rate=1.0, horizon=10.0, schemes=("JPS",))
-    defaults.update(overrides)
-    return default_scenario(**defaults)
+def small_scenario():
+    return bandwidth_drop_scenario(clients=1, rate=1.0, horizon=10.0)
+
+
+def traced_run(config, tracer):
+    """One run with the planner sharing the tracer, as ``repro trace`` does."""
+    report = run_system(config, planner=PlanningEngine(tracer=tracer), tracer=tracer)
+    return report.servers["gateway"]["report"]
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +101,7 @@ def test_engine_to_metrics_publishes_cache_gauges():
 
 def test_traced_scenario_emits_lifecycle_span_per_served_request():
     tracer = Tracer()
-    report = run_scenario(small_scenario(), tracer=tracer)
-    scheme_report = report["schemes"]["JPS"]
-    served = scheme_report["counters"]["served"]
+    served = traced_run(small_scenario(), tracer)["counters"]["served"]
     assert served > 0
 
     requests = [s for s in tracer.spans if s.name.startswith("request ")]
@@ -113,10 +115,9 @@ def test_traced_scenario_emits_lifecycle_span_per_served_request():
         assert request.attributes["latency"] > 0
         assert request.lane == (f"req {request.attributes['request_id']}", "lifecycle")
 
-    # scheme wrapper + planner table builds share the trace: the shared
-    # planner inherits the scenario tracer, so its cold-cache builds
-    # land alongside the virtual-time gateway spans
-    assert any(s.name == "scenario/scheme" for s in tracer.spans)
+    # planner table builds share the trace: the planner carries the run's
+    # tracer, so its cold-cache builds land alongside the virtual-time
+    # gateway spans
     assert any(s.name == "engine/build" for s in tracer.spans)
     assert well_formed(tracer.spans) == []
     events = tracer.chrome_trace()
@@ -125,19 +126,18 @@ def test_traced_scenario_emits_lifecycle_span_per_served_request():
 
 def test_traced_scenario_records_replan_instants():
     tracer = Tracer()
-    report = run_scenario(default_scenario(schemes=("JPS",)), tracer=tracer)
+    report = traced_run(bandwidth_drop_scenario(), tracer)
     replans = [i for i in tracer.instants if i.name == "gateway/replan"]
-    assert len(replans) == len(report["schemes"]["JPS"]["replans"])
+    assert len(replans) == len(report["replans"])
     assert replans, "the acceptance scenario must trigger a re-plan"
-    for instant, logged in zip(replans, report["schemes"]["JPS"]["replans"]):
+    for instant, logged in zip(replans, report["replans"]):
         assert instant.timestamp == logged["time"]
         assert instant.attributes["new_bps"] == logged["new_bps"]
         assert instant.lane == ("gateway", "events")
 
 
 def test_report_gauges_round_trip_through_exposition():
-    report = run_scenario(small_scenario())
-    scheme_report = report["schemes"]["JPS"]
+    scheme_report = run_system(small_scenario()).servers["gateway"]["report"]
     assert any(k.startswith("engine_cache_") for k in scheme_report["gauges"])
     samples = parse_prometheus(exposition_from_snapshot(scheme_report))
     assert samples["repro_served_total"] == scheme_report["counters"]["served"]
@@ -148,8 +148,8 @@ def test_report_gauges_round_trip_through_exposition():
 
 def test_untraced_scenario_still_reports():
     """The NullTracer default keeps the plain path working unchanged."""
-    report = run_scenario(small_scenario())
-    assert report["schemes"]["JPS"]["balance_ok"]
+    report = run_system(small_scenario())
+    assert report.servers["gateway"]["report"]["balance_ok"]
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,14 @@ a better p95 than the all-mobile and all-cloud baselines.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.engine import PlanningEngine
+from repro.fleet import bandwidth_drop_scenario, run_system
 from repro.net.timeline import BandwidthTimeline
-from repro.serving import (
-    AdaptiveChannelEstimator,
-    ClientSpec,
-    Gateway,
-    Request,
-    ScenarioConfig,
-    default_scenario,
-    run_scenario,
-)
+from repro.serving import AdaptiveChannelEstimator, Gateway, Request
 from repro.utils.units import mbps
 
 
@@ -91,15 +85,29 @@ def test_estimator_validation():
 # the acceptance scenario
 # ----------------------------------------------------------------------
 
+def serve_schemes() -> dict:
+    """The acceptance scenario under JPS, LO and CO on one shared planner."""
+    config, planner = bandwidth_drop_scenario(), PlanningEngine()
+    return {
+        scheme: run_system(replace(config, scheme=scheme), planner=planner).as_dict()
+        for scheme in ("JPS", "LO", "CO")
+    }
+
+
+def gateway(document: dict) -> dict:
+    return document["servers"]["gateway"]["report"]
+
+
 @pytest.fixture(scope="module")
 def acceptance_report():
-    return run_scenario(default_scenario())
+    return serve_schemes()
 
 
 def test_acceptance_accounting_balances(acceptance_report):
-    arrivals = acceptance_report["arrivals"]
-    assert arrivals > 0
-    for scheme, data in acceptance_report["schemes"].items():
+    for scheme, document in acceptance_report.items():
+        arrivals = document["arrivals"]
+        assert arrivals > 0
+        data = gateway(document)
         counters = data["counters"]
         assert data["balance_ok"], scheme
         assert data["pending"] == 0
@@ -108,7 +116,7 @@ def test_acceptance_accounting_balances(acceptance_report):
 
 
 def test_acceptance_triggers_adaptive_replan(acceptance_report):
-    jps = acceptance_report["schemes"]["JPS"]
+    jps = gateway(acceptance_report["JPS"])
     assert jps["counters"]["replans"] >= 1
     assert len(jps["replans"]) == jps["counters"]["replans"]
     first = jps["replans"][0]
@@ -119,8 +127,8 @@ def test_acceptance_triggers_adaptive_replan(acceptance_report):
 
 def test_acceptance_jps_beats_baselines_at_p95(acceptance_report):
     p95 = {
-        scheme: data["histograms"]["latency"]["p95"]
-        for scheme, data in acceptance_report["schemes"].items()
+        scheme: gateway(document)["histograms"]["latency"]["p95"]
+        for scheme, document in acceptance_report.items()
     }
     assert p95["JPS"] < p95["LO"]
     assert p95["JPS"] < p95["CO"]
@@ -132,12 +140,12 @@ def test_acceptance_report_is_json_serializable(acceptance_report):
 
 
 def test_acceptance_is_deterministic(acceptance_report):
-    again = run_scenario(default_scenario())
+    again = serve_schemes()
     # engine cache counters differ run to run (fresh planner), drop them
     def strip(report):
         return {
-            scheme: {k: v for k, v in data.items() if k != "engine_cache"}
-            for scheme, data in report["schemes"].items()
+            scheme: {k: v for k, v in gateway(document).items() if k != "engine_cache"}
+            for scheme, document in report.items()
         }
 
     assert strip(again) == strip(acceptance_report)
@@ -236,17 +244,6 @@ def test_mobile_stage_reuses_cpu_before_upload_finishes():
         r.latency for r in result.records if r.latency is not None
     )
     assert result.makespan < serial
-
-
-def test_scenario_config_validation():
-    with pytest.raises(ValueError, match="at least one client"):
-        ScenarioConfig(clients=(), bandwidth_steps=((0.0, 8.0),))
-    with pytest.raises(ValueError, match="unknown schemes"):
-        ScenarioConfig(
-            clients=(ClientSpec(name="a"),),
-            bandwidth_steps=((0.0, 8.0),),
-            schemes=("JPS", "EDF"),
-        )
 
 
 def test_mass_expiry_burst_drains_every_queued_head():
