@@ -98,7 +98,7 @@ from repro.net.bandwidth import (
     BandwidthPreset,
     TrafficShaper,
 )
-from repro.net.channel import Channel
+from repro.net.channel import Channel, as_channel
 from repro.net.timeline import BandwidthTimeline
 from repro.nn.network import Network
 from repro.nn.zoo import MODELS, get_model
@@ -131,7 +131,6 @@ from repro.serving import (
     Request,
 )
 from repro.sim.trace import pipeline_spans, write_pipeline_trace
-from repro.utils.units import mbps
 
 __all__ = [
     "plan",
@@ -262,24 +261,6 @@ def default_engine() -> PlanningEngine:
     if _ENGINE is None:
         _ENGINE = PlanningEngine()
     return _ENGINE
-
-
-def as_channel(bandwidth: Channel | BandwidthPreset | float) -> Channel:
-    """Coerce a bandwidth spec to a :class:`Channel`.
-
-    Accepts a ready channel, a named preset (3G/4G/Wi-Fi), or a raw
-    uplink rate in Mbps (downlink assumed symmetric-ish at 2x, matching
-    the experiment environment's convention).
-    """
-    if isinstance(bandwidth, Channel):
-        return bandwidth
-    if isinstance(bandwidth, BandwidthPreset):
-        return Channel(shaper=TrafficShaper.from_preset(bandwidth))
-    return Channel(
-        shaper=TrafficShaper(
-            uplink_bps=mbps(float(bandwidth)), downlink_bps=mbps(2 * float(bandwidth))
-        )
-    )
 
 
 def plan(

@@ -432,13 +432,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "dot":
         from repro.dag.metrics import to_dot
 
-        table = env.cost_table(args.model, args.mbps)
-        schedule = env.run_scheme(args.model, args.mbps, 10, "JPS")
+        # the engine's JPS plan carries each job's mobile node set, on
+        # line, frontier and DAG models alike
+        schedule = env.engine.plan(args.model, 10, env.channel(args.mbps))
         mobile_nodes = next(
             (p.mobile_nodes for p in schedule.jobs if p.mobile_nodes), None
         )
-        if mobile_nodes is None and table.graph is not None:
-            mobile_nodes = table.mobile_nodes_at(schedule.jobs[0].cut_position)
         graph = env.network(args.model).graph
         print(to_dot(graph, mobile_nodes=mobile_nodes or ()))
         return 0

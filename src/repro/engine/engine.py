@@ -12,10 +12,12 @@ dozens of bandwidths and job counts in every experiment sweep.
 content-addressed keys (:mod:`repro.engine.keys`):
 
 * **bandwidth-independent structure** — the linearized line order with
-  cumulative ``f``/``cloud`` and edge volumes, or the Pareto cut set
-  with per-cut compute/bytes/cloud-rest. Dominance is decided on
-  (compute time, transfer bytes), both bandwidth-invariant, so one
-  enumeration serves every channel.
+  cumulative ``f``/``cloud`` and edge volumes, or a Pareto cut set with
+  per-cut compute/bytes/cloud-rest. Frontier and DAG cut sets are both
+  downward-closed node sets and share one builder; they differ only in
+  how the candidates are enumerated. Dominance is decided on (compute
+  time, transfer bytes), both bandwidth-invariant, so one enumeration
+  serves every channel.
 * **per-channel cost tables** — the structure priced through a concrete
   channel's ``uplink_time``; an LRU bound keeps sweep-heavy workloads
   from growing without limit.
@@ -24,7 +26,10 @@ content-addressed keys (:mod:`repro.engine.keys`):
 
 A warm ``plan()`` therefore costs only the O(log k) search and the
 Johnson sort, which is what the paper's Fig. 12(d) claims the deployed
-scheduler pays per decision.
+scheduler pays per decision. The engine is the one planner behind the
+``repro.api`` facade, the serving stack and
+:class:`~repro.experiments.runner.ExperimentEnv` (every figure harness);
+the uncached :func:`repro.core.joint.jps` path is its reference.
 """
 
 from __future__ import annotations
@@ -71,10 +76,9 @@ from repro.profiling.device import DeviceModel, gtx1080_server, raspberry_pi_4
 from repro.profiling.latency import (
     CostTable,
     LayerPredictor,
-    cut_costs,
     node_mobile_time,
 )
-from repro.utils.units import BITS_PER_BYTE, mbps
+from repro.utils.units import BITS_PER_BYTE
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
@@ -118,37 +122,24 @@ class _LineStructure:
 
 
 @dataclass(frozen=True)
-class _FrontierStructure:
-    """Bandwidth-independent Pareto cut data of a general DAG."""
+class _CutStructure:
+    """Bandwidth-independent Pareto cut data of a non-line model.
 
-    cuts: tuple[Cut, ...]
-    f: np.ndarray
-    transfer_bytes: np.ndarray
-    rests: np.ndarray               # cloud time of the part after each cut
-    full_cut_sizes: np.ndarray      # |mobile| per cut (full cut uploads nothing)
-    num_nodes: int
-
-
-@dataclass(frozen=True)
-class _DagStructure:
-    """Bandwidth-independent true-DAG Pareto cut data (shared-once pricing).
-
-    Same columns as :class:`_FrontierStructure`, but the cut space comes
-    from :func:`repro.dag.partition.dag_pareto_cuts` — downward-closed
-    sets of the *original* graph, so it also covers
-    non-series-parallel models the frontier enumeration rejects.
-    ``mode``/``states`` record how the space was generated.
+    Both cut spaces are downward-closed node sets (ideals) of the
+    original graph, priced on the same columns. The ``frontier`` kind
+    enumerates a series-parallel graph's frontier cuts exactly; the
+    ``dag`` kind takes :func:`repro.dag.partition.dag_pareto_cuts`,
+    which also covers graphs the frontier enumeration rejects and
+    records how it generated the space in ``mode``/``states``.
     """
 
     cuts: tuple[Cut, ...]
-    labels: tuple[str, ...]         # disambiguated cut labels
-    f: np.ndarray
-    transfer_bytes: np.ndarray
-    rests: np.ndarray
-    full_cut_sizes: np.ndarray
-    num_nodes: int
-    mode: str
-    states: int
+    labels: tuple[str, ...]
+    f: np.ndarray                   # mobile compute of each cut
+    payloads: np.ndarray            # upload bytes, 0 for the full (all-local) cut
+    cloud: np.ndarray               # running-max cloud time of the mobile part
+    mode: str | None = None
+    states: int | None = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,7 @@ class PricingKernel:
     wire_bits: np.ndarray           # (payload + header) * overhead * 8, 0-masked
     setup_latency: float
     graph: Dag | None
-    cuts: tuple[Cut, ...] | None    # frontier kernels carry the real cuts
+    cuts: tuple[Cut, ...] | None    # frontier and DAG kernels carry the real cuts
     rest: np.ndarray = field(init=False, repr=False)  # cloud time after each cut
 
     def __post_init__(self) -> None:
@@ -288,12 +279,12 @@ class PlanningEngine:
             device_fingerprint(self.cloud),
         )
         self._lines: LRUCache[_LineStructure] = LRUCache(self.max_entries)
-        self._frontiers: LRUCache[_FrontierStructure] = LRUCache(self.max_entries)
+        self._frontiers: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._tables: LRUCache[CostTable] = LRUCache(self.max_entries)
         self._frontier_tables: LRUCache[FrontierTable] = LRUCache(self.max_entries)
         self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
         self._pricing: LRUCache[PricingKernel] = LRUCache(self.max_entries)
-        self._dags: LRUCache[_DagStructure] = LRUCache(self.max_entries)
+        self._dags: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._dag_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
 
     # ------------------------------------------------------------------
@@ -385,41 +376,22 @@ class PlanningEngine:
             key, self._traced("line_structure", network.name, build)
         )
 
-    def _frontier_structure(
-        self, network: Network, predictor: LayerPredictor | None, predictor_key
-    ) -> _FrontierStructure:
-        key = ("frontier",) + self._base_key(network, predictor, predictor_key)
+    def _cut_structure(
+        self,
+        kind: str,
+        network: Network,
+        predictor: LayerPredictor | None,
+        predictor_key,
+    ) -> _CutStructure:
+        """The ``frontier`` or ``dag`` cut space, pruned and priced once.
 
-        def build() -> _FrontierStructure:
-            # dominance compares (compute, transfer bytes) — both independent
-            # of the channel — so one probe pricing serves every bandwidth
-            probe = Channel(
-                shaper=TrafficShaper(uplink_bps=mbps(10.0), downlink_bps=mbps(20.0))
-            )
-            cuts = enumerate_frontier_cuts(network.graph)
-            costs = cut_costs(network, cuts, self.mobile, self.cloud, probe, predictor)
-            compute_of = {m: c[0] for m, c in costs.items()}
-            surviving = prune_dominated(cuts, compute_of)
-            surviving.sort(key=lambda c: compute_of[c.mobile])
-            return _FrontierStructure(
-                cuts=tuple(surviving),
-                f=np.array([costs[c.mobile][0] for c in surviving]),
-                transfer_bytes=np.array([c.transfer_bytes for c in surviving]),
-                rests=np.array([costs[c.mobile][2] for c in surviving]),
-                full_cut_sizes=np.array([len(c.mobile) for c in surviving]),
-                num_nodes=len(network.graph),
-            )
+        Dominance compares (compute time, transfer bytes), both
+        independent of the channel, so one structure serves every
+        bandwidth.
+        """
+        key = (kind,) + self._base_key(network, predictor, predictor_key)
 
-        return self._frontiers.get_or_build(
-            key, self._traced("frontier_structure", network.name, build)
-        )
-
-    def _dag_structure(
-        self, network: Network, predictor: LayerPredictor | None, predictor_key
-    ) -> _DagStructure:
-        key = ("dag",) + self._base_key(network, predictor, predictor_key)
-
-        def build() -> _DagStructure:
+        def build() -> _CutStructure:
             graph = network.graph
             mobile_time = {
                 v: node_mobile_time(graph.payload(v), self.mobile, predictor)
@@ -429,27 +401,43 @@ class PlanningEngine:
                 v: node_mobile_time(graph.payload(v), self.cloud)
                 for v in graph.node_ids
             }
+            info: dict = {}
+            if kind == "dag":
+                cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
+                labels = unique_cut_labels(cuts)
+            else:
+                candidates = enumerate_frontier_cuts(graph)
+                compute_of = {
+                    c.mobile: sum(mobile_time[v] for v in c.mobile) for c in candidates
+                }
+                cuts = prune_dominated(candidates, compute_of)
+                cuts.sort(key=lambda c: compute_of[c.mobile])
+                labels = tuple(c.label for c in cuts)
             total_cloud = sum(cloud_time.values())
-            cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
-            return _DagStructure(
+            rests = np.array(
+                [total_cloud - sum(cloud_time[v] for v in c.mobile) for c in cuts]
+            )
+            return _CutStructure(
                 cuts=tuple(cuts),
-                labels=unique_cut_labels(cuts),
+                labels=labels,
                 f=np.array([sum(mobile_time[v] for v in c.mobile) for c in cuts]),
-                transfer_bytes=np.array([c.transfer_bytes for c in cuts]),
-                rests=np.array(
+                # the full cut keeps everything mobile: nothing crosses
+                payloads=np.array(
                     [
-                        total_cloud - sum(cloud_time[v] for v in c.mobile)
+                        0.0 if len(c.mobile) == len(graph) else float(c.transfer_bytes)
                         for c in cuts
                     ]
                 ),
-                full_cut_sizes=np.array([len(c.mobile) for c in cuts]),
-                num_nodes=len(graph),
-                mode=info["mode"],
-                states=info["states"],
+                # the cloud time of the mobile part is not exactly monotone
+                # across Pareto cuts; the running max keeps CostTable's invariant
+                cloud=np.maximum.accumulate(rests.max() - rests),
+                mode=info.get("mode"),
+                states=info.get("states"),
             )
 
-        return self._dags.get_or_build(
-            key, self._traced("dag_structure", network.name, build)
+        cache = self._dags if kind == "dag" else self._frontiers
+        return cache.get_or_build(
+            key, self._traced(f"{kind}_structure", network.name, build)
         )
 
     # ------------------------------------------------------------------
@@ -500,38 +488,7 @@ class PlanningEngine:
         enumeration and dominance pruning are paid once per
         (network, devices, predictor) rather than per call.
         """
-        network = self.resolve(model)
-        key = (
-            ("table-frontier",)
-            + self._base_key(network, predictor, predictor_key)
-            + (channel_fingerprint(channel),)
-        )
-
-        def build() -> FrontierTable:
-            structure = self._frontier_structure(network, predictor, predictor_key)
-            g = np.array(
-                [
-                    channel.uplink_time(b) if b > 0 else 0.0
-                    for b in structure.transfer_bytes
-                ]
-            )
-            g[structure.full_cut_sizes == structure.num_nodes] = 0.0
-            cloud_of_mobile = np.maximum.accumulate(
-                structure.rests.max() - structure.rests
-            )
-            table = CostTable(
-                model_name=f"{network.name}/frontier",
-                positions=tuple(c.label for c in structure.cuts),
-                f=structure.f.copy(),
-                g=g,
-                cloud=cloud_of_mobile,
-                graph=None,
-            )
-            return FrontierTable(table=table, cuts=structure.cuts)
-
-        return self._frontier_tables.get_or_build(
-            key, self._traced("frontier_table", network.name, build)
-        )
+        return self._cut_table("frontier", model, channel, predictor, predictor_key)
 
     def dag_table(
         self,
@@ -547,42 +504,47 @@ class PlanningEngine:
         tail, full cut uploads nothing, cloud column in running-max
         form. See ``docs/dag.md``.
         """
+        return self._cut_table("dag", model, channel, predictor, predictor_key)
+
+    def _cut_table(
+        self,
+        kind: str,
+        model: str | Network,
+        channel: Channel,
+        predictor: LayerPredictor | None,
+        predictor_key,
+    ) -> FrontierTable | DagCutTable:
         network = self.resolve(model)
         key = (
-            ("table-dag",)
+            (f"table-{kind}",)
             + self._base_key(network, predictor, predictor_key)
             + (channel_fingerprint(channel),)
         )
 
-        def build() -> DagCutTable:
-            structure = self._dag_structure(network, predictor, predictor_key)
-            g = np.array(
-                [
-                    channel.uplink_time(b) if b > 0 else 0.0
-                    for b in structure.transfer_bytes
-                ]
-            )
-            g[structure.full_cut_sizes == structure.num_nodes] = 0.0
-            cloud_of_mobile = np.maximum.accumulate(
-                structure.rests.max() - structure.rests
-            )
+        def build() -> FrontierTable | DagCutTable:
+            structure = self._cut_structure(kind, network, predictor, predictor_key)
             table = CostTable(
-                model_name=f"{network.name}/dag",
+                model_name=f"{network.name}/{kind}",
                 positions=structure.labels,
                 f=structure.f.copy(),
-                g=g,
-                cloud=cloud_of_mobile,
+                g=np.array(
+                    [channel.uplink_time(b) if b > 0 else 0.0 for b in structure.payloads]
+                ),
+                cloud=structure.cloud.copy(),
                 graph=None,
             )
-            return DagCutTable(
-                table=table,
-                cuts=structure.cuts,
-                mode=structure.mode,
-                states=structure.states,
-            )
+            if kind == "dag":
+                return DagCutTable(
+                    table=table,
+                    cuts=structure.cuts,
+                    mode=structure.mode,
+                    states=structure.states,
+                )
+            return FrontierTable(table=table, cuts=structure.cuts)
 
-        return self._dag_tables.get_or_build(
-            key, self._traced("dag_table", network.name, build)
+        cache = self._dag_tables if kind == "dag" else self._frontier_tables
+        return cache.get_or_build(
+            key, self._traced(f"{kind}_table", network.name, build)
         )
 
     def cost_table(
@@ -594,16 +556,14 @@ class PlanningEngine:
         predictor_key=None,
     ) -> CostTable:
         """The model's planning table under ``structure`` resolution."""
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(model)
+        chosen = self._resolve_structure(model, structure)
         if chosen is Structure.LINE:
             return self.line_table(model, channel, predictor, predictor_key)
-        if chosen is Structure.FRONTIER:
-            return self.frontier_table(model, channel, predictor, predictor_key).table
-        if chosen is Structure.DAG:
-            return self.dag_table(model, channel, predictor, predictor_key).table
-        raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
+        if chosen is Structure.PATHS:
+            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
+        return self._cut_table(
+            chosen.value, model, channel, predictor, predictor_key
+        ).table
 
     # ------------------------------------------------------------------
     # bandwidth-vectorized pricing
@@ -645,36 +605,18 @@ class PlanningEngine:
         def build() -> PricingKernel:
             if chosen is Structure.LINE:
                 line = self._line_structure(network, predictor, predictor_key)
-                payloads = line.volumes.astype(float)
                 model_name = network.name
-                positions: tuple[str, ...] = line.order
-                f, cloud = line.f, line.cloud
+                positions, f, cloud = line.order, line.f, line.cloud
+                payloads = line.volumes.astype(float)
                 graph, cuts = line.graph, None
-            elif chosen is Structure.DAG:
-                dag = self._dag_structure(network, predictor, predictor_key)
-                payloads = np.where(
-                    dag.full_cut_sizes == dag.num_nodes,
-                    0.0,
-                    dag.transfer_bytes.astype(float),
-                )
-                model_name = f"{network.name}/dag"
-                positions = dag.labels
-                f = dag.f
-                cloud = np.maximum.accumulate(dag.rests.max() - dag.rests)
-                graph, cuts = None, dag.cuts
             else:
-                frontier = self._frontier_structure(network, predictor, predictor_key)
-                # the full cut keeps everything mobile: nothing crosses
-                payloads = np.where(
-                    frontier.full_cut_sizes == frontier.num_nodes,
-                    0.0,
-                    frontier.transfer_bytes.astype(float),
+                space = self._cut_structure(
+                    chosen.value, network, predictor, predictor_key
                 )
-                model_name = f"{network.name}/frontier"
-                positions = tuple(c.label for c in frontier.cuts)
-                f = frontier.f
-                cloud = np.maximum.accumulate(frontier.rests.max() - frontier.rests)
-                graph, cuts = None, frontier.cuts
+                model_name = f"{network.name}/{chosen.value}"
+                positions, f, cloud = space.labels, space.f, space.cloud
+                payloads = space.payloads
+                graph, cuts = None, space.cuts
             # same operation order as Channel.uplink_time, element by element
             wire_bits = np.where(
                 payloads > 0,
@@ -942,9 +884,7 @@ class PlanningEngine:
                 f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
             )
 
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(network)
+        chosen = self._resolve_structure(network, structure)
         if chosen is Structure.LINE:
             table = self.line_table(network, channel, predictor, predictor_key)
             return jps_line(table, n, split=split)

@@ -1,34 +1,31 @@
-"""Shared experiment environment: devices, channels, cached cost tables.
+"""Shared experiment environment: one device pair, one planner.
 
 Every figure/table harness runs on the same :class:`ExperimentEnv` so
 the schemes are compared under identical cost models. The environment
-caches the bandwidth-independent structure of each model — the
-linearized graph (or the Pareto cut set for general DAGs, whose
-dominance relation is bandwidth-invariant because upload time is
-monotone in payload bytes) — and instantiates per-bandwidth cost tables
-cheaply, which keeps the Fig. 13 sweep over 80 bandwidths fast.
+holds no planning state of its own: models, the line/general
+classification, cost tables and schedules all come from its lazily
+built :class:`~repro.engine.PlanningEngine`. The engine caches the
+bandwidth-independent structure of each model — the linearized graph,
+or the Pareto cut set of a general DAG, whose dominance relation is
+bandwidth-invariant because upload time is monotone in payload bytes —
+and prices it per bandwidth cheaply, which keeps the Fig. 13 sweep over
+80 bandwidths fast. A harness cell is therefore the same plan that
+``repro plan`` prints for that model and bandwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.baselines import cloud_only, local_only, partition_only
-from repro.core.joint import jps_line
+from repro.core.joint import Structure
 from repro.core.plans import Schedule
 from repro.engine import PlanningEngine
-from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
-from repro.dag.transform import collapse_clusterable_blocks
-from repro.net.bandwidth import BandwidthPreset, TrafficShaper
-from repro.net.channel import Channel
+from repro.net.bandwidth import BandwidthPreset
+from repro.net.channel import Channel, as_channel
 from repro.nn.network import Network
-from repro.nn.zoo import get_model
 from repro.obs.tracer import NullTracer, Tracer
 from repro.profiling.device import DeviceModel, gtx1080_server, raspberry_pi_4
-from repro.profiling.latency import CostTable, cut_costs, line_cost_table
-from repro.utils.units import mbps
+from repro.profiling.latency import CostTable
 
 __all__ = ["ExperimentEnv", "SCHEMES", "EXPERIMENT_MODELS"]
 
@@ -40,19 +37,8 @@ SCHEMES = ["LO", "CO", "PO", "JPS"]
 
 
 @dataclass
-class _FrontierStructure:
-    """Bandwidth-independent Pareto cut data for a general DAG."""
-
-    cuts: list[Cut]
-    f: np.ndarray
-    transfer_bytes: np.ndarray
-    cloud_of_mobile: np.ndarray
-    full_cut_index: int
-
-
-@dataclass
 class ExperimentEnv:
-    """Deterministic experiment context with model/table caches."""
+    """Deterministic experiment context over one planning engine."""
 
     mobile: DeviceModel = field(default_factory=raspberry_pi_4)
     cloud: DeviceModel = field(default_factory=gtx1080_server)
@@ -60,19 +46,11 @@ class ExperimentEnv:
     tracer: Tracer | NullTracer = field(default_factory=NullTracer)
 
     def __post_init__(self) -> None:
-        self._networks: dict[str, Network] = {}
-        self._is_line: dict[str, bool] = {}
-        self._frontier: dict[str, _FrontierStructure] = {}
         self._engine: PlanningEngine | None = None
 
     @property
     def engine(self) -> PlanningEngine:
-        """A lazily-built planning engine on this env's device pair.
-
-        Backs the batched sweep path (:meth:`run_scheme_batch`); its
-        tables are bit-identical to :meth:`cost_table`, so batched and
-        per-cell results interchange freely.
-        """
+        """The lazily-built planning engine on this env's device pair."""
         if self._engine is None:
             self._engine = PlanningEngine(
                 mobile=self.mobile, cloud=self.cloud, tracer=self.tracer
@@ -81,81 +59,26 @@ class ExperimentEnv:
 
     # ------------------------------------------------------------------
     def network(self, name: str) -> Network:
-        if name not in self._networks:
-            self._networks[name] = get_model(name)
-        return self._networks[name]
+        return self.engine.resolve(name)
 
     def channel(self, bandwidth: BandwidthPreset | float) -> Channel:
         """A channel at a preset or a raw uplink rate in Mbps."""
-        if isinstance(bandwidth, BandwidthPreset):
-            return Channel(shaper=TrafficShaper.from_preset(bandwidth))
-        return Channel(
-            shaper=TrafficShaper(uplink_bps=mbps(bandwidth), downlink_bps=mbps(2 * bandwidth))
-        )
-
-    def uplink_bps_of(self, bandwidth: BandwidthPreset | float) -> float:
-        """The raw uplink rate :meth:`channel` would price with."""
-        if isinstance(bandwidth, BandwidthPreset):
-            return bandwidth.uplink_bps
-        return mbps(bandwidth)
+        return as_channel(bandwidth)
 
     def treats_as_line(self, name: str) -> bool:
         """True if virtual-block clustering linearizes the model (§3.2)."""
-        if name not in self._is_line:
-            clustered = collapse_clusterable_blocks(self.network(name).graph)
-            self._is_line[name] = clustered.is_line()
-        return self._is_line[name]
-
-    # ------------------------------------------------------------------
-    def _frontier_structure(self, name: str) -> _FrontierStructure:
-        if name not in self._frontier:
-            network = self.network(name)
-            probe = self.channel(10.0)  # bandwidth only affects g, not dominance
-            cuts = enumerate_frontier_cuts(network.graph)
-            costs = cut_costs(network, cuts, self.mobile, self.cloud, probe)
-            compute_of = {m: c[0] for m, c in costs.items()}
-            surviving = prune_dominated(cuts, compute_of)
-            surviving.sort(key=lambda c: compute_of[c.mobile])
-            rests = np.array([costs[c.mobile][2] for c in surviving])
-            self._frontier[name] = _FrontierStructure(
-                cuts=surviving,
-                f=np.array([costs[c.mobile][0] for c in surviving]),
-                transfer_bytes=np.array([c.transfer_bytes for c in surviving]),
-                cloud_of_mobile=np.maximum.accumulate(rests.max() - rests),
-                full_cut_index=int(
-                    np.argmax([len(c.mobile) for c in surviving])
-                ),
-            )
-        return self._frontier[name]
+        return self.engine.structure_of(name) is Structure.LINE
 
     def cost_table(self, name: str, bandwidth: BandwidthPreset | float) -> CostTable:
-        """The model's cost table at the given bandwidth.
+        """The model's planning table at the given bandwidth.
 
-        Line-clusterable models get the clustered line table; general
-        DAGs (GoogLeNet) get the Pareto-frontier table, which every
-        scheme (LO, CO, PO, JPS) consumes identically — PO on the
-        frontier is the DAG generalization of the Neurosurgeon cut.
+        Line-clusterable models get the clustered line table; other
+        series-parallel graphs (GoogLeNet) the Pareto-frontier table and
+        the rest (Inception-v4) the true-DAG cut table, which every
+        scheme (LO, CO, PO, JPS) consumes identically — PO on a cut
+        table is the DAG generalization of the Neurosurgeon cut.
         """
-        channel = self.channel(bandwidth)
-        if self.treats_as_line(name):
-            return line_cost_table(
-                self.network(name), self.mobile, self.cloud, channel
-            )
-        structure = self._frontier_structure(name)
-        g = np.array(
-            [
-                channel.uplink_time(b) if b > 0 else 0.0
-                for b in structure.transfer_bytes
-            ]
-        )
-        return CostTable(
-            model_name=f"{name}/frontier",
-            positions=tuple(c.label for c in structure.cuts),
-            f=structure.f.copy(),
-            g=g,
-            cloud=structure.cloud_of_mobile.copy(),
-            graph=None,
-        )
+        return self.engine.cost_table(name, self.channel(bandwidth))
 
     # ------------------------------------------------------------------
     def run_scheme(
@@ -170,23 +93,7 @@ class ExperimentEnv:
             n=n,
             scheme=scheme,
         ):
-            return self._run_scheme(name, bandwidth, n, scheme)
-
-    def _run_scheme(
-        self, name: str, bandwidth: BandwidthPreset | float, n: int, scheme: str
-    ) -> Schedule:
-        table = self.cost_table(name, bandwidth)
-        if scheme == "LO":
-            return local_only(table, n)
-        if scheme == "CO":
-            return cloud_only(table, n)
-        if scheme == "PO":
-            return partition_only(table, n)
-        if scheme == "JPS":
-            return jps_line(table, n)
-        if scheme == "JPS-ratio":
-            return jps_line(table, n, split="ratio")
-        raise ValueError(f"unknown scheme {scheme!r}")
+            return self._plan(name, [bandwidth], n, scheme)[0]
 
     def run_scheme_batch(
         self,
@@ -197,27 +104,39 @@ class ExperimentEnv:
     ) -> list[Schedule]:
         """One scheme across a whole bandwidth vector, vectorized.
 
-        Routes through :meth:`PlanningEngine.plan_batch`, so the whole
-        vector prices one cached bandwidth-independent kernel and each
-        rate pays only the ``searchsorted`` crossing + matrix split.
-        Bit-identical to calling :meth:`run_scheme` per bandwidth
-        (``wrap_frontier=False`` keeps the harnesses' historical plain
-        ``"JPS"`` schedules on frontier tables).
+        The whole vector prices one cached bandwidth-independent kernel
+        and each rate pays only the ``searchsorted`` crossing + matrix
+        split; :meth:`run_scheme` is the one-cell case of the same call.
         """
-        rates = [self.uplink_bps_of(b) for b in bandwidths]
         with self.tracer.span(
             "experiment/batch",
             lane=("experiments", scheme),
             model=name,
             n=n,
             scheme=scheme,
-            cells=len(rates),
+            cells=len(bandwidths),
         ):
-            split = "ratio" if scheme == "JPS-ratio" else "exact"
-            chosen = "JPS" if scheme == "JPS-ratio" else scheme
-            return self.engine.plan_batch(
-                name, n, rates, scheme=chosen, split=split, wrap_frontier=False
-            )
+            return self._plan(name, bandwidths, n, scheme)
+
+    def _plan(
+        self,
+        name: str,
+        bandwidths: list[BandwidthPreset | float],
+        n: int,
+        scheme: str,
+    ) -> list[Schedule]:
+        # wrap_frontier=False keeps the harnesses' historical plain "JPS"
+        # schedules on frontier tables
+        split = "ratio" if scheme == "JPS-ratio" else "exact"
+        chosen = "JPS" if scheme == "JPS-ratio" else scheme
+        return self.engine.plan_batch(
+            name,
+            n,
+            [self.channel(b).uplink_bps for b in bandwidths],
+            scheme=chosen,
+            split=split,
+            wrap_frontier=False,
+        )
 
     def scheme_grid(
         self,

@@ -8,7 +8,7 @@ from repro.net.bandwidth import (
     BandwidthPreset,
     TrafficShaper,
 )
-from repro.net.channel import Channel
+from repro.net.channel import Channel, as_channel
 from repro.net.timeline import BandwidthTimeline
 
 __all__ = [
@@ -20,4 +20,5 @@ __all__ = [
     "THREE_G",
     "TrafficShaper",
     "WIFI",
+    "as_channel",
 ]

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.net.bandwidth import BandwidthPreset, TrafficShaper
-from repro.utils.units import BITS_PER_BYTE, ms
+from repro.utils.units import BITS_PER_BYTE, mbps, ms
 from repro.utils.validation import require_non_negative, require_positive
 
-__all__ = ["Channel"]
+__all__ = ["Channel", "as_channel"]
 
 #: Default gRPC-ish setup latency (connection reuse assumed, header cost only).
 DEFAULT_SETUP_LATENCY = ms(5.0)
@@ -74,3 +74,19 @@ class Channel:
             return 0.0
         wire_bytes = (payload_bytes + self.header_bytes) * self.protocol_overhead
         return self.setup_latency + wire_bytes * BITS_PER_BYTE / self.shaper.downlink_bps
+
+
+def as_channel(bandwidth: Channel | BandwidthPreset | float) -> Channel:
+    """Coerce a bandwidth spec to a :class:`Channel`.
+
+    Accepts a ready channel, a named preset (3G/4G/Wi-Fi), or a raw
+    uplink rate in Mbps with the downlink at twice the uplink.
+    """
+    if isinstance(bandwidth, Channel):
+        return bandwidth
+    if isinstance(bandwidth, BandwidthPreset):
+        return Channel.from_preset(bandwidth)
+    uplink = float(bandwidth)
+    return Channel(
+        shaper=TrafficShaper(uplink_bps=mbps(uplink), downlink_bps=mbps(2 * uplink))
+    )

@@ -6,7 +6,7 @@ import repro
 from repro import api
 from repro.core.joint import jps
 from repro.net.bandwidth import WIFI, BandwidthPreset
-from repro.net.channel import Channel
+from repro.net.channel import Channel, as_channel
 from repro.nn.zoo import MODELS, get_model
 
 
@@ -57,6 +57,8 @@ def test_as_channel_coercions():
     assert isinstance(WIFI, BandwidthPreset)
     assert preset.uplink_bps == pytest.approx(WIFI.uplink_bps)
     assert ready.uplink_bps == pytest.approx(12e6)
+    assert ready.downlink_bps == pytest.approx(24e6)
+    assert api.as_channel is as_channel  # the facade re-exports the one coercion
 
 
 def test_plan_accepts_enum_and_string_variants():

@@ -1,5 +1,11 @@
 """Campaign runner: structure, persistence, regression diffing."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.campaign import (
@@ -80,3 +86,34 @@ def test_campaign_determinism(env):
     # scheduler overheads use wall time and are not part of the document;
     # everything recorded must be bit-identical
     assert compare_campaigns(a, b, rel_tolerance=0.0) == []
+
+
+#: ``repro campaign --quick`` output. Regenerate after an intentional
+#: change with ``PYTHONHASHSEED=0 PYTHONPATH=src python -m repro campaign
+#: tests/data/golden_campaign_quick.json --quick``.
+GOLDEN_CAMPAIGN = Path(__file__).parent / "data" / "golden_campaign_quick.json"
+
+
+def _without_version(text: str) -> str:
+    return re.sub(r'\n  "version": "[^"]*"', "", text)
+
+
+def test_campaign_quick_matches_golden_file(tmp_path):
+    """The harness output, byte for byte, from a fresh process.
+
+    The hash seed is pinned because set-order float sums still move
+    across seeds; only ``version`` may differ.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "campaign.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", str(out), "--quick"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert _without_version(out.read_text()) == _without_version(
+        GOLDEN_CAMPAIGN.read_text()
+    )

@@ -85,8 +85,11 @@ def test_dot_command(capsys):
 
 
 def test_dot_command_general_model(capsys):
-    out = run_cli(capsys, "dot", "mini-inception", "--mbps", "10")
-    assert out.startswith("digraph")
+    for model in ("mini-inception", "googlenet"):
+        out = run_cli(capsys, "dot", model, "--mbps", "10")
+        assert out.startswith("digraph")
+        assert "fillcolor" in out, model       # the JPS cut is highlighted
+        assert "penwidth=2.5" in out, model    # crossing edges marked
 
 
 def test_energy_command(capsys):

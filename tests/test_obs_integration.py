@@ -162,13 +162,24 @@ def test_cli_trace_experiment_writes_valid_chrome_json(tmp_path, capsys):
     assert main(["trace", "experiment", "--out", str(out)]) == 0
     events = json.loads(out.read_text())
     assert validate_chrome_events(events) == len(events)
-    cells = [e for e in events if e["ph"] == "X"]
-    assert cells and all(e["name"] == "experiment/cell" for e in cells)
-    assert {e["args"]["model"] for e in cells} == {"alexnet", "googlenet"}
+    spans = [e for e in events if e["ph"] == "X"]
+    cells = [e for e in spans if e["name"] == "experiment/cell"]
+    assert cells and {e["args"]["model"] for e in cells} == {"alexnet", "googlenet"}
+    # every other span is the engine planning inside a cell: one
+    # plan_batch per cell, plus a build span per cold cache layer
+    inner = [e for e in spans if e["name"] != "experiment/cell"]
+    assert {e["name"] for e in inner} == {"engine/plan_batch", "engine/build"}
+    assert sum(e["name"] == "engine/plan_batch" for e in inner) == len(cells)
+
+    def within(child: dict, parent: dict) -> bool:
+        end = parent["ts"] + parent["dur"] + 1e-6  # float slack, in us
+        return parent["ts"] <= child["ts"] and child["ts"] + child["dur"] <= end
+
+    assert all(any(within(e, cell) for cell in cells) for e in inner)
     processes = {
         e["args"]["name"] for e in events if e.get("name") == "process_name"
     }
-    assert processes == {"experiments"}
+    assert processes == {"experiments", "engine"}
     assert "perfetto" in capsys.readouterr().out
 
 

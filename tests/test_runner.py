@@ -60,3 +60,14 @@ def test_multitask_and_inception_classified_general(env):
     assert not env.treats_as_line("multitask-perception")
     assert not env.treats_as_line("mini-inception")
     assert env.treats_as_line("squeezenet")
+
+
+def test_harness_cell_is_the_engine_plan_on_a_dag_model(env):
+    """Inception-v4 is not series-parallel: the harness must plan it on
+    the engine's DAG cut table, as ``repro plan`` does, not on a
+    frontier enumeration of its own."""
+    cell = env.run_scheme("inception-v4", 5.85, 10, "JPS")
+    planned = env.engine.plan("inception-v4", 10, env.channel(5.85))
+    assert cell.makespan == planned.makespan
+    assert cell.method == planned.method
+    assert env.cost_table("inception-v4", 5.85).model_name.endswith("/dag")

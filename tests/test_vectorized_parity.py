@@ -164,6 +164,11 @@ BATCH_SCHEMES = ["LO", "CO", "PO", "JPS", "JPS-ratio"]
 BATCH_BANDWIDTHS = [0.7, 5.0, WIFI, 42.0]
 
 
+def _engine_terms(scheme: str) -> tuple[str, str]:
+    """(scheme, split) for the engine: JPS-ratio is JPS with the ratio split."""
+    return ("JPS", "ratio") if scheme == "JPS-ratio" else (scheme, "exact")
+
+
 @pytest.fixture(scope="module")
 def batch_env():
     return ExperimentEnv()
@@ -172,17 +177,29 @@ def batch_env():
 @pytest.mark.parametrize("model", BATCH_MODELS)
 @pytest.mark.parametrize("scheme", BATCH_SCHEMES)
 def test_plan_batch_matches_per_cell_run_scheme(batch_env, model, scheme):
+    """A harness sweep equals its cells, and each cell the per-call plan.
+
+    ``run_scheme`` coerces presets and Mbps rates through
+    ``env.channel`` and leaves frontier schedules unwrapped (method
+    ``"JPS"``), so against :meth:`PlanningEngine.plan` only the numbers
+    and cuts must agree.
+    """
     n = 12
+    chosen, split = _engine_terms(scheme)
     batch = batch_env.run_scheme_batch(model, list(BATCH_BANDWIDTHS), n, scheme)
     assert len(batch) == len(BATCH_BANDWIDTHS)
     for bandwidth, ours in zip(BATCH_BANDWIDTHS, batch):
-        theirs = batch_env.run_scheme(model, bandwidth, n, scheme)
-        assert ours.makespan == theirs.makespan
-        assert ours.method == theirs.method
-        assert [p.cut_position for p in ours.jobs] == [
-            p.cut_position for p in theirs.jobs
-        ]
-        assert [p.stages for p in ours.jobs] == [p.stages for p in theirs.jobs]
+        cell = batch_env.run_scheme(model, bandwidth, n, scheme)
+        planned = batch_env.engine.plan(
+            model, n, batch_env.channel(bandwidth), scheme=chosen, split=split
+        )
+        assert ours.method == cell.method
+        for theirs in (cell, planned):
+            assert ours.makespan == theirs.makespan
+            assert [p.cut_position for p in ours.jobs] == [
+                p.cut_position for p in theirs.jobs
+            ]
+            assert [p.stages for p in ours.jobs] == [p.stages for p in theirs.jobs]
 
 
 def _channel_at(uplink_bps: float) -> Channel:
@@ -193,21 +210,31 @@ def _channel_at(uplink_bps: float) -> Channel:
 
 
 def test_plan_batch_matches_per_call_plan_over_bandwidth_grid():
+    """plan_batch (pricing kernel + ``jps_line_fast``) == per-channel
+    plan() (cost tables + scalar ``jps_line``), scheme by scheme."""
     engine = PlanningEngine()
     rates = [mbps(b) for b in np.linspace(0.5, 60.0, 24)]
     n = 8
     for model in BATCH_MODELS:
-        batch = engine.plan_batch(model, n, rates)
-        for rate, ours in zip(rates, batch):
-            theirs = engine.plan(model, n, _channel_at(rate))
-            assert ours.makespan == theirs.makespan
-            assert ours.method == theirs.method
-            assert [p.mobile_nodes for p in ours.jobs] == [
-                p.mobile_nodes for p in theirs.jobs
-            ]
-            assert [p.cut_position for p in ours.jobs] == [
-                p.cut_position for p in theirs.jobs
-            ]
+        for scheme in BATCH_SCHEMES:
+            chosen, split = _engine_terms(scheme)
+            batch = engine.plan_batch(model, n, rates, scheme=chosen, split=split)
+            for rate, ours in zip(rates, batch):
+                theirs = engine.plan(
+                    model, n, _channel_at(rate), scheme=chosen, split=split
+                )
+                assert ours.makespan == theirs.makespan
+                assert ours.method == theirs.method
+                assert ours.metadata.get("split") == theirs.metadata.get("split")
+                assert [p.mobile_nodes for p in ours.jobs] == [
+                    p.mobile_nodes for p in theirs.jobs
+                ]
+                assert [p.cut_position for p in ours.jobs] == [
+                    p.cut_position for p in theirs.jobs
+                ]
+                assert [p.stages for p in ours.jobs] == [
+                    p.stages for p in theirs.jobs
+                ]
 
 
 @settings(max_examples=25, deadline=None)
