@@ -1,30 +1,17 @@
-"""Engine cache economics: cold vs warm planning, serial vs parallel grids.
+"""Engine cache economics: cold vs warm planning.
 
-Two claims are on trial. First, a warm :class:`~repro.engine.PlanningEngine`
-re-plans for pennies: the structure phase (graph linearization, frontier
-enumeration) is memoized, so a repeat ``plan()`` pays only the O(log k)
-search plus the Johnson sort. Second, the campaign fan-out
-(:mod:`repro.experiments.parallel`) distributes per-(model, bandwidth)
-cells over a process pool without changing a single number.
-
-The wall-time half of the second claim needs real cores: on a
-single-CPU container the pool serializes onto one core and the fork +
-per-worker structure warmup is pure overhead, so the serial-vs-parallel
-assertion only arms when ``os.cpu_count() >= 2``. The parity half is
-asserted unconditionally. The recorded artifact (``engine_cache.txt``)
-states the host's core count so the numbers read in context.
+A warm :class:`~repro.engine.PlanningEngine` re-plans for pennies: the
+structure phase (graph linearization, frontier enumeration) is
+memoized, so a repeat ``plan()`` pays only the O(log k) search plus the
+Johnson sort. The recorded artifact is ``engine_cache.txt``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-import numpy as np
-
 from repro.engine import PlanningEngine
-from repro.experiments.parallel import GridCell, plan_grid
-from repro.experiments.runner import EXPERIMENT_MODELS, ExperimentEnv
+from repro.experiments.runner import EXPERIMENT_MODELS
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
 from repro.utils.units import mbps
@@ -73,42 +60,3 @@ def test_cold_vs_warm_plan(save_artifact):
     # Line models skip only a ~2 ms linearization, so their ratio is noise-
     # bound and is recorded rather than asserted.
     assert speedups["googlenet"] >= MIN_WARM_SPEEDUP
-
-
-def test_campaign_grid_serial_vs_parallel(save_artifact):
-    bandwidths = [float(b) for b in np.linspace(1, 80, 30)]
-    cells = [
-        GridCell(model=model, bandwidth=bw, n=100)
-        for model in EXPERIMENT_MODELS
-        for bw in bandwidths
-    ]
-    start = time.perf_counter()
-    serial = plan_grid(cells, env=ExperimentEnv(), jobs=1)
-    serial_time = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = plan_grid(cells, env=ExperimentEnv(), jobs=4)
-    parallel_time = time.perf_counter() - start
-
-    for ours, theirs in zip(serial, parallel):
-        for scheme in ours:
-            assert ours[scheme].makespan == theirs[scheme].makespan
-
-    cores = os.cpu_count() or 1
-    lines = [
-        f"campaign grid: {len(cells)} cells "
-        f"({len(EXPERIMENT_MODELS)} models x {len(bandwidths)} bandwidths, n=100)",
-        f"host cores      : {cores}",
-        f"serial          : {serial_time:.2f} s",
-        f"--jobs 4        : {parallel_time:.2f} s",
-        f"speedup         : {serial_time / parallel_time:.2f}x",
-        "parity          : bit-identical makespans across all cells",
-    ]
-    if cores < 2:
-        lines.append(
-            "note: single-core host — the pool cannot beat serial here; "
-            "on >=2 cores the model-grouped chunking wins (one structure "
-            "build per worker, cells split across cores)."
-        )
-    save_artifact("engine_cache_parallel", "\n".join(lines))
-    if cores >= 2:
-        assert parallel_time < serial_time

@@ -26,7 +26,7 @@ true-DAG partitioner with its brute-force oracle — see ``docs/dag.md``),
 models and estimators), ``repro.net`` (bandwidth/channel models),
 ``repro.core`` (the paper's algorithms), ``repro.sim`` (discrete-event
 pipeline), ``repro.runtime`` (system prototype), ``repro.experiments``
-(per-figure harnesses + parallel campaign runner), ``repro.extensions``
+(per-figure harnesses + campaign runner), ``repro.extensions``
 (beyond-the-paper features), ``repro.serving`` (multi-client offload
 gateway with adaptive re-planning and metrics), ``repro.fleet``
 (multi-server fleet behind the unified ``SystemConfig``/``run_system``

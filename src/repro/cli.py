@@ -32,12 +32,12 @@ fleet [--servers N] [--clients C] [--rate R] [--horizon T] [--model M]
                                into the report, --slo evaluates the
                                default burn-rate objectives, --watch
                                prints the per-window operator table
-experiment NAME [--jobs J]     regenerate a paper artifact
+experiment NAME                regenerate a paper artifact
                                (fig4 | fig11 | fig12 | fig13 | fig14 | table1
                                 | serving | fleet | cloud)
 dot MODEL [--mbps X]           Graphviz DOT with the JPS cut highlighted
 energy MODEL [--radio R]       energy-latency Pareto frontier
-campaign OUT [--quick] [--compare OLD] [--tolerance T] [--jobs J]
+campaign OUT [--quick] [--compare OLD] [--tolerance T]
                                run every experiment, save JSON, diff runs
 trace TARGET [--out PATH] [--prom PATH] [--seed K]
       [--scenario S] [--timeline PATH]
@@ -239,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fleet", "cloud",
         ],
     )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for grid experiments (fig12/fig13/table1)",
-    )
 
     p = sub.add_parser("dot", help="Graphviz DOT of a model, JPS cut highlighted")
     p.add_argument("model", choices=sorted(MODELS))
@@ -260,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="small n / short sweeps")
     p.add_argument("--compare", help="previous campaign JSON to diff against")
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the planning grids (default: serial)",
-    )
 
     p = sub.add_parser(
         "trace", help="run a target under the tracer, export Chrome trace JSON"
@@ -713,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
             save_campaign,
         )
 
-        document = run_campaign(env, quick=args.quick, jobs=args.jobs)
+        document = run_campaign(env, quick=args.quick)
         path = save_campaign(document, args.output)
         print(f"campaign saved to {path}")
         if args.compare:
@@ -850,10 +842,10 @@ def main(argv: list[str] | None = None) -> int:
         harness = {
             "fig4": lambda: fig4.render(fig4.run(env)),
             "fig11": lambda: fig11.render(fig11.run(env)),
-            "fig12": lambda: fig12.render(fig12.run(env, jobs=args.jobs)),
-            "fig13": lambda: fig13.render(fig13.run(env, jobs=args.jobs)),
+            "fig12": lambda: fig12.render(fig12.run(env)),
+            "fig13": lambda: fig13.render(fig13.run(env)),
             "fig14": lambda: fig14.render(fig14.run(env, n=100)),
-            "table1": lambda: table1.render(table1.run(env, jobs=args.jobs)),
+            "table1": lambda: table1.render(table1.run(env)),
             "serving": lambda: fig_serving.render(fig_serving.run()),
             "fleet": lambda: fig_fleet.render(fig_fleet.run()),
             "cloud": lambda: fig_cloud.render(fig_cloud.run()),

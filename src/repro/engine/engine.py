@@ -34,6 +34,7 @@ the uncached :func:`repro.core.joint.jps` path is its reference.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,10 +89,7 @@ BASELINES = {"LO": local_only, "CO": cloud_only, "PO": partition_only}
 
 
 def _wrap_frontier_schedule(
-    model_name: str,
-    schedule: Schedule,
-    cuts: tuple[Cut, ...],
-    method: str = "JPS-frontier",
+    model_name: str, schedule: Schedule, cuts: tuple[Cut, ...]
 ) -> Schedule:
     """Re-attach concrete graph cuts to a schedule built on a cut-backed table."""
     jobs = tuple(
@@ -105,7 +103,7 @@ def _wrap_frontier_schedule(
     return Schedule(
         jobs=jobs,
         makespan=schedule.makespan,
-        method=method,
+        method="JPS-frontier",
         metadata={**schedule.metadata, "num_pareto_cuts": len(cuts)},
     )
 
@@ -272,7 +270,7 @@ class PlanningEngine:
 
     def __post_init__(self) -> None:
         self._networks: dict[str, Network] = {}
-        self._fingerprints: dict[int, str] = {}
+        self._fingerprints: dict[int, tuple[weakref.ref, str]] = {}
         self._structures: dict[str, Structure] = {}
         self._device_key = (
             device_fingerprint(self.mobile),
@@ -299,11 +297,15 @@ class PlanningEngine:
         return self._networks[model]
 
     def _net_key(self, network: Network) -> str:
-        # fingerprinting walks every node; cache it per network object
-        marker = id(network)
-        if marker not in self._fingerprints:
-            self._fingerprints[marker] = network_fingerprint(network)
-        return self._fingerprints[marker]
+        # fingerprinting walks every node; cache it per network object. The
+        # weak reference stops a network allocated at a freed one's address
+        # from inheriting its fingerprint. Checked inline rather than through
+        # keys.identity_token: this runs on every cache lookup
+        entry = self._fingerprints.get(id(network))
+        if entry is None or entry[0]() is not network:
+            entry = (weakref.ref(network), network_fingerprint(network))
+            self._fingerprints[id(network)] = entry
+        return entry[1]
 
     def _base_key(
         self, network: Network, predictor: LayerPredictor | None, predictor_key
@@ -694,7 +696,6 @@ class PlanningEngine:
         setup_latency: float = DEFAULT_SETUP_LATENCY,
         header_bytes: float = DEFAULT_HEADER_BYTES,
         protocol_overhead: float = 1.05,
-        wrap_frontier: bool = True,
     ) -> list[Schedule]:
         """Plan ``n`` jobs at every uplink rate of a bandwidth vector.
 
@@ -707,11 +708,6 @@ class PlanningEngine:
         equivalently framed channel — the sweep harnesses and the
         gateway go through here to amortize cache lookups to one
         content-addressed key per model.
-
-        ``wrap_frontier=False`` returns the raw line-shaped schedules on
-        frontier tables (method ``"JPS"``), matching what the experiment
-        harnesses historically recorded; the default matches
-        :meth:`plan`'s ``"JPS-frontier"`` wrapping with concrete cuts.
         """
         network = self.resolve(model)
         rates = [float(rate) for rate in uplink_bps]
@@ -735,7 +731,6 @@ class PlanningEngine:
                 setup_latency,
                 header_bytes,
                 protocol_overhead,
-                wrap_frontier,
             )
 
     def _plan_batch(
@@ -751,7 +746,6 @@ class PlanningEngine:
         setup_latency: float,
         header_bytes: float,
         protocol_overhead: float,
-        wrap_frontier: bool,
     ) -> list[Schedule]:
         chosen = self._resolve_structure(network, structure)
         if chosen is Structure.PATHS:
@@ -800,7 +794,7 @@ class PlanningEngine:
                 )
                 continue
             schedule = jps_line_fast(table, n, split=split)
-            if chosen is Structure.FRONTIER and wrap_frontier:
+            if chosen is Structure.FRONTIER:
                 assert kernel.cuts is not None
                 schedule = _wrap_frontier_schedule(network.name, schedule, kernel.cuts)
             schedules.append(schedule)

@@ -13,12 +13,17 @@ exception: predictors are opaque callables, so callers that want warm
 hits across calls must either pass the same callable object or supply
 an explicit ``predictor_key`` describing it (the on-device scheduler
 keys its lookup-table predictors by model name + table identity).
+Identity is an :func:`identity_token`, never a bare ``id()``: CPython
+reuses a freed object's address, and a key built from it would hand
+the dead object's cache entries to whatever is allocated there next.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+import itertools
+import weakref
+from typing import Any, Callable
 
 from repro.net.channel import Channel
 from repro.nn.network import Network
@@ -26,12 +31,37 @@ from repro.profiling.device import DeviceModel
 from repro.profiling.latency import LayerPredictor
 
 __all__ = [
+    "identity_token",
     "stable_digest",
     "network_fingerprint",
     "device_fingerprint",
     "channel_fingerprint",
     "predictor_fingerprint",
 ]
+
+
+#: id(obj) -> (liveness check, token); a reused address overwrites its entry
+_live: dict[int, tuple[Callable[[], Any], int]] = {}
+_tokens = itertools.count()
+
+
+def identity_token(obj: Any) -> int:
+    """A number naming ``obj`` for as long as it lives, never reused.
+
+    The entry at ``id(obj)`` is checked against a weak reference, so an
+    object allocated at a dead one's address gets a fresh token. Objects
+    that cannot be weakly referenced are held, so their address is never
+    reused.
+    """
+    entry = _live.get(id(obj))
+    if entry is None or entry[0]() is not obj:
+        try:
+            alive: Callable[[], Any] = weakref.ref(obj)
+        except TypeError:
+            alive = lambda: obj  # noqa: E731
+        entry = (alive, next(_tokens))
+        _live[id(obj)] = entry
+    return entry[1]
 
 
 def stable_digest(*parts: Any) -> str:
@@ -84,8 +114,8 @@ def channel_fingerprint(channel: Channel | Any) -> str:
     Real :class:`~repro.net.channel.Channel` objects hash their rate and
     framing constants. Duck-typed channels (the on-device scheduler's
     regression-backed channel) may expose ``cache_token()`` returning a
-    tuple of defining values; anything else falls back to object
-    identity, which disables cross-object reuse but stays correct.
+    tuple of defining values; anything else is keyed by its
+    :func:`identity_token`, which disables cross-object reuse.
     """
     token = getattr(channel, "cache_token", None)
     if callable(token):
@@ -99,7 +129,7 @@ def channel_fingerprint(channel: Channel | Any) -> str:
             channel.header_bytes,
             channel.protocol_overhead,
         )
-    return stable_digest("identity", id(channel))
+    return stable_digest("identity", identity_token(channel))
 
 
 def predictor_fingerprint(
@@ -109,10 +139,11 @@ def predictor_fingerprint(
 
     ``None`` (ground-truth device model) is a stable constant. An
     explicit ``predictor_key`` describes a predictor by value; without
-    one, distinct callable objects are assumed to predict differently.
+    one, distinct callable objects are assumed to predict differently
+    and are keyed by their :func:`identity_token`.
     """
     if predictor_key is not None:
         return stable_digest("key", predictor_key)
     if predictor is None:
         return "truth"
-    return stable_digest("identity", id(predictor))
+    return stable_digest("identity", identity_token(predictor))

@@ -13,7 +13,6 @@ from repro.experiments import (
     fig_serving,
     noise,
     table1,
-    workloads,
 )
 from repro.experiments.runner import EXPERIMENT_MODELS, SCHEMES, ExperimentEnv
 
@@ -33,5 +32,4 @@ __all__ = [
     "fig_serving",
     "noise",
     "table1",
-    "workloads",
 ]

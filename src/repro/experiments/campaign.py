@@ -22,21 +22,13 @@ from repro.utils.validation import require_non_negative
 __all__ = ["run_campaign", "save_campaign", "load_campaign", "compare_campaigns"]
 
 
-def run_campaign(
-    env: ExperimentEnv | None = None, quick: bool = False, jobs: int | None = None
-) -> dict[str, Any]:
+def run_campaign(env: ExperimentEnv | None = None, quick: bool = False) -> dict[str, Any]:
     """Execute every experiment; returns a JSON-serializable document.
 
     ``quick=True`` shrinks job counts and sweep grids for CI-speed runs;
     the *structure* of the document is identical either way, so quick
     and full campaigns diff against each other structurally (values will
     of course differ — compare like with like).
-
-    ``jobs`` fans the per-(model, bandwidth) planning cells of the
-    fig12/fig13/table1 grids over a process pool
-    (:mod:`repro.experiments.parallel`); results are bit-identical to a
-    serial run, so parallel and serial campaigns diff clean against
-    each other.
     """
     env = env or ExperimentEnv()
     n = 20 if quick else 100
@@ -59,9 +51,9 @@ def run_campaign(
             asdict(row) for row in fig11.run(env, job_counts=fig11_counts)
         ]
     with env.tracer.span("campaign/fig12", lane=("campaign", "phases")):
-        document["fig12"] = [asdict(cell) for cell in fig12.run(env, n=n, jobs=jobs)]
+        document["fig12"] = [asdict(cell) for cell in fig12.run(env, n=n)]
     with env.tracer.span("campaign/table1", lane=("campaign", "phases")):
-        document["table1"] = [asdict(row) for row in table1.run(env, n=n, jobs=jobs)]
+        document["table1"] = [asdict(row) for row in table1.run(env, n=n)]
     with env.tracer.span("campaign/fig13", lane=("campaign", "phases")):
         document["fig13"] = [
             {
@@ -69,7 +61,7 @@ def run_campaign(
                 "bandwidths_mbps": list(curve.bandwidths_mbps),
                 "latency_s": {k: list(v) for k, v in curve.latency_s.items()},
             }
-            for curve in fig13.run(env, bandwidths_mbps=fig13_bws, n=n, jobs=jobs)
+            for curve in fig13.run(env, bandwidths_mbps=fig13_bws, n=n)
         ]
     with env.tracer.span("campaign/fig14", lane=("campaign", "phases")):
         document["fig14"] = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import EXPERIMENT_MODELS, ExperimentEnv
+from repro.experiments.runner import EXPERIMENT_MODELS, SCHEMES, ExperimentEnv
 from repro.net.bandwidth import FOUR_G, PRESETS, THREE_G, WIFI, BandwidthPreset
 from repro.runtime.scheduler_runtime import OnDeviceScheduler
 
@@ -33,28 +33,27 @@ def run(
     models: list[str] | None = None,
     presets: list[BandwidthPreset] | None = None,
     n: int = DEFAULT_N,
-    jobs: int | None = None,
 ) -> list[Fig12Cell]:
-    from repro.experiments.parallel import GridCell, plan_grid
-
     env = env or ExperimentEnv()
-    work = [
-        GridCell(model=model, bandwidth=preset, n=n)
-        for preset in presets or [THREE_G, FOUR_G, WIFI]
-        for model in models or EXPERIMENT_MODELS
+    chosen_presets = presets or [THREE_G, FOUR_G, WIFI]
+    chosen_models = models or EXPERIMENT_MODELS
+    # one batched bandwidth sweep per (model, scheme) column
+    columns = {
+        (model, scheme): env.run_scheme_batch(model, chosen_presets, n, scheme)
+        for model in chosen_models
+        for scheme in SCHEMES
+    }
+    return [
+        Fig12Cell(
+            preset=preset.name,
+            model=model,
+            scheme=scheme,
+            avg_latency_s=columns[model, scheme][index].average_completion,
+        )
+        for index, preset in enumerate(chosen_presets)
+        for model in chosen_models
+        for scheme in SCHEMES
     ]
-    cells: list[Fig12Cell] = []
-    for item, schedules in zip(work, plan_grid(work, env=env, jobs=jobs)):
-        for scheme, schedule in schedules.items():
-            cells.append(
-                Fig12Cell(
-                    preset=item.bandwidth.name,
-                    model=item.model,
-                    scheme=scheme,
-                    avg_latency_s=schedule.average_completion,
-                )
-            )
-    return cells
 
 
 def render(cells: list[Fig12Cell]) -> str:

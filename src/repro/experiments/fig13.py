@@ -34,34 +34,23 @@ def run(
     models: list[str] | None = None,
     bandwidths_mbps: list[float] | None = None,
     n: int = 100,
-    jobs: int | None = None,
 ) -> list[Fig13Curve]:
-    from repro.experiments.parallel import GridCell, plan_grid
-
     env = env or ExperimentEnv()
-    bws = bandwidths_mbps or DEFAULT_BANDWIDTHS
-    chosen = models or DEFAULT_MODELS
-    work = [
-        GridCell(model=model, bandwidth=float(bw), n=n)
-        for model in chosen
-        for bw in bws
-    ]
-    results = plan_grid(work, env=env, jobs=jobs)
-    curves: list[Fig13Curve] = []
-    for index, model in enumerate(chosen):
-        per_model = results[index * len(bws): (index + 1) * len(bws)]
-        series = {
-            s: tuple(grid[s].average_completion for grid in per_model)
-            for s in SCHEMES
-        }
-        curves.append(
-            Fig13Curve(
-                model=model,
-                bandwidths_mbps=tuple(float(b) for b in bws),
-                latency_s=series,
-            )
+    bws = [float(b) for b in bandwidths_mbps or DEFAULT_BANDWIDTHS]
+    return [
+        Fig13Curve(
+            model=model,
+            bandwidths_mbps=tuple(bws),
+            latency_s={
+                scheme: tuple(
+                    schedule.average_completion
+                    for schedule in env.run_scheme_batch(model, bws, n, scheme)
+                )
+                for scheme in SCHEMES
+            },
         )
-    return curves
+        for model in models or DEFAULT_MODELS
+    ]
 
 
 def benefit_range(curve: Fig13Curve, margin: float = 1e-9) -> tuple[float, float] | None:

@@ -125,8 +125,6 @@ class ExperimentEnv:
         n: int,
         scheme: str,
     ) -> list[Schedule]:
-        # wrap_frontier=False keeps the harnesses' historical plain "JPS"
-        # schedules on frontier tables
         split = "ratio" if scheme == "JPS-ratio" else "exact"
         chosen = "JPS" if scheme == "JPS-ratio" else scheme
         return self.engine.plan_batch(
@@ -135,7 +133,6 @@ class ExperimentEnv:
             [self.channel(b).uplink_bps for b in bandwidths],
             scheme=chosen,
             split=split,
-            wrap_frontier=False,
         )
 
     def scheme_grid(

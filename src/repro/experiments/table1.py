@@ -30,30 +30,27 @@ def run(
     models: list[str] | None = None,
     presets: list[BandwidthPreset] | None = None,
     n: int = 100,
-    jobs: int | None = None,
 ) -> list[Table1Row]:
-    from repro.experiments.parallel import GridCell, plan_grid
-
     env = env or ExperimentEnv()
     chosen_presets = presets or [THREE_G, FOUR_G, WIFI]
-    chosen_models = models or EXPERIMENT_MODELS
-    work = [
-        GridCell(model=model, bandwidth=preset, n=n)
-        for model in chosen_models
-        for preset in chosen_presets
-    ]
-    results = plan_grid(work, env=env, jobs=jobs)
     rows: list[Table1Row] = []
-    for index, model in enumerate(chosen_models):
-        per_preset: dict[str, dict[str, float]] = {}
-        for offset, preset in enumerate(chosen_presets):
-            grid = results[index * len(chosen_presets) + offset]
-            lo = grid["LO"].makespan
-            per_preset[preset.name] = {
-                "PO": reduction_vs(lo, grid["PO"].makespan),
-                "JPS": reduction_vs(lo, grid["JPS"].makespan),
-            }
-        rows.append(Table1Row(model=model, reductions=per_preset))
+    for model in models or EXPERIMENT_MODELS:
+        lo, po, jps = (
+            env.run_scheme_batch(model, chosen_presets, n, scheme)
+            for scheme in ("LO", "PO", "JPS")
+        )
+        rows.append(
+            Table1Row(
+                model=model,
+                reductions={
+                    preset.name: {
+                        "PO": reduction_vs(lo[i].makespan, po[i].makespan),
+                        "JPS": reduction_vs(lo[i].makespan, jps[i].makespan),
+                    }
+                    for i, preset in enumerate(chosen_presets)
+                },
+            )
+        )
     return rows
 
 

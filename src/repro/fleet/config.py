@@ -47,7 +47,7 @@ from repro.net.timeline import BandwidthTimeline
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -100,6 +100,7 @@ class WorkloadConfig:
         if not self.clients:
             raise ValueError("need at least one client")
         require_positive(self.horizon, "horizon")
+        require_finite(self.horizon, "horizon")  # an endless run never reports
 
     def as_dict(self) -> dict:
         return {
@@ -126,6 +127,16 @@ class ChannelConfig:
     setup_latency: float = DEFAULT_SETUP_LATENCY
     header_bytes: float = DEFAULT_HEADER_BYTES
     protocol_overhead: float = 1.05
+
+    def __post_init__(self) -> None:
+        if not 0 < self.ewma_alpha <= 1:
+            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
+        for name in ("drift_threshold", "setup_latency", "header_bytes", "protocol_overhead"):
+            require_finite(getattr(self, name), name)
+        require_positive(self.drift_threshold, "drift_threshold")
+        require_non_negative(self.setup_latency, "setup_latency")
+        require_non_negative(self.header_bytes, "header_bytes")
+        require_positive(self.protocol_overhead, "protocol_overhead")
 
     def as_dict(self) -> dict:
         return {
@@ -171,6 +182,15 @@ class ServerSpec:
         )
         if not self.bandwidth_steps:
             raise ValueError("need at least one bandwidth step")
+        for index, (time, rate) in enumerate(self.bandwidth_steps):
+            step = f"bandwidth_steps[{index}]"
+            require_finite(time, f"{step} time")
+            if index == 0 and time != 0.0:
+                raise ValueError(f"{step} time must be 0.0, got {time!r}")
+            if index > 0 and not time > self.bandwidth_steps[index - 1][0]:
+                raise ValueError(f"{step} time must be > the previous step's, got {time!r}")
+            require_finite(rate, f"{step} rate")
+            require_positive(rate, f"{step} rate")
         require_positive(self.mobile_speedup, "mobile_speedup")
         require_positive(self.cloud_speedup, "cloud_speedup")
         require_positive(self.max_queue_depth, "max_queue_depth")

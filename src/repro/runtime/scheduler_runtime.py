@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.plans import Schedule
 from repro.engine import PlanningEngine
+from repro.engine.keys import identity_token
 from repro.net.channel import Channel
 from repro.nn.network import Network
 from repro.profiling.device import DeviceModel, gtx1080_server
@@ -133,7 +134,7 @@ class OnDeviceScheduler:
         # predictor_for returns a fresh closure per call; key the caches by
         # the lookup table's identity instead so recalibration invalidates
         # but repeated plans hit
-        predictor_key = ("lookup", id(self.lookup), network.name)
+        predictor_key = ("lookup", identity_token(self.lookup), network.name)
         if scheme == "JPS":
             schedule = self.engine.plan(
                 network, n, predicted_channel,  # type: ignore[arg-type]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import make_rng, spawn
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = [
     "Request",
@@ -73,8 +73,10 @@ class ClientSpec:
         if self.process not in ("poisson", "burst"):
             raise ValueError(f"unknown arrival process {self.process!r}")
         require_positive(self.rate, "rate")
+        require_finite(self.rate, "rate")  # an infinite rate never ends the arrivals
         require_positive(self.burst_size, "burst_size")
         require_positive(self.period, "period")
+        require_finite(self.period, "period")
         if self.deadline is not None:
             require_positive(self.deadline, "deadline")
 

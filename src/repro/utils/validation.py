@@ -7,6 +7,7 @@ scheduling loop.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 
@@ -20,6 +21,13 @@ def require_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def require_finite(value: float, name: str) -> float:
+    """Validate that ``value`` is neither NaN nor infinite and return it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

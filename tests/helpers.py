@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.plans import Schedule
 from repro.fleet import SystemConfig, blackout_fleet_scenario
 from repro.profiling.latency import CostTable
 
@@ -29,3 +30,10 @@ def compared_blackout(**overrides) -> SystemConfig:
     """``blackout_fleet_scenario`` with its no-policy baseline run switched on."""
     config = blackout_fleet_scenario(**overrides)
     return replace(config, faults=replace(config.faults, compare_no_policy=True))
+
+
+def host_free(schedule: Schedule) -> dict:
+    """``schedule.to_dict()`` without the host-timed ``scheduler_overhead_s``."""
+    document = schedule.to_dict()
+    document["metadata"].pop("scheduler_overhead_s", None)
+    return document

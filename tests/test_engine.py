@@ -7,12 +7,17 @@ from repro.api import list_models
 from repro.core.baselines import single_job_optimal_cut
 from repro.core.joint import jps
 from repro.engine import LRUCache, PlanningEngine, PricingKernel
-from repro.engine.keys import channel_fingerprint, network_fingerprint
+from repro.engine.keys import channel_fingerprint, identity_token, network_fingerprint
 from repro.experiments.runner import ExperimentEnv
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
-from repro.nn.zoo import get_model
+from repro.nn.zoo import get_model, line_dnn
+from repro.profiling.device import raspberry_pi_4
+from repro.profiling.lookup import LookupTable, build_lookup_table
+from repro.profiling.regression import CommLatencyModel
+from repro.runtime.scheduler_runtime import OnDeviceScheduler
 from repro.utils.units import mbps
+from tests.helpers import host_free
 
 
 def make_channel(uplink_mbps: float) -> Channel:
@@ -184,6 +189,89 @@ def test_network_fingerprint_tracks_structure():
 
 
 # ----------------------------------------------------------------------
+# identity keys never outlive their objects
+# ----------------------------------------------------------------------
+
+class _BareLink:
+    """A duck-typed channel without ``cache_token``: keyed by identity."""
+
+    def __init__(self, uplink_bps: float):
+        self.uplink_bps = uplink_bps
+
+    def uplink_time(self, payload_bytes: float) -> float:
+        return payload_bytes * 8 / self.uplink_bps if payload_bytes > 0 else 0.0
+
+
+def _scaled_predictor(i: int):
+    def predict(node) -> float:
+        return 1e-3 * (1 + i) + node.flops / 1e9
+    return predict
+
+
+_ALEXNET_LOOKUP = build_lookup_table([get_model("alexnet")], raspberry_pi_4(), seed=0)
+
+
+def _scheduler_plan(engine, lookup):
+    scheduler = OnDeviceScheduler(
+        mobile=engine.mobile,
+        engine=engine,
+        lookup=lookup,
+        comm_model=CommLatencyModel(w0=0.01, w1=8.0, fitted=True),
+    )
+    return scheduler.plan(get_model("alexnet"), 6, mbps(10.0)).schedule
+
+
+#: source -> (make the i-th transient object, plan with it on an engine)
+IDENTITY_SOURCES = {
+    "network": (
+        lambda i: line_dnn(depth=3, input_size=16 + i),
+        lambda engine, network: engine.plan(network, 6, make_channel(10.0)),
+    ),
+    "predictor": (
+        _scaled_predictor,
+        lambda engine, predictor: engine.plan(
+            "alexnet", 6, make_channel(10.0), predictor=predictor
+        ),
+    ),
+    "channel": (
+        lambda i: _BareLink(mbps(1.0 + i)),
+        lambda engine, link: engine.plan("alexnet", 6, link),
+    ),
+    "lookup": (
+        lambda i: LookupTable(
+            device="rpi",
+            times={k: v * (1 + i) for k, v in _ALEXNET_LOOKUP.times.items()},
+        ),
+        _scheduler_plan,
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(IDENTITY_SOURCES))
+def test_identity_keys_do_not_outlive_their_objects(source):
+    """Plan transient objects on one engine until one is allocated at a
+    freed one's address: it must not inherit the dead object's plans."""
+    make, plan = IDENTITY_SOURCES[source]
+    engine = PlanningEngine()
+    seen: set[int] = set()
+    for i in range(2000):
+        obj = make(i)
+        if id(obj) in seen:
+            break
+        seen.add(id(obj))
+        plan(engine, obj)
+        del obj
+    else:
+        pytest.fail("no address was reused")
+    assert host_free(plan(engine, obj)) == host_free(plan(PlanningEngine(), obj))
+
+
+def test_identity_token_holds_objects_it_cannot_weakly_reference():
+    assert identity_token(len) == identity_token(len)  # builtins have no weakref
+    assert identity_token(len) != identity_token(abs)
+
+
+# ----------------------------------------------------------------------
 # the public stats surface
 # ----------------------------------------------------------------------
 
@@ -243,14 +331,10 @@ def test_plan_batch_matches_per_call_plan(engine, scheme):
 
 
 def test_plan_batch_wrap_frontier_flag(engine):
-    rates = [mbps(10.0)]
-    wrapped = engine.plan_batch("googlenet", 6, rates)[0]
-    plain = engine.plan_batch("googlenet", 6, rates, wrap_frontier=False)[0]
+    """Frontier schedules from plan_batch carry their concrete cuts."""
+    wrapped = engine.plan_batch("googlenet", 6, [mbps(10.0)])[0]
     assert wrapped.method == "JPS-frontier"
-    assert plain.method == "JPS"
-    assert wrapped.makespan == plain.makespan
     assert all(p.mobile_nodes is not None for p in wrapped.jobs)
-    assert all(p.mobile_nodes is None for p in plain.jobs)
 
 
 def test_plan_batch_prices_one_kernel_per_model(engine):

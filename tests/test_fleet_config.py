@@ -7,6 +7,7 @@ plans and the fleet-wide FaultsConfig sub-config.
 """
 
 import json
+import math
 
 import pytest
 
@@ -168,3 +169,54 @@ def test_validation_rejects_bad_configs():
         WorkloadConfig(clients=())
     with pytest.raises(ValueError):
         ServerSpec(name="")
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # unbounded workloads: the arrival loop or the run never ends
+        ("workload.horizon", INF, "horizon must be finite"),
+        ("workload.clients.0.rate", INF, "rate must be finite"),
+        ("workload.clients.1.period", INF, "period must be finite"),
+        # uplink steps: finite, from 0, strictly increasing; rates finite and > 0
+        ("servers.0.bandwidth_steps", [[0.0, 0.0]], r"\[0\] rate must be > 0"),
+        ("servers.0.bandwidth_steps", [[0.0, -2.0]], r"\[0\] rate must be > 0"),
+        ("servers.0.bandwidth_steps", [[0.0, NAN]], r"\[0\] rate must be finite"),
+        ("servers.0.bandwidth_steps", [[0.0, INF]], r"\[0\] rate must be finite"),
+        ("servers.0.bandwidth_steps", [[1.0, 8.0]], r"\[0\] time must be 0.0"),
+        ("servers.0.bandwidth_steps", [[0.0, 8.0], [NAN, 4.0]], r"\[1\] time must be finite"),
+        ("servers.0.bandwidth_steps", [[0.0, 8.0], [INF, 4.0]], r"\[1\] time must be finite"),
+        ("servers.1.bandwidth_steps", [[0.0, 8.0], [0.0, 4.0]], r"\[1\] time must be >"),
+        ("servers.1.bandwidth_steps", [[0.0, 8.0], [5.0, 4.0], [3.0, 2.0]], r"\[2\] time"),
+        # channel framing and estimator constants
+        ("channel.ewma_alpha", 0.0, r"ewma_alpha must be in \(0, 1\]"),
+        ("channel.ewma_alpha", 1.5, r"ewma_alpha must be in \(0, 1\]"),
+        ("channel.ewma_alpha", NAN, r"ewma_alpha must be in \(0, 1\]"),
+        ("channel.drift_threshold", 0.0, "drift_threshold must be > 0"),
+        ("channel.drift_threshold", INF, "drift_threshold must be finite"),
+        ("channel.drift_threshold", NAN, "drift_threshold must be finite"),
+        ("channel.setup_latency", -0.01, "setup_latency must be >= 0"),
+        ("channel.setup_latency", NAN, "setup_latency must be finite"),
+        ("channel.setup_latency", INF, "setup_latency must be finite"),
+        ("channel.header_bytes", -1.0, "header_bytes must be >= 0"),
+        ("channel.header_bytes", NAN, "header_bytes must be finite"),
+        ("channel.header_bytes", INF, "header_bytes must be finite"),
+        ("channel.protocol_overhead", 0.0, "protocol_overhead must be > 0"),
+        ("channel.protocol_overhead", NAN, "protocol_overhead must be finite"),
+        ("channel.protocol_overhead", INF, "protocol_overhead must be finite"),
+    ],
+)
+def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
+    """A config that would hang, or fail deep inside ``run_system``, is
+    rejected at construction by a ``ValueError`` naming the field."""
+    data = default_fleet(servers=2, clients=2).as_dict()
+    *parents, leaf = [int(key) if key.isdigit() else key for key in path.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    with pytest.raises(ValueError, match=message):
+        SystemConfig.from_dict(data)
