@@ -9,7 +9,8 @@ and writes a machine-readable artifact at the repo root:
 * **plan_batch** — a 64-bandwidth ``PlanningEngine.plan_batch`` sweep
   against the warm per-call ``plan()`` loop, in cells per second;
 * **gateway_dispatch** — served + dropped events per second of wall
-  time through the incremental heap-indexed ``Gateway._dispatch``.
+  time through the incremental heap-indexed ``Gateway._dispatch``, on a
+  one-server ``FleetGateway``.
 
 Every section asserts parity before timing (kernel inputs are drawn on
 a dyadic grid where the closed form is bit-exact). Run as a CLI::
@@ -41,10 +42,9 @@ from repro.core.scheduling import (
     johnson_order_scalar,
 )
 from repro.engine import PlanningEngine
+from repro.fleet import FleetGateway, ServerSpec, SystemConfig, WorkloadConfig
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
-from repro.net.timeline import BandwidthTimeline
-from repro.serving.gateway import Gateway
 from repro.serving.workload import ClientSpec, generate_requests
 from repro.utils.units import mbps
 
@@ -171,24 +171,30 @@ def bench_gateway_dispatch(clients: int, horizon: float) -> dict:
     bursts routine, exercising exactly the path the incremental head
     index optimizes (expired drops used to rescan every client's head).
     """
-    timeline = BandwidthTimeline.constant(mbps(8.0))
     specs = [
         ClientSpec(name=f"c{i}", process="poisson", rate=3.0, deadline=0.4)
         for i in range(clients)
     ]
     requests = generate_requests(specs, horizon=horizon, seed=7)
-    gateway = Gateway(timeline, scheme="JPS", max_queue_depth=16)
+    config = SystemConfig(
+        workload=WorkloadConfig(clients=tuple(specs), horizon=horizon, seed=7),
+        servers=(
+            ServerSpec(name="gateway", bandwidth_steps=((0.0, 8.0),), max_queue_depth=16),
+        ),
+        scheme="JPS",
+    )
+    fleet = FleetGateway(config)
     start = time.perf_counter()
-    result = gateway.run(requests)
+    fleet.run(requests)
     elapsed = time.perf_counter() - start
-    events = len(result.records)
+    records = fleet.servers["gateway"].records
     return {
         "clients": clients,
         "requests": len(requests),
-        "events": events,
-        "events_per_s": events / elapsed,
-        "served": sum(1 for r in result.records if r.outcome == "served"),
-        "expired": sum(1 for r in result.records if r.outcome == "expired"),
+        "events": len(records),
+        "events_per_s": len(records) / elapsed,
+        "served": sum(1 for r in records if r.outcome == "served"),
+        "expired": sum(1 for r in records if r.outcome == "expired"),
     }
 
 

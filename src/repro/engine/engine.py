@@ -80,7 +80,7 @@ from repro.profiling.latency import (
     node_mobile_time,
 )
 from repro.utils.units import BITS_PER_BYTE
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
 
@@ -589,9 +589,11 @@ class PlanningEngine:
         engine's hit/miss counters count. The framing is validated here
         with :class:`~repro.net.channel.Channel`'s rules, so no caller
         can price an upload as free (``protocol_overhead <= 0``) or at a
-        negative cost.
+        negative or non-finite cost.
         """
+        require_finite(setup_latency, "setup_latency")
         require_non_negative(setup_latency, "setup_latency")
+        require_finite(header_bytes, "header_bytes")
         require_non_negative(header_bytes, "header_bytes")
         require_positive(protocol_overhead, "protocol_overhead")
         network = self.resolve(model)

@@ -357,6 +357,8 @@ class ObservabilityConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.telemetry_bucket, "telemetry_bucket")
+        # an infinite bucket lands every sample of the run in one point
+        require_finite(self.telemetry_bucket, "telemetry_bucket")
         object.__setattr__(self, "slos", tuple(self.slos))
 
     def as_dict(self) -> dict:

@@ -4,12 +4,14 @@ A :class:`FleetGateway` instantiates one
 :class:`~repro.serving.gateway.Gateway` per
 :class:`~repro.fleet.config.ServerSpec`, all sharing a single
 :class:`~repro.sim.engine.Engine` (one virtual clock; per-server
-``_HeadIndex`` heaps keep dispatch exactly the single-gateway code), and
+``_HeadIndex`` heaps keep each server's dispatch independent), and
 routes every arriving request through fleet admission → placement →
-``server.submit``. Each server keeps its own uplink timeline, channel
-estimator, fault injector, and resilience policy, so a blackout on one
-uplink degrades one server while the rest keep offloading — and the
-affinity placement policy migrates clients away from it.
+``server.submit``. It is the only driver a gateway has: a single
+gateway runs as a one-server fleet. Each server keeps its own uplink
+timeline, channel estimator, fault injector, and resilience policy, so
+a blackout on one uplink degrades one server while the rest keep
+offloading — and the affinity placement policy migrates clients away
+from it.
 
 :func:`run_system` is the single entry point: it executes a
 :class:`~repro.fleet.config.SystemConfig` end to end (workload
@@ -40,7 +42,7 @@ from repro.obs.slo import NULL_BOARD, SloBoard
 from repro.obs.timeseries import NULL_HUB, TelemetryHub
 from repro.obs.tracer import NullTracer, Tracer
 from repro.serving.estimator import AdaptiveChannelEstimator
-from repro.serving.gateway import Gateway, GatewayResult, ServedRecord
+from repro.serving.gateway import Gateway, ServedRecord
 from repro.serving.workload import Request, generate_requests
 from repro.sim.engine import Engine
 
@@ -72,7 +74,6 @@ class FleetResult:
     makespan: float
     arrivals: int
     requests: list[Request]
-    results: dict[str, GatewayResult]
     records: list[ServedRecord]        # fleet-boundary rejects only
 
 
@@ -275,10 +276,6 @@ class FleetGateway:
             makespan=makespan,
             arrivals=len(requests),
             requests=list(requests),
-            results={
-                name: server.collect(makespan)
-                for name, server in self.servers.items()
-            },
             records=self.records,
         )
 
@@ -289,11 +286,10 @@ class FleetGateway:
         servers: dict[str, dict] = {}
         totals = {"served": 0, "degraded": 0, "dropped": 0, "pending": 0}
         arrived_servers = completed_total = within_total = 0
-        for name, res in result.results.items():
-            gateway = self.servers[name]
-            raw = gateway.report(res)
+        for name, gateway in self.servers.items():
+            raw = gateway.report(result.makespan)
             counters = raw["counters"]
-            completed = [rec for rec in res.records if rec.latency is not None]
+            completed = [rec for rec in gateway.records if rec.latency is not None]
             within = sum(
                 1
                 for rec in completed
@@ -308,7 +304,7 @@ class FleetGateway:
                 "violations": accounting_violations(raw),
             }
             for key in totals:
-                totals[key] += counters.get(key, 0) if key != "pending" else res.pending
+                totals[key] += counters.get(key, 0) if key != "pending" else raw["pending"]
             arrived_servers += counters.get("arrived", 0)
             completed_total += len(completed)
             within_total += within

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.net.bandwidth import BandwidthPreset, TrafficShaper
 from repro.utils.units import BITS_PER_BYTE, mbps, ms
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = ["Channel", "as_channel"]
 
@@ -39,7 +39,9 @@ class Channel:
     protocol_overhead: float = 1.05  # w1 / 8: TCP/IP + gRPC framing expansion
 
     def __post_init__(self) -> None:
+        require_finite(self.setup_latency, "setup_latency")
         require_non_negative(self.setup_latency, "setup_latency")
+        require_finite(self.header_bytes, "header_bytes")
         require_non_negative(self.header_bytes, "header_bytes")
         require_positive(self.protocol_overhead, "protocol_overhead")
 

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_positive
 
 __all__ = [
     "SloConfig",
@@ -76,6 +76,10 @@ class SloConfig:
             raise ValueError("SLO name must be non-empty")
         if not 0 < self.target < 1:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
+        # an infinite window or bucket puts every outcome in one bucket
+        # (or overflows the ring size); an infinite threshold never fires
+        for name in ("window", "fast_window", "burn_threshold", "bucket_width"):
+            require_finite(getattr(self, name), name)
         require_positive(self.window, "window")
         require_positive(self.fast_window, "fast_window")
         if self.fast_window > self.window:

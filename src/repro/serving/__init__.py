@@ -11,14 +11,15 @@ executed on the mobile-CPU/uplink/cloud chain, and measured.
 Modules: :mod:`~repro.serving.workload` (clients + arrival processes),
 :mod:`~repro.serving.gateway` (admission, dispatch, re-planning),
 :mod:`~repro.serving.estimator` (EWMA channel tracking + drift).
-Metrics live in :mod:`repro.obs.metrics`; end-to-end runs, from one
-gateway to a fleet, go through :func:`repro.fleet.run_system`. See
-``docs/serving.md``.
+Metrics live in :mod:`repro.obs.metrics`. A :class:`Gateway` is one
+server of a :class:`repro.fleet.FleetGateway`, which builds and drives
+it; end-to-end runs, from one gateway to a fleet, go through
+:func:`repro.fleet.run_system`. See ``docs/serving.md``.
 """
 
 from repro.obs.metrics import Counter, MetricsRegistry, StreamingHistogram
 from repro.serving.estimator import AdaptiveChannelEstimator
-from repro.serving.gateway import GATEWAY_SCHEMES, Gateway, GatewayResult, ServedRecord
+from repro.serving.gateway import GATEWAY_SCHEMES, Gateway, ServedRecord
 from repro.serving.workload import (
     ClientSpec,
     Request,
@@ -31,7 +32,6 @@ __all__ = [
     "AdaptiveChannelEstimator",
     "GATEWAY_SCHEMES",
     "Gateway",
-    "GatewayResult",
     "ServedRecord",
     "Counter",
     "MetricsRegistry",

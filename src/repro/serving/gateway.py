@@ -1,4 +1,4 @@
-"""The offload gateway: multi-client serving on the event engine.
+"""The offload gateway: one server of a fleet, on the event engine.
 
 This is the continuously-running counterpart of the paper's one-shot
 batch: clients stream inference requests into per-client FIFO queues;
@@ -17,29 +17,34 @@ this a per-rate table build, not a re-enumeration) and subsequent
 admissions draw cuts from the new mix. Everything observable lands in a
 :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot is the
 gateway's JSON report.
+
+A gateway does not drive itself: :class:`repro.fleet.FleetGateway`
+builds one per :class:`~repro.fleet.config.ServerSpec` on the fleet's
+shared engine, feeds it arrivals through :meth:`Gateway.submit`, and
+asks it for its :meth:`Gateway.report` once the engine drains. Run a
+single gateway as a one-server :class:`~repro.fleet.SystemConfig`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.baselines import single_job_optimal_cut
 from repro.core.plans import JobPlan
 from repro.engine import PlanningEngine
 from repro.extensions.online import OnlineJpsScheduler
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.net.timeline import BandwidthTimeline
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import NULL_BOARD
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer, Tracer
 from repro.profiling.latency import CostTable
 from repro.serving.estimator import AdaptiveChannelEstimator
-from repro.obs.metrics import MetricsRegistry
 from repro.serving.workload import Request
 from repro.sim.engine import Engine, Resource
 from repro.utils.validation import require_positive
@@ -47,7 +52,7 @@ from repro.utils.validation import require_positive
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cloud.server import BatchingServer
 
-__all__ = ["Gateway", "GatewayResult", "ServedRecord", "GATEWAY_SCHEMES"]
+__all__ = ["Gateway", "ServedRecord", "GATEWAY_SCHEMES"]
 
 #: Schemes the gateway can serve under. ``JPS`` adapts its cut mix on
 #: re-plans; the baselines' cut choices are bandwidth-invariant.
@@ -175,46 +180,30 @@ class ServedRecord:
     latency: float | None             # completion - arrival, completed only
 
 
-@dataclass
-class GatewayResult:
-    """What one gateway run produced."""
-
-    scheme: str
-    makespan: float
-    records: list[ServedRecord]
-    metrics: MetricsRegistry
-    replan_events: list[dict]
-    mobile: Resource
-    uplink: Resource
-    cloud: Resource
-    pending: int                      # admitted but unfinished (truncated runs)
-
-
 class Gateway:
-    """Admission + adaptive dispatch over one simulated device fleet.
+    """One fleet server: admission + adaptive dispatch on a shared engine.
 
     ``timeline`` is the ground-truth uplink; the gateway never reads it
     directly — transfers are priced by the event engine at grant time
     and observed through the estimator. ``planner`` is shared across
-    schemes/runs on purpose: the bandwidth-independent structure caches
-    are what make adaptive re-planning affordable.
+    servers and runs on purpose: the bandwidth-independent structure
+    caches are what make adaptive re-planning affordable. ``engine`` is
+    the fleet's event engine, one virtual clock across all servers.
     """
 
     def __init__(
         self,
         timeline: BandwidthTimeline,
-        planner: PlanningEngine | None = None,
+        planner: PlanningEngine,
+        estimator: AdaptiveChannelEstimator,
+        engine: Engine,
         scheme: str = "JPS",
-        estimator: AdaptiveChannelEstimator | None = None,
-        initial_bps: float | None = None,
         max_queue_depth: int = 64,
         nominal_burst: int = 8,
         include_cloud: bool = True,
-        metrics: MetricsRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
         resilience: ResiliencePolicy | None = None,
-        faults: FaultInjector | FaultPlan | None = None,
-        engine: Engine | None = None,
+        faults: FaultPlan | None = None,
         name: str | None = None,
         cloud_server: "BatchingServer | None" = None,
         telemetry=None,
@@ -225,18 +214,13 @@ class Gateway:
         require_positive(max_queue_depth, "max_queue_depth")
         require_positive(nominal_burst, "nominal_burst")
         self.timeline = timeline
-        self.planner = planner or PlanningEngine()
+        self.planner = planner
         self.scheme = scheme
-        self.estimator = estimator or AdaptiveChannelEstimator(
-            initial_bps=initial_bps or timeline.rates_bps[0],
-            setup_latency=timeline.setup_latency,
-            header_bytes=timeline.header_bytes,
-            protocol_overhead=timeline.protocol_overhead,
-        )
+        self.estimator = estimator
         self.max_queue_depth = max_queue_depth
         self.nominal_burst = nominal_burst
         self.include_cloud = include_cloud
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tracer = tracer or NullTracer()
         self.replan_events: list[dict] = []
         self._models: dict[str, _ModelState] = {}
@@ -244,10 +228,10 @@ class Gateway:
         self._client_order: list[str] = []
         self._client_pos: dict[str, int] = {}
         self._index = _HeadIndex(self._queues, self._client_pos)
-        self._records: list[ServedRecord] = []
-        # a fleet passes a shared engine (one virtual clock across all
-        # servers) and a name (per-server trace lanes); standalone
-        # gateways own their engine and keep the historical lane names
+        #: terminal outcome of every request this server was handed
+        self.records: list[ServedRecord] = []
+        # a name gives per-server trace lanes; an unnamed gateway keeps
+        # the single-server ``gateway`` lanes
         self.name = name
         self._events_lane = ("gateway", "events") if name is None else (name, "events")
         self._lane_prefix = "" if name is None else f"{name}/"
@@ -259,7 +243,7 @@ class Gateway:
         # fleet placement context, keyed by request id, consumed into the
         # request's trace tree at finish (see note_placement)
         self._placements: dict[int, dict] = {}
-        self._engine = engine if engine is not None else Engine()
+        self._engine = engine
         self._mobile = Resource(self._engine, "mobile-cpu")
         self._uplink = Resource(self._engine, "uplink")
         self._cloud = Resource(self._engine, "cloud-gpu")
@@ -273,17 +257,11 @@ class Gateway:
         # resilience + fault injection (both strictly opt-in: leaving them
         # None keeps this gateway byte-identical to the policy-free path)
         self.resilience = resilience
-        self.faults = faults.injector() if isinstance(faults, FaultPlan) else faults
+        self.faults = None if faults is None else faults.injector()
         self._degraded = False
         self._consecutive_failures = 0
         self._probe_pending = False
         self._probe_timed_out = False
-
-    @property
-    def engine(self) -> Engine:
-        """The underlying event engine (read-only; invariant monitors
-        attach their clock observers here)."""
-        return self._engine
 
     @property
     def degraded_mode(self) -> bool:
@@ -314,9 +292,23 @@ class Gateway:
         """
         self._placements[request_id] = info
 
-    def _publish_drop(self, reason: str) -> None:
-        """One dropped request: windowed counter + bad SLO outcome."""
+    def _drop(self, request: Request, reason: str, outcome: str) -> None:
+        """End one request unserved: counters, trace instant, terminal
+        record, windowed counter and a bad SLO outcome."""
         now = self._engine.now
+        self.metrics.counter("dropped").increment()
+        self.metrics.counter(f"dropped_{reason}").increment()
+        self.tracer.instant(
+            "gateway/drop",
+            timestamp=now,
+            lane=self._events_lane,
+            request_id=request.request_id,
+            client=request.client_id,
+            reason=reason,
+        )
+        self.records.append(
+            ServedRecord(request.request_id, request.client_id, outcome, None)
+        )
         if self.telemetry.enabled:
             self.telemetry.record(
                 "dropped", now, server=self._obs_name, reason=reason
@@ -421,20 +413,7 @@ class Gateway:
         ):
             # the client's link to the gateway is down: the request never
             # reaches admission (it is not queued, so it cannot expire)
-            self.metrics.counter("dropped").increment()
-            self.metrics.counter("dropped_disconnected").increment()
-            self.tracer.instant(
-                "gateway/drop",
-                timestamp=self._engine.now,
-                lane=self._events_lane,
-                request_id=request.request_id,
-                client=request.client_id,
-                reason="disconnected",
-            )
-            self._records.append(
-                ServedRecord(request.request_id, request.client_id, "failed", None)
-            )
-            self._publish_drop("disconnected")
+            self._drop(request, "disconnected", "failed")
             return
         if request.client_id not in self._queues:
             self._queues[request.client_id] = deque()
@@ -442,20 +421,7 @@ class Gateway:
             self._client_order.append(request.client_id)
         queue = self._queues[request.client_id]
         if len(queue) >= self.max_queue_depth:
-            self.metrics.counter("dropped").increment()
-            self.metrics.counter("dropped_queue_full").increment()
-            self.tracer.instant(
-                "gateway/drop",
-                timestamp=self._engine.now,
-                lane=self._events_lane,
-                request_id=request.request_id,
-                client=request.client_id,
-                reason="queue_full",
-            )
-            self._records.append(
-                ServedRecord(request.request_id, request.client_id, "rejected", None)
-            )
-            self._publish_drop("queue_full")
+            self._drop(request, "queue_full", "rejected")
             return
         state = self._state_of(request.model)
         position = self._next_position(state)
@@ -520,25 +486,7 @@ class Gateway:
             if expired is None:
                 break
             self._pop_head(expired)
-            self.metrics.counter("dropped").increment()
-            self.metrics.counter("dropped_deadline").increment()
-            self.tracer.instant(
-                "gateway/drop",
-                timestamp=now,
-                lane=self._events_lane,
-                request_id=expired.request.request_id,
-                client=expired.request.client_id,
-                reason="deadline",
-            )
-            self._records.append(
-                ServedRecord(
-                    expired.request.request_id,
-                    expired.request.client_id,
-                    "expired",
-                    None,
-                )
-            )
-            self._publish_drop("deadline")
+            self._drop(expired.request, "deadline", "expired")
         ticket = (
             self._index.johnson_head()
             if self.scheme == "JPS"
@@ -664,20 +612,7 @@ class Gateway:
 
         def fail() -> None:
             self._inflight -= 1
-            self.metrics.counter("dropped").increment()
-            self.metrics.counter("dropped_transfer_failed").increment()
-            self.tracer.instant(
-                "gateway/drop",
-                timestamp=self._engine.now,
-                lane=self._events_lane,
-                request_id=rid,
-                client=ticket.request.client_id,
-                reason="transfer_failed",
-            )
-            self._records.append(
-                ServedRecord(rid, ticket.request.client_id, "failed", None)
-            )
-            self._publish_drop("transfer_failed")
+            self._drop(ticket.request, "transfer_failed", "failed")
 
         def enter_cloud() -> None:
             if self.include_cloud and ticket.plan.cloud_time > 0:
@@ -722,7 +657,7 @@ class Gateway:
                     ticket.completed, deadline is None or latency <= deadline
                 )
             self._record_spans(ticket, latency)
-            self._records.append(
+            self.records.append(
                 ServedRecord(
                     rid,
                     ticket.request.client_id,
@@ -799,9 +734,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # degraded mode + recovery probing
     # ------------------------------------------------------------------
-    def _has_work(self) -> bool:
-        return self._inflight > 0 or any(self._queues.values())
-
     def _enter_degraded(self) -> None:
         """Stop offloading: serve local-only and start probing the uplink."""
         if self._degraded:
@@ -849,7 +781,7 @@ class Gateway:
         """
         if not self._degraded or self._probe_pending or self.resilience is None:
             return
-        if not self._has_work():
+        if not self.outstanding:
             return
         self._probe_pending = True
         self._engine.schedule(self.resilience.probe_interval, self._launch_probe)
@@ -882,60 +814,31 @@ class Gateway:
         self._uplink.acquire("probe", probe_duration, after_probe)
 
     # ------------------------------------------------------------------
-    # driving
+    # reporting
     # ------------------------------------------------------------------
-    def run(self, requests: list[Request], until: float | None = None) -> GatewayResult:
-        """Serve a request stream; drains fully unless ``until`` is set."""
-        for request in sorted(requests, key=lambda r: (r.arrival, r.request_id)):
-            self._engine.schedule(
-                request.arrival - self._engine.now, _submitter(self, request)
-            )
-        makespan = self._engine.run(until=until)
-        return self.collect(makespan)
+    def report(self, makespan: float) -> dict:
+        """JSON-safe metrics report of this server's run (see docs/serving.md).
 
-    def collect(self, makespan: float | None = None) -> GatewayResult:
-        """Assemble the result of a run someone else drove.
-
-        A fleet drives many gateways on one shared engine and calls this
-        after draining it; ``makespan`` defaults to the engine clock.
-        """
-        # a drained run leaves empty queues (dispatch fires on every CPU
-        # idle); anything counted here means the run was truncated
-        pending = sum(len(q) for q in self._queues.values()) + self._inflight
-        return GatewayResult(
-            scheme=self.scheme,
-            makespan=self._engine.now if makespan is None else makespan,
-            records=self._records,
-            metrics=self.metrics,
-            replan_events=self.replan_events,
-            mobile=self._mobile,
-            uplink=self._uplink,
-            # under a shared batching cloud, utilization reports the
-            # shared GPU this gateway rides on (same object for every
-            # gateway wired to it)
-            cloud=(
-                self._cloud
-                if self._cloud_server is None
-                else self._cloud_server.resource
-            ),
-            pending=pending,
-        )
-
-    def report(self, result: GatewayResult) -> dict:
-        """JSON-safe metrics report of one run (see docs/serving.md).
-
-        Engine cache totals are published into the gateway's own
-        registry as gauges first, so the snapshot (and any Prometheus
-        exposition built from it) carries serving counters and planner
-        cache health side by side.
+        ``makespan`` is the drained fleet engine's clock. Engine cache
+        totals are published into the gateway's own registry as gauges
+        first, so the snapshot (and any Prometheus exposition built
+        from it) carries serving counters and planner cache health side
+        by side.
         """
         self.planner.to_metrics(self.metrics)
         snapshot = self.metrics.snapshot()
         counters = snapshot["counters"]
-        horizon = max(result.makespan, 1e-12)
+        horizon = max(makespan, 1e-12)
+        # under a shared batching cloud, utilization reports the shared
+        # GPU this gateway rides on (same object for every gateway wired
+        # to it)
+        cloud = self._cloud if self._cloud_server is None else self._cloud_server.resource
+        # a drained run leaves nothing outstanding (dispatch fires on
+        # every CPU idle); anything counted here means it was truncated
+        pending = self.outstanding
         report = {
-            "scheme": result.scheme,
-            "makespan": result.makespan,
+            "scheme": self.scheme,
+            "makespan": makespan,
             "counters": counters,
             "gauges": snapshot["gauges"],
             "histograms": snapshot["histograms"],
@@ -946,17 +849,17 @@ class Gateway:
                 "observations": self.estimator.observations,
             },
             "utilization": {
-                "mobile": result.mobile.total_busy_time / horizon,
-                "uplink": result.uplink.total_busy_time / horizon,
-                "cloud": result.cloud.total_busy_time / horizon,
+                "mobile": self._mobile.total_busy_time / horizon,
+                "uplink": self._uplink.total_busy_time / horizon,
+                "cloud": cloud.total_busy_time / horizon,
             },
             "throughput_rps": counters.get("served", 0) / horizon,
-            "pending": result.pending,
+            "pending": pending,
             "balance_ok": (
                 counters.get("served", 0)
                 + counters.get("degraded", 0)
                 + counters.get("dropped", 0)
-                + result.pending
+                + pending
                 == counters.get("arrived", 0)
             ),
             "engine_cache": self.planner.stats_snapshot()["totals"],
@@ -972,7 +875,3 @@ class Gateway:
             report["faults"] = self.faults.snapshot()
         return report
 
-
-def _submitter(gateway: Gateway, request: Request):
-    # default-arg binding would also work; a closure factory reads clearer
-    return lambda: gateway.submit(request)

@@ -32,8 +32,8 @@ def require_finite(value: float, name: str) -> float:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is >= 0 and return it."""
-    if value < 0:
+    """Validate that ``value`` is >= 0 (NaN is not) and return it."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

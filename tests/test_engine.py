@@ -486,6 +486,16 @@ def test_pricing_kernel_rejects_negative_setup_latency(engine):
         engine.plan_batch("alexnet", 4, [1e6], setup_latency=-1e-3)
 
 
+@pytest.mark.parametrize("field", ["setup_latency", "header_bytes"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_pricing_kernel_rejects_non_finite_framing(engine, field, value):
+    # NaN used to pass the >= 0 check and price every upload at g = 0
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        engine.priced_table("alexnet", 1e6, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        engine.plan_batch("alexnet", 4, [1e6], **{field: value})
+
+
 def test_pricing_kernel_is_the_one_cached_lookup(engine):
     kernel = engine.pricing_kernel("alexnet")
     assert engine.priced_table("alexnet", mbps(5.0)).table.positions == kernel.positions

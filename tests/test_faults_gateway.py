@@ -25,14 +25,9 @@ from repro.faults import (
     accounting_violations,
 )
 from repro.fleet import FaultsConfig, SystemConfig, bandwidth_drop_scenario, run_system
-from repro.net.timeline import BandwidthTimeline
-from repro.serving import Gateway, Request
+from repro.serving import Request
 from repro.serving.gateway import MAX_BARE_RETRANSMITS
-from tests.helpers import compared_blackout
-
-
-def flat_timeline(rate_mbps: float = 8.0) -> BandwidthTimeline:
-    return BandwidthTimeline.steps_mbps([(0.0, rate_mbps)])
+from tests.helpers import compared_blackout, serve_one
 
 
 def requests_at(times, model="alexnet", deadline=None, client="c0"):
@@ -131,9 +126,8 @@ def test_fault_scenario_rejects_incomplete_configs():
 # ----------------------------------------------------------------------
 
 def test_fault_free_report_has_no_fault_surface():
-    gateway = Gateway(flat_timeline(), scheme="JPS")
-    result = gateway.run(requests_at(spread(12)))
-    report = gateway.report(result)
+    gateway, makespan, _ = serve_one(requests_at(spread(12)), scheme="JPS")
+    report = gateway.report(makespan)
     assert "resilience" not in report and "faults" not in report
     assert all("kind" not in event for event in report["replans"])
     fault_counters = {
@@ -156,24 +150,22 @@ def test_fault_free_scenario_echo_is_unchanged():
 
 def test_bare_gateway_retransmits_corrupt_transfers():
     plan = FaultPlan(seed=5, corruption=TransferCorruption(0.3))
-    gateway = Gateway(flat_timeline(), scheme="JPS", faults=plan)
-    result = gateway.run(requests_at(spread(20)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(requests_at(spread(20)), scheme="JPS", fault_plan=plan)
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["transfer_corruptions"] > 0
     assert counters["served"] == 20               # every corruption retransmitted
     assert "transfer_retries" not in counters     # that's the policy counter
-    assert accounting_violations(gateway.report(result)) == []
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 def test_bare_gateway_gives_up_after_max_retransmits():
     plan = FaultPlan(seed=5, corruption=TransferCorruption(1.0))
-    gateway = Gateway(flat_timeline(), scheme="JPS", faults=plan)
-    result = gateway.run(requests_at([0.0]))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(requests_at([0.0]), scheme="JPS", fault_plan=plan)
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["dropped_transfer_failed"] == 1
     assert counters["transfer_corruptions"] == MAX_BARE_RETRANSMITS
-    assert result.records[-1].outcome == "failed"
-    assert accounting_violations(gateway.report(result)) == []
+    assert gateway.records[-1].outcome == "failed"
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 def test_policy_retry_absorbs_corruption():
@@ -182,26 +174,28 @@ def test_policy_retry_absorbs_corruption():
     policy = ResiliencePolicy(
         max_retries=4, backoff_base=0.01, degrade_after_failures=999
     )
-    gateway = Gateway(flat_timeline(), scheme="JPS", faults=plan, resilience=policy)
-    result = gateway.run(requests_at(spread(20)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at(spread(20)), scheme="JPS", fault_plan=plan, resilience=policy
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["transfer_retries"] > 0
     assert counters["served"] == 20
-    assert accounting_violations(gateway.report(result)) == []
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 def test_policy_falls_back_locally_when_retries_exhaust():
     plan = FaultPlan(seed=5, corruption=TransferCorruption(1.0))
     policy = ResiliencePolicy(max_retries=1, backoff_base=0.01, degrade_after_failures=999)
-    gateway = Gateway(flat_timeline(), scheme="JPS", faults=plan, resilience=policy)
-    result = gateway.run(requests_at(spread(5)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at(spread(5)), scheme="JPS", fault_plan=plan, resilience=policy
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["local_fallbacks"] == 5
     assert counters["degraded"] == 5
     assert counters.get("served", 0) == 0
-    assert all(r.outcome == "degraded" for r in result.records)
-    assert all(r.latency is not None for r in result.records)
-    assert accounting_violations(gateway.report(result)) == []
+    assert all(r.outcome == "degraded" for r in gateway.records)
+    assert all(r.latency is not None for r in gateway.records)
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 def test_policy_without_fallback_drops():
@@ -210,21 +204,20 @@ def test_policy_without_fallback_drops():
         max_retries=1, backoff_base=0.01, local_fallback=False,
         degrade_after_failures=999,
     )
-    gateway = Gateway(flat_timeline(), scheme="JPS", faults=plan, resilience=policy)
-    result = gateway.run(requests_at(spread(5)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at(spread(5)), scheme="JPS", fault_plan=plan, resilience=policy
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["dropped_transfer_failed"] == 5
-    assert accounting_violations(gateway.report(result)) == []
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 # ----------------------------------------------------------------------
 # blackout: timeouts, degradation, recovery
 # ----------------------------------------------------------------------
 
-def blackout_timeline(start=2.0, end=4.0):
-    return FaultPlan(blackouts=(Blackout(start, end),)).apply_to_timeline(
-        flat_timeline()
-    )
+def blackout_plan(start=2.0, end=4.0):
+    return FaultPlan(blackouts=(Blackout(start, end),))
 
 
 def test_timeouts_fire_inside_blackout():
@@ -232,12 +225,16 @@ def test_timeouts_fire_inside_blackout():
         transfer_timeout=0.2, max_retries=0, backoff_base=0.01,
         degrade_after_failures=999,
     )
-    gateway = Gateway(blackout_timeline(), scheme="JPS", resilience=policy)
-    result = gateway.run(requests_at([0.0, 2.1, 2.2, 2.3]))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at([0.0, 2.1, 2.2, 2.3]),
+        scheme="JPS",
+        fault_plan=blackout_plan(),
+        resilience=policy,
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["transfer_timeouts"] > 0
     assert counters["local_fallbacks"] > 0
-    assert accounting_violations(gateway.report(result)) == []
+    assert accounting_violations(gateway.report(makespan)) == []
 
 
 def test_degraded_mode_switches_admissions_to_local():
@@ -245,16 +242,20 @@ def test_degraded_mode_switches_admissions_to_local():
         transfer_timeout=0.2, max_retries=0, degrade_after_failures=1,
         probe_interval=0.25,
     )
-    gateway = Gateway(blackout_timeline(2.0, 30.0), scheme="JPS", resilience=policy)
     # the blackout never ends within the run: after degradation every
     # admission takes the LO cut and completes locally
-    result = gateway.run(requests_at(spread(12)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at(spread(12)),
+        scheme="JPS",
+        fault_plan=blackout_plan(2.0, 30.0),
+        resilience=policy,
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["degradations"] == 1
     assert counters["degraded"] > 0
     assert "recoveries" not in counters
     assert gateway.degraded_mode
-    report = gateway.report(result)
+    report = gateway.report(makespan)
     assert report["resilience"]["degraded_at_end"]
     assert accounting_violations(report) == []
 
@@ -264,18 +265,23 @@ def test_recovery_replan_after_blackout_lifts():
         transfer_timeout=0.2, max_retries=0, degrade_after_failures=1,
         probe_interval=0.25,
     )
-    gateway = Gateway(blackout_timeline(2.0, 4.0), scheme="JPS", resilience=policy)
-    result = gateway.run(requests_at(spread(16)))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at(spread(16)),
+        scheme="JPS",
+        fault_plan=blackout_plan(2.0, 4.0),
+        resilience=policy,
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["degradations"] == 1
     assert counters["recoveries"] == 1
     assert counters["probes"] >= 1
     assert not gateway.degraded_mode
-    kinds = [e.get("kind") for e in result.replan_events]
+    kinds = [e.get("kind") for e in gateway.replan_events]
     assert "degrade" in kinds and "recovery" in kinds
+    report = gateway.report(makespan)
     # offloading resumed: requests served after recovery used the uplink
-    assert result.uplink.total_busy_time > 0
-    assert accounting_violations(gateway.report(result)) == []
+    assert report["utilization"]["uplink"] > 0
+    assert accounting_violations(report) == []
 
 
 def test_probing_stops_when_idle():
@@ -284,10 +290,14 @@ def test_probing_stops_when_idle():
         transfer_timeout=0.2, max_retries=0, degrade_after_failures=1,
         probe_interval=0.25,
     )
-    gateway = Gateway(blackout_timeline(0.5, 1e9), scheme="JPS", resilience=policy)
-    result = gateway.run(requests_at([0.6, 0.7]))
-    # run() returned at all — probes did not keep the engine alive forever
-    assert result.pending == 0
+    gateway, _, _ = serve_one(
+        requests_at([0.6, 0.7]),
+        scheme="JPS",
+        fault_plan=blackout_plan(0.5, 1e9),
+        resilience=policy,
+    )
+    # the run returned at all — probes did not keep the engine alive forever
+    assert gateway.outstanding == 0
     assert gateway.degraded_mode
 
 
@@ -297,28 +307,27 @@ def test_probing_stops_when_idle():
 
 def test_disconnected_clients_are_dropped():
     plan = FaultPlan(outages=(ClientOutage("c0", 1.0, 2.0),))
-    gateway = Gateway(flat_timeline(), scheme="LO", faults=plan)
-    result = gateway.run(requests_at([0.0, 1.5, 2.5]))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, makespan, _ = serve_one(
+        requests_at([0.0, 1.5, 2.5]), scheme="LO", fault_plan=plan
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["dropped_disconnected"] == 1
     assert counters["served"] == 2
-    outcomes = [r.outcome for r in result.records]
+    outcomes = [r.outcome for r in gateway.records]
     assert outcomes.count("failed") == 1
-    report = gateway.report(result)
+    report = gateway.report(makespan)
     assert report["faults"]["disconnect_drops"] == 1
     assert accounting_violations(report) == []
 
 
 def test_misestimation_slows_execution_without_touching_plans():
     requests = requests_at(spread(10))
-    clean = Gateway(flat_timeline(), scheme="JPS")
-    clean_result = clean.run(list(requests))
+    clean, clean_makespan, _ = serve_one(list(requests), scheme="JPS")
     slow_plan = FaultPlan(misestimation=CostMisestimation(compute_scale=2.0))
-    slow = Gateway(flat_timeline(), scheme="JPS", faults=slow_plan)
-    slow_result = slow.run(list(requests))
-    assert slow_result.makespan > clean_result.makespan
+    slow, slow_makespan, _ = serve_one(list(requests), scheme="JPS", fault_plan=slow_plan)
+    assert slow_makespan > clean_makespan
     # the plan itself is untouched: same cut choices on both gateways
-    assert [r.request_id for r in slow_result.records] == [
-        r.request_id for r in clean_result.records
+    assert [r.request_id for r in slow.records] == [
+        r.request_id for r in clean.records
     ]
-    assert accounting_violations(slow.report(slow_result)) == []
+    assert accounting_violations(slow.report(slow_makespan)) == []

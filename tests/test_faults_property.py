@@ -2,7 +2,7 @@
 
 Hypothesis drives randomized fault plans (blackouts, corruption,
 outages, misestimation, with and without a resilience policy) through a
-small gateway run and asserts the three load-bearing guarantees:
+small one-server fleet run and asserts the three load-bearing guarantees:
 
 * accounting — served + degraded + dropped + pending == arrived, drop
   reasons tile the dropped total, no negative histogram observations;
@@ -21,13 +21,12 @@ from repro.faults import (
     ClientOutage,
     CostMisestimation,
     FaultPlan,
-    MonotoneClockMonitor,
     ResiliencePolicy,
     TransferCorruption,
     accounting_violations,
 )
-from repro.net.timeline import BandwidthTimeline
-from repro.serving import Gateway, Request
+from repro.serving import Request
+from tests.helpers import serve_one
 
 
 @st.composite
@@ -89,11 +88,10 @@ def _workload(deadline):
 
 
 def _run(plan: FaultPlan, policy, deadline):
-    timeline = plan.apply_to_timeline(BandwidthTimeline.steps_mbps([(0.0, 8.0)]))
-    gateway = Gateway(timeline, scheme="JPS", faults=plan, resilience=policy)
-    clock = MonotoneClockMonitor().attach(gateway.engine)
-    result = gateway.run(_workload(deadline))
-    return gateway, result, gateway.report(result), clock
+    gateway, makespan, clock = serve_one(
+        _workload(deadline), scheme="JPS", fault_plan=plan, resilience=policy
+    )
+    return gateway, makespan, gateway.report(makespan), clock
 
 
 @settings(
@@ -103,11 +101,11 @@ def _run(plan: FaultPlan, policy, deadline):
 )
 @given(plan=fault_plans(), policy=policies(), deadline=st.sampled_from([None, 1.5]))
 def test_accounting_holds_for_every_fault_plan(plan, policy, deadline):
-    _, result, report, clock = _run(plan, policy, deadline)
+    gateway, _, report, clock = _run(plan, policy, deadline)
     assert accounting_violations(report) == []
     assert clock.violations == []
     # the run drained: no request is stuck behind a retry or probe loop
-    assert result.pending == 0
+    assert gateway.outstanding == 0
     counters = report["counters"]
     total = (
         counters.get("served", 0)
@@ -116,8 +114,8 @@ def test_accounting_holds_for_every_fault_plan(plan, policy, deadline):
     )
     assert total == counters["arrived"] == 10
     # every admitted request has exactly one terminal record
-    assert len(result.records) == 10
-    assert len({r.request_id for r in result.records}) == 10
+    assert len(gateway.records) == 10
+    assert len({r.request_id for r in gateway.records}) == 10
 
 
 @settings(
@@ -141,12 +139,12 @@ def test_queue_depths_and_waits_never_negative(plan, policy, deadline):
 )
 @given(plan=fault_plans(), policy=policies(), deadline=st.sampled_from([None, 1.5]))
 def test_replay_is_bit_identical(plan, policy, deadline):
-    _, result_a, report_a, _ = _run(plan, policy, deadline)
-    _, result_b, report_b, _ = _run(plan, policy, deadline)
+    gateway_a, makespan_a, report_a, _ = _run(plan, policy, deadline)
+    gateway_b, makespan_b, report_b, _ = _run(plan, policy, deadline)
     assert json.dumps(report_a, sort_keys=True) == json.dumps(
         report_b, sort_keys=True
     )
-    assert result_a.makespan == result_b.makespan
-    assert [(r.request_id, r.outcome, r.latency) for r in result_a.records] == [
-        (r.request_id, r.outcome, r.latency) for r in result_b.records
+    assert makespan_a == makespan_b
+    assert [(r.request_id, r.outcome, r.latency) for r in gateway_a.records] == [
+        (r.request_id, r.outcome, r.latency) for r in gateway_b.records
     ]

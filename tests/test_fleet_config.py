@@ -8,6 +8,7 @@ plans and the fleet-wide FaultsConfig sub-config.
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.fleet import (
     bandwidth_drop_scenario,
     capacity_scenario,
     default_fleet,
+    with_slo_telemetry,
 )
 from repro.serving.workload import ClientSpec
 
@@ -207,12 +209,22 @@ INF, NAN = math.inf, math.nan
         ("channel.protocol_overhead", 0.0, "protocol_overhead must be > 0"),
         ("channel.protocol_overhead", NAN, "protocol_overhead must be finite"),
         ("channel.protocol_overhead", INF, "protocol_overhead must be finite"),
+        # a NaN backoff reached the event engine as a NaN delay
+        ("faults.resilience.backoff_base", NAN, "backoff_base must be >= 0"),
+        # observability windows: overflow, or one bucket for the whole run
+        ("observability.telemetry_bucket", INF, "telemetry_bucket must be finite"),
+        ("observability.slos.0.window", INF, "window must be finite"),
+        ("observability.slos.0.fast_window", INF, "fast_window must be finite"),
+        ("observability.slos.0.burn_threshold", INF, "burn_threshold must be finite"),
+        ("observability.slos.0.bucket_width", INF, "bucket_width must be finite"),
     ],
 )
 def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
     """A config that would hang, or fail deep inside ``run_system``, is
     rejected at construction by a ``ValueError`` naming the field."""
-    data = default_fleet(servers=2, clients=2).as_dict()
+    # every block a case can name is present: faults and SLO telemetry too
+    config = with_slo_telemetry(default_fleet(servers=2, clients=2))
+    data = replace(config, faults=FaultsConfig(resilience=ResiliencePolicy())).as_dict()
     *parents, leaf = [int(key) if key.isdigit() else key for key in path.split(".")]
     node = data
     for key in parents:

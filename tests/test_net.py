@@ -77,6 +77,10 @@ def test_channel_validation():
         Channel(shaper=TrafficShaper.from_preset(FOUR_G), setup_latency=-1)
     with pytest.raises(ValueError):
         Channel(shaper=TrafficShaper.from_preset(FOUR_G), protocol_overhead=0)
+    for field in ("setup_latency", "header_bytes"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                Channel(shaper=TrafficShaper.from_preset(FOUR_G), **{field: value})
 
 
 def test_downlink_uses_downlink_rate():

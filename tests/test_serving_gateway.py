@@ -12,10 +12,12 @@ from dataclasses import replace
 import pytest
 
 from repro.engine import PlanningEngine
-from repro.fleet import bandwidth_drop_scenario, run_system
-from repro.net.timeline import BandwidthTimeline
-from repro.serving import AdaptiveChannelEstimator, Gateway, Request
+from repro.faults import ClientOutage, FaultPlan, ResiliencePolicy, TransferCorruption
+from repro.fleet import FleetGateway, bandwidth_drop_scenario, run_system, with_slo_telemetry
+from repro.obs.tracer import Tracer
+from repro.serving import AdaptiveChannelEstimator, Request
 from repro.utils.units import mbps
+from tests.helpers import SERVER, one_server, serve_one
 
 
 # ----------------------------------------------------------------------
@@ -155,10 +157,6 @@ def test_acceptance_is_deterministic(acceptance_report):
 # admission control and dispatch mechanics
 # ----------------------------------------------------------------------
 
-def flat_timeline(rate_mbps: float = 8.0) -> BandwidthTimeline:
-    return BandwidthTimeline.steps_mbps([(0.0, rate_mbps)])
-
-
 def requests_at(times, model="alexnet", deadline=None):
     return [
         Request(
@@ -169,60 +167,58 @@ def requests_at(times, model="alexnet", deadline=None):
 
 
 def test_queue_bound_rejects_excess():
-    gateway = Gateway(flat_timeline(), scheme="LO", max_queue_depth=2)
     # a burst of 10 simultaneous requests; LO service time >> 0, so at
     # most 1 running + 2 queued are admitted before the bound trips
-    result = gateway.run(requests_at([0.0] * 10))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, _, _ = serve_one(requests_at([0.0] * 10), scheme="LO", max_queue_depth=2)
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["arrived"] == 10
     assert counters["dropped_queue_full"] > 0
     assert counters["served"] + counters["dropped"] == 10
-    outcomes = {r.outcome for r in result.records}
+    outcomes = {r.outcome for r in gateway.records}
     assert outcomes == {"served", "rejected"}
 
 
 def test_deadline_expiry_drops_queued_work():
-    gateway = Gateway(flat_timeline(), scheme="LO", max_queue_depth=64)
     # back-to-back arrivals with a deadline shorter than one service
     # time: whoever queues behind the first job expires before starting
-    result = gateway.run(requests_at([0.0] * 5, deadline=0.05))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, _, _ = serve_one(
+        requests_at([0.0] * 5, deadline=0.05), scheme="LO", max_queue_depth=64
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["dropped_deadline"] > 0
     assert counters["served"] + counters["dropped"] == counters["arrived"]
-    assert any(r.outcome == "expired" for r in result.records)
+    assert any(r.outcome == "expired" for r in gateway.records)
 
 
 def test_served_records_match_counters():
-    gateway = Gateway(flat_timeline(), scheme="JPS")
-    result = gateway.run(requests_at([0.0, 0.1, 0.2, 0.3]))
-    counters = result.metrics.snapshot()["counters"]
-    served = [r for r in result.records if r.outcome == "served"]
+    gateway, _, _ = serve_one(requests_at([0.0, 0.1, 0.2, 0.3]), scheme="JPS")
+    counters = gateway.metrics.snapshot()["counters"]
+    served = [r for r in gateway.records if r.outcome == "served"]
     assert len(served) == counters["served"] == 4
     assert all(r.latency is not None and r.latency > 0 for r in served)
-    assert result.pending == 0
+    assert gateway.outstanding == 0
 
 
 def test_baselines_never_replan():
     for scheme in ("LO", "CO"):
-        gateway = Gateway(
-            BandwidthTimeline.steps_mbps([(0.0, 8.0), (1.0, 2.0)]), scheme=scheme
+        gateway, _, _ = serve_one(
+            requests_at([0.1 * i for i in range(20)]),
+            scheme=scheme,
+            bandwidth_steps=((0.0, 8.0), (1.0, 2.0)),
         )
-        result = gateway.run(requests_at([0.1 * i for i in range(20)]))
-        assert result.replan_events == []
-        assert "replans" not in result.metrics.snapshot()["counters"]
+        assert gateway.replan_events == []
+        assert "replans" not in gateway.metrics.snapshot()["counters"]
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown scheme"):
-        Gateway(flat_timeline(), scheme="FIFO")
+        serve_one([], scheme="FIFO")
 
 
 def test_shared_planner_reuses_structure_across_schemes():
     planner = PlanningEngine()
     for scheme in ("JPS", "LO", "CO"):
-        Gateway(flat_timeline(), planner=planner, scheme=scheme).run(
-            requests_at([0.0, 0.5])
-        )
+        serve_one(requests_at([0.0, 0.5]), scheme=scheme, planner=planner)
     totals = planner.stats_snapshot()["totals"]
     # one structure + table build for the first scheme, warm hits after
     assert totals["hits"] >= 2
@@ -230,20 +226,25 @@ def test_shared_planner_reuses_structure_across_schemes():
 
 
 def test_frontier_model_serves_end_to_end():
-    gateway = Gateway(flat_timeline(18.88), scheme="JPS", nominal_burst=4)
-    result = gateway.run(requests_at([0.0, 0.2, 0.4], model="nin"))
-    counters = result.metrics.snapshot()["counters"]
+    gateway, _, _ = serve_one(
+        requests_at([0.0, 0.2, 0.4], model="nin"),
+        scheme="JPS",
+        nominal_burst=4,
+        bandwidth_steps=((0.0, 18.88),),
+    )
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["served"] == 3
 
 
 def test_mobile_stage_reuses_cpu_before_upload_finishes():
     """Pipelining: total makespan < sum of per-job (f + g) serial time."""
-    gateway = Gateway(flat_timeline(4.0), scheme="JPS")
-    result = gateway.run(requests_at([0.0] * 6))
-    serial = sum(
-        r.latency for r in result.records if r.latency is not None
+    gateway, makespan, _ = serve_one(
+        requests_at([0.0] * 6), scheme="JPS", bandwidth_steps=((0.0, 4.0),)
     )
-    assert result.makespan < serial
+    serial = sum(
+        r.latency for r in gateway.records if r.latency is not None
+    )
+    assert makespan < serial
 
 
 def test_mass_expiry_burst_drains_every_queued_head():
@@ -261,15 +262,78 @@ def test_mass_expiry_burst_drains_every_queued_head():
         )
         for i in range(clients)
     ]
-    gateway = Gateway(flat_timeline(), scheme="JPS", max_queue_depth=4)
-    result = gateway.run(requests)
-    counters = result.metrics.snapshot()["counters"]
+    gateway, _, _ = serve_one(requests, scheme="JPS", max_queue_depth=4)
+    counters = gateway.metrics.snapshot()["counters"]
     assert counters["arrived"] == clients
     # c0 (no deadline) runs; every other client's lone request expires
     # while the CPU is busy, long before its turn comes up
     assert counters["served"] == 1
     assert counters["dropped_deadline"] == clients - 1
     assert counters["served"] + counters["dropped"] == counters["arrived"]
-    expired = {r.client_id for r in result.records if r.outcome == "expired"}
+    expired = {r.client_id for r in gateway.records if r.outcome == "expired"}
     assert expired == {f"c{i}" for i in range(1, clients)}
-    assert result.pending == 0
+    assert gateway.outstanding == 0
+
+
+#: reason -> (terminal outcome, scheme, ServerSpec fields, (arrival,
+#: deadline) per request); the last request is the one that is dropped
+DROP_CASES = {
+    "disconnected": (
+        "failed",
+        "LO",
+        {"fault_plan": FaultPlan(outages=(ClientOutage("c0", 0.0, 1.0),))},
+        [(0.5, None)],
+    ),
+    "queue_full": ("rejected", "LO", {"max_queue_depth": 1}, [(0.0, None)] * 3),
+    "deadline": ("expired", "LO", {}, [(0.0, None), (0.0, 0.05)]),
+    "transfer_failed": (
+        "failed",
+        "CO",
+        {
+            "fault_plan": FaultPlan(corruption=TransferCorruption(1.0)),
+            "resilience": ResiliencePolicy(
+                max_retries=0, local_fallback=False, degrade_after_failures=999
+            ),
+        },
+        [(0.0, None)],
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", list(DROP_CASES))
+def test_every_drop_reason_leaves_the_same_artifacts(reason):
+    """Each drop reason goes through one path: both counters, one trace
+    instant on the server's events lane, a terminal record, one point of
+    the windowed ``dropped`` series and one bad SLO outcome."""
+    outcome, scheme, server, arrivals = DROP_CASES[reason]
+    requests = [
+        Request(client_id="c0", request_id=i, model="alexnet", arrival=t, deadline=d)
+        for i, (t, d) in enumerate(arrivals)
+    ]
+    dropped = requests[-1].request_id
+    tracer = Tracer()
+    fleet = FleetGateway(with_slo_telemetry(one_server(scheme, **server)), tracer=tracer)
+    slo_outcomes = []
+    board_outcome = fleet.slo_board.outcome
+
+    def spy(t, good):
+        slo_outcomes.append((t, good))
+        board_outcome(t, good)
+
+    fleet.slo_board.outcome = spy
+    document = fleet.report(fleet.run(requests))
+    gateway = fleet.servers[SERVER]
+
+    counters = gateway.metrics.snapshot()["counters"]
+    assert counters["dropped"] == 1
+    assert counters[f"dropped_{reason}"] == 1
+    [instant] = [e for e in tracer.instants if e.name == "gateway/drop"]
+    assert instant.lane == (SERVER, "events")
+    assert instant.attributes == {"request_id": dropped, "client": "c0", "reason": reason}
+    [record] = [r for r in gateway.records if r.request_id == dropped]
+    assert (record.outcome, record.latency) == (outcome, None)
+    series = document["timeline"]["series"][f'dropped{{reason="{reason}",server="{SERVER}"}}']
+    [point] = series["points"]
+    assert point["count"] == 1
+    assert point["t"] <= instant.timestamp < point["t"] + series["bucket_width"]
+    assert [t for t, good in slo_outcomes if not good] == [instant.timestamp]

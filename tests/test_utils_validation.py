@@ -1,5 +1,7 @@
 """Argument validation helpers."""
 
+import math
+
 import pytest
 
 from repro.utils import validation as v
@@ -21,6 +23,8 @@ def test_require_non_negative():
     assert v.require_non_negative(0, "x") == 0
     with pytest.raises(ValueError):
         v.require_non_negative(-1e-9, "x")
+    with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+        v.require_non_negative(math.nan, "x")
 
 
 def test_require_in_range():
