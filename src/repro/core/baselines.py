@@ -20,8 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.plans import JobPlan, Schedule
-from repro.core.scheduling import flow_shop_makespan, johnson_order, schedule_jobs
+from repro.core.partition import cut_plan
+from repro.core.plans import JobPlan, RunLengthJobs, Schedule
+from repro.core.scheduling import (
+    flow_shop_completion_arrays,
+    flow_shop_makespan,
+    johnson_order,
+    schedule_jobs,
+)
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_positive
 
@@ -35,48 +41,33 @@ __all__ = [
 ]
 
 
-def _uniform_plans(table: CostTable, position: int, n: int) -> list[JobPlan]:
-    f, g = table.stage_lengths(position)
-    mobile = table.mobile_nodes_at(position) if table.graph is not None else None
-    return [
-        JobPlan(
-            job_id=i,
-            model=table.model_name,
-            cut_position=position,
-            compute_time=f,
-            comm_time=g,
-            cloud_time=table.cloud_rest(position),
-            cut_label=table.positions[position],
-            mobile_nodes=mobile,
-        )
-        for i in range(n)
-    ]
+def _uniform_schedule(
+    table: CostTable, position: int, n: int, method: str, metadata: dict
+) -> Schedule:
+    """All ``n`` jobs cut at ``position``: one prototype, Johnson order is
+    the identity, and the makespan is the closed form over ``n`` equal
+    stages."""
+    require_positive(n, "n")
+    plan = cut_plan(table, position)
+    _, c2 = flow_shop_completion_arrays(
+        np.full(n, plan.compute_time), np.full(n, plan.comm_time)
+    )
+    return Schedule(
+        jobs=RunLengthJobs(((plan, n),)),
+        makespan=float(c2[-1]),
+        method=method,
+        metadata=metadata,
+    )
 
 
 def local_only(table: CostTable, n: int) -> Schedule:
     """LO: cut after the last layer; no network usage at all."""
-    require_positive(n, "n")
-    plans = _uniform_plans(table, table.k - 1, n)
-    schedule = schedule_jobs(plans, method="LO")
-    return Schedule(
-        jobs=schedule.jobs,
-        makespan=schedule.makespan,
-        method="LO",
-        metadata={"cut": table.positions[-1]},
-    )
+    return _uniform_schedule(table, table.k - 1, n, "LO", {"cut": table.positions[-1]})
 
 
 def cloud_only(table: CostTable, n: int) -> Schedule:
     """CO: cut after the input; upload everything."""
-    require_positive(n, "n")
-    plans = _uniform_plans(table, 0, n)
-    schedule = schedule_jobs(plans, method="CO")
-    return Schedule(
-        jobs=schedule.jobs,
-        makespan=schedule.makespan,
-        method="CO",
-        metadata={"cut": table.positions[0]},
-    )
+    return _uniform_schedule(table, 0, n, "CO", {"cut": table.positions[0]})
 
 
 def single_job_optimal_cut(table: CostTable, include_cloud: bool = True) -> int:
@@ -90,15 +81,13 @@ def single_job_optimal_cut(table: CostTable, include_cloud: bool = True) -> int:
 
 def partition_only(table: CostTable, n: int, include_cloud: bool = True) -> Schedule:
     """PO: the single-job optimal cut applied homogeneously to all jobs."""
-    require_positive(n, "n")
     position = single_job_optimal_cut(table, include_cloud=include_cloud)
-    plans = _uniform_plans(table, position, n)
-    schedule = schedule_jobs(plans, method="PO")
-    return Schedule(
-        jobs=schedule.jobs,
-        makespan=schedule.makespan,
-        method="PO",
-        metadata={"cut": table.positions[position], "cut_position": position},
+    return _uniform_schedule(
+        table,
+        position,
+        n,
+        "PO",
+        {"cut": table.positions[position], "cut_position": position},
     )
 
 

@@ -25,16 +25,13 @@ import numpy as np
 
 from repro.core.partition import (
     TwoTypeSplit,
-    binary_search_cut,
-    plans_for_split,
     searchsorted_cut,
     split_best_pair,
     split_by_paper_ratio,
     split_exact,
-    split_exact_vectorized,
+    split_jobs,
 )
-from repro.core.plans import Schedule
-from repro.core.scheduling import schedule_jobs
+from repro.core.plans import RunLengthJobs, Schedule
 from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
 from repro.net.channel import Channel
 from repro.nn.network import Network
@@ -51,9 +48,9 @@ __all__ = [
     "Structure",
     "SplitMode",
     "jps_line",
-    "jps_line_fast",
     "FrontierTable",
     "frontier_table",
+    "attach_frontier_cuts",
     "jps_frontier",
     "jps_dag",
     "jps",
@@ -112,13 +109,22 @@ def jps_line(table: CostTable, n: int, split: str | SplitMode = "exact") -> Sche
     ``split`` selects the two-type allocation over (l*-1, l*):
     ``"ratio"`` is the paper's floor-ratio rule (Alg. 2 line 9) —
     faithful but degenerate when the true ratio is below 1 (the floor
-    collapses to a single cut layer); ``"exact"`` sweeps the integer
-    split for the best makespan over the same two layers and is the
-    default. The ablation bench quantifies the gap.
+    collapses to a single cut layer); ``"exact"`` prices every integer
+    split over the same two layers and is the default; ``"pair"`` takes
+    the best two-type mix over all position pairs. The ablation bench
+    quantifies the gap.
+
+    The crossing is one :func:`searchsorted_cut` and the exact split the
+    row-blocked matrix kernel of :func:`split_exact`; the schedule holds
+    one prototype job per cut type (:func:`split_jobs`) and the split's
+    own makespan, so a plan does no per-job work. Output is identical to
+    the scalar composition kept as
+    :func:`repro.faults.oracle.jps_line_scalar` (the parity property
+    tests lock this).
     """
     started = perf_counter()
     mode = SplitMode.coerce(split)
-    l_star = binary_search_cut(table)
+    l_star = searchsorted_cut(table)
     if mode is SplitMode.RATIO:
         chosen: TwoTypeSplit = split_by_paper_ratio(table, l_star, n)
     elif mode is SplitMode.EXACT:
@@ -127,46 +133,11 @@ def jps_line(table: CostTable, n: int, split: str | SplitMode = "exact") -> Sche
         # beyond the paper: the best two-type mix over all position pairs,
         # needed when adjacent-layer time differences are drastic (VGG-16)
         chosen = split_best_pair(table, n)
-    return _line_schedule(table, mode, l_star, chosen, started)
-
-
-def jps_line_fast(
-    table: CostTable, n: int, split: str | SplitMode = "exact"
-) -> Schedule:
-    """:func:`jps_line` through the vectorized kernels.
-
-    The crossing comes from :func:`searchsorted_cut` and the ``exact``
-    split from the :func:`~repro.core.partition.split_exact_vectorized`
-    matrix kernel — output-identical to :func:`jps_line` (the parity
-    property tests lock this) at a fraction of the per-call cost, which
-    is what lets ``PlanningEngine.plan_batch`` sweep a whole bandwidth
-    vector. ``ratio``/``pair`` modes have no batched kernel and reuse
-    the scalar split functions.
-    """
-    started = perf_counter()
-    mode = SplitMode.coerce(split)
-    l_star = searchsorted_cut(table)
-    if mode is SplitMode.RATIO:
-        chosen: TwoTypeSplit = split_by_paper_ratio(table, l_star, n)
-    elif mode is SplitMode.EXACT:
-        chosen = split_exact_vectorized(table, l_star, n)
-    else:
-        chosen = split_best_pair(table, n)
-    return _line_schedule(table, mode, l_star, chosen, started)
-
-
-def _line_schedule(
-    table: CostTable,
-    mode: SplitMode,
-    l_star: int,
-    chosen: TwoTypeSplit,
-    started: float,
-) -> Schedule:
-    schedule = schedule_jobs(plans_for_split(table, chosen), method="JPS")
+    jobs = split_jobs(table, chosen)
     overhead = perf_counter() - started
     return Schedule(
-        jobs=schedule.jobs,
-        makespan=schedule.makespan,
+        jobs=jobs,
+        makespan=chosen.makespan,
         method="JPS",
         metadata={
             "l_star": l_star,
@@ -190,9 +161,6 @@ class FrontierTable:
 
     table: CostTable
     cuts: tuple[Cut, ...]
-
-    def cut_at(self, position: int) -> Cut:
-        return self.cuts[position]
 
 
 def frontier_table(
@@ -228,6 +196,27 @@ def frontier_table(
     return FrontierTable(table=table, cuts=tuple(surviving))
 
 
+def attach_frontier_cuts(
+    model_name: str, schedule: Schedule, cuts: tuple[Cut, ...]
+) -> Schedule:
+    """A :func:`jps_line` schedule on a cut-backed table, as ``JPS-frontier``.
+
+    Re-attaches each job type's concrete graph cut (``cuts[position]``)
+    and the network's own name — the table's ``/frontier`` suffix is
+    internal — once per prototype of the run-length jobs.
+    """
+    jobs = RunLengthJobs(
+        (replace(plan, model=model_name, mobile_nodes=cuts[plan.cut_position].mobile), count)
+        for plan, count in schedule.jobs.runs
+    )
+    return Schedule(
+        jobs=jobs,
+        makespan=schedule.makespan,
+        method="JPS-frontier",
+        metadata={**schedule.metadata, "num_pareto_cuts": len(cuts)},
+    )
+
+
 def jps_frontier(
     network: Network,
     mobile: DeviceModel,
@@ -240,20 +229,7 @@ def jps_frontier(
     """Exact-cut-space JPS for general (series-parallel) DNNs."""
     frontier = frontier_table(network, mobile, cloud, channel, predictor)
     schedule = jps_line(frontier.table, n, split=split)
-    jobs = tuple(
-        replace(
-            plan,
-            model=network.name,  # the table's "/frontier" suffix is internal
-            mobile_nodes=frontier.cut_at(plan.cut_position).mobile,
-        )
-        for plan in schedule.jobs
-    )
-    return Schedule(
-        jobs=jobs,
-        makespan=schedule.makespan,
-        method="JPS-frontier",
-        metadata={**schedule.metadata, "num_pareto_cuts": len(frontier.cuts)},
-    )
+    return attach_frontier_cuts(network.name, schedule, frontier.cuts)
 
 
 def jps_dag(

@@ -14,8 +14,10 @@ computation, which ``ratio`` communication-heavy jobs (surplus
 ``g - f`` each) can hide behind.
 
 Beyond the paper's rule we expose an *exact* integer split optimizer
-(same two candidate layers, best ``n1`` by direct makespan evaluation —
-an O(n) sweep using Prop. 4.1) used in the ablation benchmarks.
+(same two candidate layers, best ``n1`` by direct makespan evaluation of
+all ``n + 1`` candidates, priced as row blocks of one stage matrix); it
+is the default JPS split. The scalar sweep it replaced is kept as the
+test oracle :func:`repro.faults.oracle.split_exact_scalar`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.plans import JobPlan
+from repro.core.plans import JobPlan, RunLengthJobs
 from repro.core.scheduling import flow_shop_makespan, johnson_order
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_positive
@@ -37,8 +39,9 @@ __all__ = [
     "TwoTypeSplit",
     "split_by_paper_ratio",
     "split_exact",
-    "split_exact_vectorized",
     "two_type_makespans",
+    "cut_plan",
+    "split_jobs",
     "plans_for_split",
     "split_best_pair",
 ]
@@ -172,83 +175,73 @@ def split_by_paper_ratio(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     )
 
 
-def split_exact(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
-    """Best integer split over the same two candidate layers.
-
-    Sweeps ``n_a`` from 0 to n evaluating the exact Johnson makespan —
-    O(n) evaluations, each O(n); still microseconds for the paper's
-    n = 100. The ratio rule is a closed-form approximation of this.
-    """
-    require_positive(n, "n")
-    if l_star == 0:
-        makespan = flow_shop_makespan([table.stage_lengths(0)] * n)
-        return TwoTypeSplit(0, 0, 0, n, makespan)
-    best: TwoTypeSplit | None = None
-    for n_a in range(n + 1):
-        makespan = _split_makespan(table, l_star, n_a, n - n_a)
-        if best is None or makespan < best.makespan - 1e-15:
-            best = TwoTypeSplit(l_star - 1, l_star, n_a, n - n_a, makespan)
-    assert best is not None
-    return best
+#: Candidate rows per numpy pass of :func:`split_exact`: bounds the stage
+#: matrix to ``256 x n`` cells (~2 MB per thousand jobs per temporary)
+#: however large ``n`` grows.
+_SPLIT_ROWS = 256
 
 
 def two_type_makespans(
-    stage_a: tuple[float, float], stage_b: tuple[float, float], n: int
+    stage_a: tuple[float, float],
+    stage_b: tuple[float, float],
+    n: int,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
-    """Johnson makespans of every candidate split, one matrix pass.
+    """Johnson makespans of the candidate splits ``start..stop-1``, one matrix pass.
 
-    Entry ``n_a`` is the exact makespan of ``n_a`` jobs at ``stage_a``
-    followed by ``n - n_a`` at ``stage_b`` — the order Johnson's rule
-    produces when ``stage_a`` is strictly communication-heavy
-    (``f_a < g_a``) and ``stage_b`` computation-heavy (``f_b >= g_b``),
-    as the (l*-1, l*) candidates of Theorem 5.3 always are. Each row of
-    the (n+1, n) stage matrix goes through the same cumsum /
-    ``maximum.accumulate`` closed form as
-    :func:`~repro.core.scheduling.flow_shop_completion_arrays`, so every
-    entry is bit-identical to evaluating that candidate on its own.
+    Entry ``i`` is the exact makespan of ``start + i`` jobs at
+    ``stage_a`` followed by the rest of the ``n`` at ``stage_b`` (all
+    ``n + 1`` candidates by default) — the order Johnson's rule produces
+    when ``stage_a`` is strictly communication-heavy (``f_a < g_a``) and
+    ``stage_b`` computation-heavy (``f_b >= g_b``), as the (l*-1, l*)
+    candidates of Theorem 5.3 always are. Each row of the stage matrix
+    goes through the same cumsum closed form as
+    :func:`~repro.core.scheduling.flow_shop_completion_arrays`; only the
+    last job's completion is needed, and the last entry of its
+    ``maximum.accumulate`` is the row maximum, which a max reduction
+    gives without rounding. So every entry is bit-identical to
+    evaluating that candidate on its own, and rows are independent of
+    the block they are priced in.
     """
     require_positive(n, "n")
+    stop = n + 1 if stop is None else stop
+    if not 0 <= start < stop <= n + 1:
+        raise ValueError(f"candidate rows must satisfy 0 <= start < stop <= {n + 1}")
     f_a, g_a = stage_a
     f_b, g_b = stage_b
-    counts = np.arange(n + 1)[:, None]
-    jobs = np.arange(n)[None, :]
-    in_a = jobs < counts
+    in_a = np.arange(n)[None, :] < np.arange(start, stop)[:, None]
     c1 = np.cumsum(np.where(in_a, f_a, f_b), axis=1)
     gcum = np.cumsum(np.where(in_a, g_a, g_b), axis=1)
-    shifted = np.zeros_like(gcum)
-    shifted[:, 1:] = gcum[:, :-1]
-    c2 = gcum + np.maximum.accumulate(c1 - shifted, axis=1)
-    return c2[:, -1]
+    c1[:, 1:] -= gcum[:, :-1]  # C1[k] - Gcum[k-1], with Gcum[-1] = 0
+    return gcum[:, -1] + c1.max(axis=1)
 
 
-#: Above this job count the (n+1, n) candidate matrix stops being a win
-#: (memory grows quadratically); fall back to the scalar sweep.
-_MATRIX_SPLIT_MAX_N = 4096
+def split_exact(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
+    """Best integer split over the two candidate layers (l*-1, l*).
 
-
-def split_exact_vectorized(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
-    """:func:`split_exact` evaluated as one matrix kernel.
-
-    Same two candidate layers, same ``> 1e-15`` keep-strictly-better
-    sweep over ``n_a`` — only the n+1 makespan evaluations collapse into
-    :func:`two_type_makespans`. Bit-identical to :func:`split_exact`
-    (the property tests lock this), at O(n^2) cells instead of O(n^2)
-    Python-loop flow-shop evaluations.
+    Prices all ``n + 1`` values of ``n_a`` exactly with
+    :func:`two_type_makespans`, ``_SPLIT_ROWS`` candidates per pass, and
+    keeps the first candidate that beats the best so far by more than
+    ``1e-15`` — O(n^2) matrix cells and no per-candidate Python work
+    but the comparison. The ratio rule is a closed-form approximation of
+    this.
     """
     require_positive(n, "n")
     if l_star == 0:
         makespan = flow_shop_makespan([table.stage_lengths(0)] * n)
         return TwoTypeSplit(0, 0, 0, n, makespan)
-    if n > _MATRIX_SPLIT_MAX_N:
-        return split_exact(table, l_star, n)
-    makespans = two_type_makespans(
-        table.stage_lengths(l_star - 1), table.stage_lengths(l_star), n
-    )
+    stage_a, stage_b = table.stage_lengths(l_star - 1), table.stage_lengths(l_star)
     best = 0
-    for n_a in range(1, n + 1):
-        if makespans[n_a] < makespans[best] - 1e-15:
-            best = n_a
-    return TwoTypeSplit(l_star - 1, l_star, best, n - best, float(makespans[best]))
+    for start in range(0, n + 1, _SPLIT_ROWS):
+        stop = min(start + _SPLIT_ROWS, n + 1)
+        makespans = two_type_makespans(stage_a, stage_b, n, start, stop).tolist()
+        if start == 0:
+            best_makespan = makespans[0]
+        for n_a, makespan in enumerate(makespans, start):
+            if makespan < best_makespan - 1e-15:
+                best, best_makespan = n_a, makespan
+    return TwoTypeSplit(l_star - 1, l_star, best, n - best, best_makespan)
 
 
 def split_best_pair(table: CostTable, n: int) -> TwoTypeSplit:
@@ -284,31 +277,46 @@ def split_best_pair(table: CostTable, n: int) -> TwoTypeSplit:
     return best
 
 
-def plans_for_split(table: CostTable, split: TwoTypeSplit) -> list[JobPlan]:
-    """Materialize JobPlans (communication-heavy jobs first, ids 0..n-1).
+def cut_plan(table: CostTable, position: int, job_id: int = 0) -> JobPlan:
+    """One job cut at ``position`` of ``table``.
 
-    When the table was built from a graph, each plan also carries the
+    When the table was built from a graph, the plan also carries the
     concrete mobile node set so the runtime prototype can execute it.
     """
-    plans: list[JobPlan] = []
-    mobile_sets: dict[int, frozenset[str] | None] = {}
-    for index in range(split.total_jobs):
-        position = split.position_a if index < split.n_a else split.position_b
-        if position not in mobile_sets:
-            mobile_sets[position] = (
-                table.mobile_nodes_at(position) if table.graph is not None else None
-            )
-        f, g = table.stage_lengths(position)
-        plans.append(
-            JobPlan(
-                job_id=index,
-                model=table.model_name,
-                cut_position=position,
-                compute_time=f,
-                comm_time=g,
-                cloud_time=table.cloud_rest(position),
-                cut_label=table.positions[position],
-                mobile_nodes=mobile_sets[position],
-            )
-        )
-    return plans
+    f, g = table.stage_lengths(position)
+    return JobPlan(
+        job_id=job_id,
+        model=table.model_name,
+        cut_position=position,
+        compute_time=f,
+        comm_time=g,
+        cloud_time=table.cloud_rest(position),
+        cut_label=table.positions[position],
+        mobile_nodes=table.mobile_nodes_at(position) if table.graph is not None else None,
+    )
+
+
+def _split_runs(table: CostTable, split: TwoTypeSplit) -> list[tuple[JobPlan, int]]:
+    """The split's jobs as runs in id order: ids ``0..n_a-1`` cut at
+    ``position_a``, then ``n_a..n-1`` at ``position_b``."""
+    types = ((split.position_a, 0, split.n_a), (split.position_b, split.n_a, split.n_b))
+    return [(cut_plan(table, p, first), count) for p, first, count in types if count]
+
+
+def split_jobs(table: CostTable, split: TwoTypeSplit) -> RunLengthJobs:
+    """The split's jobs in Johnson order, one prototype per job type.
+
+    Every job of a run has the same stage pair, so Johnson's stable sort
+    of the jobs is the stable sort of the (at most two) runs: the same
+    order and ids as :func:`~repro.core.scheduling.schedule_jobs` over
+    :func:`plans_for_split`, with no per-job work.
+    """
+    runs = _split_runs(table, split)
+    if len(runs) == 2 and johnson_order([plan.stages for plan, _ in runs]) == [1, 0]:
+        runs.reverse()
+    return RunLengthJobs(runs)
+
+
+def plans_for_split(table: CostTable, split: TwoTypeSplit) -> list[JobPlan]:
+    """Materialize JobPlans (communication-heavy jobs first, ids 0..n-1)."""
+    return list(RunLengthJobs(_split_runs(table, split)))

@@ -4,16 +4,22 @@ A :class:`JobPlan` is one inference job with a chosen partition: the
 scalars the flow-shop machinery needs (compute/communication/cloud stage
 lengths) plus enough provenance (cut position, mobile node set) for the
 simulator and the runtime prototype to execute it for real.
+
+A two-type JPS schedule or a homogeneous baseline holds at most two
+distinct plans, so its jobs are stored as :class:`RunLengthJobs` — one
+prototype per run — and each ``JobPlan`` is built only when a reader
+asks for the jobs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.utils.validation import require_non_negative
 
-__all__ = ["JobPlan", "Schedule", "json_safe"]
+__all__ = ["JobPlan", "RunLengthJobs", "Schedule", "json_safe"]
 
 
 def json_safe(value: Any) -> Any:
@@ -100,11 +106,78 @@ class JobPlan:
         )
 
 
+class RunLengthJobs(Sequence):
+    """An immutable job sequence stored as ``(prototype, count)`` runs.
+
+    Run ``r`` stands for ``count`` jobs that equal its prototype except
+    for ``job_id``, which counts up from the prototype's own. The
+    sequence behaves like the tuple of those jobs — ``len``, iteration,
+    indexing, slicing (which returns a tuple), ``==`` and ``hash``
+    against tuples — and builds that tuple once, on first access, so a
+    reader of ``Schedule.makespan`` alone never pays for per-job objects.
+    """
+
+    __slots__ = ("_runs", "_jobs")
+
+    def __init__(self, runs: Iterable[tuple[JobPlan, int]]) -> None:
+        self._runs = tuple((plan, int(count)) for plan, count in runs)
+        for _, count in self._runs:
+            if count < 1:
+                raise ValueError(f"run counts must be >= 1, got {count}")
+        self._jobs: tuple[JobPlan, ...] | None = None
+
+    @property
+    def runs(self) -> tuple[tuple[JobPlan, int], ...]:
+        """The ``(prototype, count)`` pairs, in execution order."""
+        return self._runs
+
+    def _materialized(self) -> tuple[JobPlan, ...]:
+        if self._jobs is None:
+            self._jobs = tuple(
+                JobPlan(
+                    job_id=plan.job_id + offset,
+                    model=plan.model,
+                    cut_position=plan.cut_position,
+                    compute_time=plan.compute_time,
+                    comm_time=plan.comm_time,
+                    cloud_time=plan.cloud_time,
+                    cut_label=plan.cut_label,
+                    mobile_nodes=plan.mobile_nodes,
+                    group=plan.group,
+                )
+                for plan, count in self._runs
+                for offset in range(count)
+            )
+        return self._jobs
+
+    def __len__(self) -> int:
+        return sum(count for _, count in self._runs)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator[JobPlan]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RunLengthJobs):
+            return self._runs == other._runs or self._materialized() == other._materialized()
+        if isinstance(other, tuple):
+            return self._materialized() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._materialized())
+
+    def __repr__(self) -> str:
+        return f"RunLengthJobs({self._runs!r})"
+
+
 @dataclass(frozen=True)
 class Schedule:
     """An ordered set of planned jobs plus the achieved makespan."""
 
-    jobs: tuple[JobPlan, ...]              # execution order on the mobile device
+    jobs: Sequence[JobPlan]                # execution order on the mobile device
     makespan: float
     method: str
     metadata: Mapping[str, Any] = field(default_factory=dict)

@@ -15,14 +15,20 @@ the makespan:
 Everything here is exact and deterministic; the brute-force permutation
 search is kept as the optimality oracle for the test-suite.
 
-The public kernels are **vectorized**: :func:`johnson_order` is one
-stable ``np.lexsort`` over a signed key and
-:func:`flow_shop_completion_times` is the cumsum /
-``maximum.accumulate`` closed form of the recurrence — no Python loop
-over jobs. The original scalar loops survive as
-:func:`johnson_order_scalar` / :func:`flow_shop_completion_times_scalar`
-and serve as the parity oracles (``tests/test_vectorized_parity.py``).
-``benchmarks/bench_kernels.py`` tracks the speedup.
+The kernels are **vectorized**: :func:`johnson_order` is one stable
+``np.lexsort`` over a signed key and :func:`flow_shop_completion_times`
+is the cumsum / ``maximum.accumulate`` closed form of the recurrence —
+no Python loop over jobs. The scalar loops they replaced live in
+:mod:`repro.faults.oracle` as the parity oracles of
+``tests/test_vectorized_parity.py``; ``benchmarks/bench_kernels.py``
+tracks the speedup.
+
+:func:`schedule_jobs` orders an arbitrary job set. Two-type JPS splits
+and the homogeneous baselines skip it: all jobs of one type share a
+stage pair, so Johnson's stable sort of the jobs is the sort of the
+(at most two) types, and their schedules hold run-length jobs
+(:func:`repro.core.partition.split_jobs`,
+:class:`repro.core.plans.RunLengthJobs`).
 """
 
 from __future__ import annotations
@@ -37,11 +43,9 @@ from repro.core.plans import JobPlan, Schedule
 __all__ = [
     "johnson_order",
     "johnson_order_indices",
-    "johnson_order_scalar",
     "flow_shop_makespan",
     "flow_shop_completion_times",
     "flow_shop_completion_arrays",
-    "flow_shop_completion_times_scalar",
     "proposition_4_1_makespan",
     "schedule_jobs",
     "best_order_brute_force",
@@ -68,7 +72,8 @@ def johnson_order_indices(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     communication-heavy set S1 (``f < g``, group 0, key ``f``) precedes
     the computation-heavy set S2 (``f >= g``, group 1, key ``-g``).
     Stability gives the deterministic original-index tiebreak, so the
-    result is bit-identical to :func:`johnson_order_scalar`.
+    result is bit-identical to the scalar two-list construction (the
+    parity oracle in :mod:`repro.faults.oracle`).
     """
     group = f >= g
     signed = np.where(group, -g, f)
@@ -85,15 +90,6 @@ def johnson_order(stages: Sequence[Stage]) -> list[int]:
     if f.size == 0:
         return []
     return johnson_order_indices(f, g).tolist()
-
-
-def johnson_order_scalar(stages: Sequence[Stage]) -> list[int]:
-    """Pure-Python Johnson's rule (the parity oracle for the lexsort)."""
-    s1 = [i for i, (f, g) in enumerate(stages) if f < g]
-    s2 = [i for i, (f, g) in enumerate(stages) if f >= g]
-    s1.sort(key=lambda i: (stages[i][0], i))               # ascending f
-    s2.sort(key=lambda i: (-stages[i][1], i))              # descending g
-    return s1 + s2
 
 
 def flow_shop_completion_arrays(
@@ -145,21 +141,6 @@ def flow_shop_completion_times(stages: Sequence[Stage]) -> list[tuple[float, flo
         return []
     c1, c2 = flow_shop_completion_arrays(f, g)
     return list(zip(c1.tolist(), c2.tolist()))
-
-
-def flow_shop_completion_times_scalar(
-    stages: Sequence[Stage],
-) -> list[tuple[float, float]]:
-    """The original scalar recurrence (the parity oracle for the closed form)."""
-    completions: list[tuple[float, float]] = []
-    c1 = c2 = 0.0
-    for f, g in stages:
-        if f < 0 or g < 0:
-            raise ValueError(f"stage lengths must be >= 0, got ({f}, {g})")
-        c1 += f
-        c2 = max(c2, c1) + g
-        completions.append((c1, c2))
-    return completions
 
 
 def flow_shop_makespan(stages: Sequence[Stage]) -> float:

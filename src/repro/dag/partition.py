@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.partition import binary_search_cut, split_exact
 from repro.core.plans import JobPlan, Schedule
-from repro.core.scheduling import johnson_order_scalar
+from repro.core.scheduling import johnson_order
 from repro.dag.cuts import Cut, cut_transfer_bytes, is_downward_closed, make_cut, prune_dominated
 from repro.dag.graph import Dag
 from repro.dag.metrics import critical_path
@@ -360,15 +360,14 @@ def dag_cut_table(
 # ----------------------------------------------------------------------
 # scheduling over a DAG cut table
 # ----------------------------------------------------------------------
-def _johnson_makespan(stages: list[tuple[float, float]]) -> tuple[float, list[int]]:
-    """Johnson-optimal makespan of a fixed job set (scalar recurrence)."""
-    order = johnson_order_scalar(stages)
+def _johnson_makespan(stages: list[tuple[float, float]], order: Sequence[int]) -> float:
+    """Makespan of a job set run in its Johnson ``order`` (scalar recurrence)."""
     c1 = c2 = 0.0
     for i in order:
         f, g = stages[i]
         c1 += f
         c2 = max(c2, c1) + g
-    return c2, order
+    return c2
 
 
 def _exact_menu(
@@ -384,11 +383,16 @@ def _exact_menu(
     execution (Johnson) order.
     """
     stage_of = [table.stage_lengths(p) for p in range(table.k)]
+    # Jobs at one position share a stage pair, so Johnson's stable sort of
+    # a combo (positions ascending) is its stable sort by the positions'
+    # own Johnson rank: rank the k positions once, not every combo's jobs.
+    rank = {p: r for r, p in enumerate(johnson_order(stage_of))}
     best = float("inf")
     best_positions: tuple[int, ...] = ()
     for combo in combinations_with_replacement(range(table.k), n):
         stages = [stage_of[p] for p in combo]
-        makespan, order = _johnson_makespan(stages)
+        order = sorted(range(n), key=lambda i: rank[combo[i]])
+        makespan = _johnson_makespan(stages, order)
         if makespan < best - _IMPROVEMENT:
             best = makespan
             best_positions = tuple(combo[i] for i in order)
@@ -476,7 +480,8 @@ def dag_schedule_from_table(
             for i in range(n)
         ]
         stages = [table.stage_lengths(p) for p in split_positions]
-        makespan, order = _johnson_makespan(stages)
+        order = johnson_order(stages)
+        makespan = _johnson_makespan(stages, order)
         positions = tuple(split_positions[i] for i in order)
         uniform_makespan, uniform_position = _uniform_floor(table, n)
         if uniform_makespan < makespan - _IMPROVEMENT:

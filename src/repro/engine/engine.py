@@ -24,9 +24,12 @@ content-addressed keys (:mod:`repro.engine.keys`):
 * **Alg. 3 path plans** — per-(channel) path cuts, replayed through the
   deduplicated flow-shop recurrence for any job count.
 
-A warm ``plan()`` therefore costs only the O(log k) search and the
-Johnson sort, which is what the paper's Fig. 12(d) claims the deployed
-scheduler pays per decision. The engine is the one planner behind the
+A warm ``plan()`` therefore costs only the search: one
+``np.searchsorted`` crossing, the exact split as row blocks of one
+stage matrix, and at most two prototype jobs (the run-length
+:class:`~repro.core.plans.RunLengthJobs` builds per-job plans only when
+read) — the cost the paper's Fig. 12(d) says the deployed scheduler
+pays per decision. The engine is the one planner behind the
 ``repro.api`` facade, the serving stack and
 :class:`~repro.experiments.runner.ExperimentEnv` (every figure harness);
 the uncached :func:`repro.core.joint.jps` path is its reference.
@@ -35,7 +38,7 @@ the uncached :func:`repro.core.joint.jps` path is its reference.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +49,8 @@ from repro.core.joint import (
     FrontierTable,
     SplitMode,
     Structure,
+    attach_frontier_cuts,
     jps_line,
-    jps_line_fast,
 )
 from repro.core.plans import Schedule
 from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
@@ -86,26 +89,6 @@ __all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
 
 #: Baseline schemes the engine plans besides JPS.
 BASELINES = {"LO": local_only, "CO": cloud_only, "PO": partition_only}
-
-
-def _wrap_frontier_schedule(
-    model_name: str, schedule: Schedule, cuts: tuple[Cut, ...]
-) -> Schedule:
-    """Re-attach concrete graph cuts to a schedule built on a cut-backed table."""
-    jobs = tuple(
-        replace(
-            plan,
-            model=model_name,  # the table's "/frontier" suffix is internal
-            mobile_nodes=cuts[plan.cut_position].mobile,
-        )
-        for plan in schedule.jobs
-    )
-    return Schedule(
-        jobs=jobs,
-        makespan=schedule.makespan,
-        method="JPS-frontier",
-        metadata={**schedule.metadata, "num_pareto_cuts": len(cuts)},
-    )
 
 
 @dataclass(frozen=True)
@@ -702,10 +685,8 @@ class PlanningEngine:
         """Plan ``n`` jobs at every uplink rate of a bandwidth vector.
 
         Since ``g`` scales affinely in ``1/B`` for a fixed table, one
-        memoized pricing kernel serves the whole vector; per rate the
-        Alg. 2 crossing is one ``np.searchsorted`` over ``f - g`` and
-        the exact two-type split one matrix kernel
-        (:func:`~repro.core.joint.jps_line_fast`). Output is
+        memoized pricing kernel serves the whole vector and each rate
+        pays only :func:`~repro.core.joint.jps_line`'s search. Output is
         bit-identical to calling :meth:`plan` once per bandwidth with an
         equivalently framed channel — the sweep harnesses and the
         gateway go through here to amortize cache lookups to one
@@ -795,10 +776,10 @@ class PlanningEngine:
                     dag_schedule_from_table(table, kernel.cuts, n, model=network.name)
                 )
                 continue
-            schedule = jps_line_fast(table, n, split=split)
+            schedule = jps_line(table, n, split=split)
             if chosen is Structure.FRONTIER:
                 assert kernel.cuts is not None
-                schedule = _wrap_frontier_schedule(network.name, schedule, kernel.cuts)
+                schedule = attach_frontier_cuts(network.name, schedule, kernel.cuts)
             schedules.append(schedule)
         return schedules
 
@@ -887,7 +868,7 @@ class PlanningEngine:
         if chosen is Structure.FRONTIER:
             frontier = self.frontier_table(network, channel, predictor, predictor_key)
             schedule = jps_line(frontier.table, n, split=split)
-            return _wrap_frontier_schedule(network.name, schedule, frontier.cuts)
+            return attach_frontier_cuts(network.name, schedule, frontier.cuts)
         if chosen is Structure.DAG:
             dct = self.dag_table(network, channel, predictor, predictor_key)
             return dag_schedule_from_table(dct.table, dct.cuts, n, model=network.name)

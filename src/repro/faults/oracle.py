@@ -7,7 +7,15 @@ they did not: a brute-force planner that enumerates **every** cut
 assignment times **every** execution order (no Johnson, no two-cut
 assumption, no shared code with the schemes under test) and the
 differential checks that cross-examine :func:`repro.core.joint.jps_line`
-and :func:`~repro.core.joint.jps_line_fast` against it.
+against it and against the scalar reference below.
+
+It also holds the **scalar references** the production kernels replaced,
+which no production module imports: :func:`johnson_order_scalar` (two
+sorted lists), :func:`flow_shop_completion_times_scalar` (the
+recurrence), :func:`split_exact_scalar` (one flow-shop evaluation per
+candidate split) and :func:`jps_line_scalar` (binary search, that sweep,
+and ``schedule_jobs`` over eagerly built plans). The parity tests and
+``benchmarks/bench_kernels.py`` compare against them.
 
 The exhaustive makespan uses the independent critical-path identity for
 a 2-machine permutation flow shop::
@@ -28,11 +36,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
+from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.joint import jps_line, jps_line_fast
-from repro.core.scheduling import best_order_brute_force
+from repro.core.joint import SplitMode, jps_line
+from repro.core.partition import (
+    TwoTypeSplit,
+    _split_makespan,
+    binary_search_cut,
+    plans_for_split,
+    split_best_pair,
+    split_by_paper_ratio,
+)
+from repro.core.plans import Schedule
+from repro.core.scheduling import best_order_brute_force, flow_shop_makespan, schedule_jobs
 from repro.profiling.latency import CostTable
 from repro.utils.rng import make_rng
 from repro.utils.validation import require_positive
@@ -43,6 +62,10 @@ __all__ = [
     "exhaustive_optimal",
     "check_instance",
     "random_line_table",
+    "johnson_order_scalar",
+    "flow_shop_completion_times_scalar",
+    "split_exact_scalar",
+    "jps_line_scalar",
 ]
 
 #: Absolute tolerance for makespan comparisons. The random instances
@@ -51,6 +74,93 @@ __all__ = [
 TOLERANCE = 1e-9
 
 
+# ----------------------------------------------------------------------
+# scalar references of the production kernels
+# ----------------------------------------------------------------------
+def johnson_order_scalar(stages: Sequence[tuple[float, float]]) -> list[int]:
+    """Pure-Python Johnson's rule (the parity oracle for the lexsort)."""
+    s1 = [i for i, (f, g) in enumerate(stages) if f < g]
+    s2 = [i for i, (f, g) in enumerate(stages) if f >= g]
+    s1.sort(key=lambda i: (stages[i][0], i))               # ascending f
+    s2.sort(key=lambda i: (-stages[i][1], i))              # descending g
+    return s1 + s2
+
+
+def flow_shop_completion_times_scalar(
+    stages: Sequence[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """The scalar flow-shop recurrence (the parity oracle for the closed form)."""
+    completions: list[tuple[float, float]] = []
+    c1 = c2 = 0.0
+    for f, g in stages:
+        if f < 0 or g < 0:
+            raise ValueError(f"stage lengths must be >= 0, got ({f}, {g})")
+        c1 += f
+        c2 = max(c2, c1) + g
+        completions.append((c1, c2))
+    return completions
+
+
+def split_exact_scalar(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
+    """The exact split as a Python sweep (the oracle for ``split_exact``).
+
+    Sweeps ``n_a`` from 0 to n, evaluating each candidate's Johnson
+    makespan on its own, and keeps the first that beats the best so far
+    by more than ``1e-15`` — O(n) flow-shop evaluations of O(n) each.
+    """
+    require_positive(n, "n")
+    if l_star == 0:
+        makespan = flow_shop_makespan([table.stage_lengths(0)] * n)
+        return TwoTypeSplit(0, 0, 0, n, makespan)
+    best: TwoTypeSplit | None = None
+    for n_a in range(n + 1):
+        makespan = _split_makespan(table, l_star, n_a, n - n_a)
+        if best is None or makespan < best.makespan - 1e-15:
+            best = TwoTypeSplit(l_star - 1, l_star, n_a, n - n_a, makespan)
+    assert best is not None
+    return best
+
+
+def jps_line_scalar(
+    table: CostTable, n: int, split: str | SplitMode = "exact"
+) -> Schedule:
+    """JPS on a line table, composed the scalar way (the oracle for ``jps_line``).
+
+    Alg. 2's binary search, the split (:func:`split_exact_scalar` for
+    ``exact``), then Johnson's rule over one eagerly built ``JobPlan``
+    per job — the same document as :func:`repro.core.joint.jps_line`,
+    job order, ids and metadata included, up to the host-timed
+    ``scheduler_overhead_s``.
+    """
+    started = perf_counter()
+    mode = SplitMode.coerce(split)
+    l_star = binary_search_cut(table)
+    if mode is SplitMode.RATIO:
+        chosen = split_by_paper_ratio(table, l_star, n)
+    elif mode is SplitMode.EXACT:
+        chosen = split_exact_scalar(table, l_star, n)
+    else:
+        chosen = split_best_pair(table, n)
+    schedule = schedule_jobs(plans_for_split(table, chosen), method="JPS")
+    return Schedule(
+        jobs=schedule.jobs,
+        makespan=schedule.makespan,
+        method="JPS",
+        metadata={
+            "l_star": l_star,
+            "split": mode.value,
+            "n_a": chosen.n_a,
+            "n_b": chosen.n_b,
+            "cut_a": table.positions[chosen.position_a],
+            "cut_b": table.positions[chosen.position_b],
+            "scheduler_overhead_s": perf_counter() - started,
+        },
+    )
+
+
+# ----------------------------------------------------------------------
+# exhaustive optimum
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class OracleResult:
     """The exhaustive optimum over assignments x orders."""
@@ -122,7 +232,7 @@ class InstanceCheck:
     n: int
     k: int
     jps_makespan: float
-    jps_fast_makespan: float
+    reference_makespan: float         # jps_line_scalar's
     oracle_makespan: float
     gap: float                        # jps - oracle, >= 0 when all is well
     mismatches: tuple[str, ...]
@@ -133,44 +243,45 @@ class InstanceCheck:
 
 
 def check_instance(table: CostTable, n: int) -> InstanceCheck:
-    """Cross-examine JPS (scalar and fast) against the exhaustive oracle.
+    """Cross-examine JPS against its scalar reference and the exhaustive oracle.
 
-    A *mismatch* is a genuine correctness violation, not a gap: the two
-    JPS implementations disagreeing with each other, JPS claiming a
+    A *mismatch* is a genuine correctness violation, not a gap:
+    :func:`~repro.core.joint.jps_line` disagreeing with
+    :func:`jps_line_scalar` (makespan or any job), JPS claiming a
     makespan below the exhaustive optimum (impossible if both are
     right), or Johnson's order being beaten on JPS's own cut choice. A
     positive ``gap`` alone is legitimate — end effects let the optimum
     beat the two-cut structure on some instances (cf. Fig. 11).
     """
-    scalar = jps_line(table, n)
-    fast = jps_line_fast(table, n)
+    planned = jps_line(table, n)
+    reference = jps_line_scalar(table, n)
     oracle = exhaustive_optimal(table, n)
     mismatches: list[str] = []
-    if scalar.makespan != fast.makespan or [j.stages for j in scalar.jobs] != [
-        j.stages for j in fast.jobs
-    ]:
+    if planned.makespan != reference.makespan or tuple(planned.jobs) != tuple(
+        reference.jobs
+    ):
         mismatches.append(
-            f"jps_line_fast diverged from jps_line: "
-            f"{fast.makespan!r} vs {scalar.makespan!r}"
+            f"jps_line diverged from jps_line_scalar: "
+            f"{planned.makespan!r} vs {reference.makespan!r}"
         )
-    if scalar.makespan < oracle.makespan - TOLERANCE:
+    if planned.makespan < oracle.makespan - TOLERANCE:
         mismatches.append(
-            f"jps beat the exhaustive optimum ({scalar.makespan!r} < "
+            f"jps beat the exhaustive optimum ({planned.makespan!r} < "
             f"{oracle.makespan!r}) — the oracle or the makespan math is broken"
         )
-    johnson_best = best_order_brute_force([j.stages for j in scalar.jobs])
-    if johnson_best < scalar.makespan - TOLERANCE:
+    johnson_best = best_order_brute_force([j.stages for j in planned.jobs])
+    if johnson_best < planned.makespan - TOLERANCE:
         mismatches.append(
             f"Johnson order suboptimal for JPS's own assignment: "
-            f"{johnson_best!r} < {scalar.makespan!r}"
+            f"{johnson_best!r} < {planned.makespan!r}"
         )
     return InstanceCheck(
         n=n,
         k=table.k,
-        jps_makespan=scalar.makespan,
-        jps_fast_makespan=fast.makespan,
+        jps_makespan=planned.makespan,
+        reference_makespan=reference.makespan,
         oracle_makespan=oracle.makespan,
-        gap=scalar.makespan - oracle.makespan,
+        gap=planned.makespan - oracle.makespan,
         mismatches=tuple(mismatches),
     )
 

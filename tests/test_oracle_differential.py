@@ -75,11 +75,11 @@ def test_committed_corpus_is_exact():
         assert result.mismatches == ()
         assert result.n == entry["n"]
         assert result.k == entry["k"]
-        # gap-0 corpus: JPS, its vectorized twin, and the exhaustive
+        # gap-0 corpus: JPS, its scalar reference, and the exhaustive
         # optimum agree bit-for-bit with the committed value
         assert result.gap == 0.0
         assert result.jps_makespan == entry["makespan"]
-        assert result.jps_fast_makespan == entry["makespan"]
+        assert result.reference_makespan == entry["makespan"]
         assert result.oracle_makespan == entry["makespan"]
 
 

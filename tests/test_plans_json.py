@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core.plans import JobPlan, Schedule
+from repro.core.plans import JobPlan, RunLengthJobs, Schedule
 from repro.experiments.runner import ExperimentEnv
 from repro.runtime.serialization import (
     SerializationError,
@@ -96,3 +96,41 @@ def test_wire_format_rejects_corruption(line_schedule):
         deserialize_schedule(b"EVIL" + payload[4:])
     with pytest.raises(SerializationError):
         deserialize_schedule(payload[:-10])
+
+
+def test_run_length_jobs_behave_like_their_tuple(line_schedule, frontier_schedule):
+    for schedule in (line_schedule, frontier_schedule):
+        jobs = schedule.jobs
+        assert isinstance(jobs, RunLengthJobs) and len(jobs.runs) == 2
+        eager = tuple(jobs)
+        built = Schedule(
+            jobs=eager,
+            makespan=schedule.makespan,
+            method=schedule.method,
+            metadata=schedule.metadata,
+        )
+        assert schedule == built and built == schedule
+        assert schedule.to_dict() == built.to_dict()
+        assert jobs == eager and eager == jobs and hash(jobs) == hash(eager)
+        assert jobs != list(eager)
+        assert jobs[1:3] == eager[1:3] and isinstance(jobs[1:3], tuple)
+        assert jobs[0] == eager[0] and jobs[-1] == eager[-1]
+        assert len(jobs) == len(eager) == sum(count for _, count in jobs.runs)
+        assert list(reversed(jobs)) == list(reversed(eager))
+        assert [plan.job_id for plan in jobs] == list(range(len(eager)))
+        assert jobs[0] in jobs and jobs.index(jobs[-1]) == len(eager) - 1
+        assert jobs[0] is jobs[0]  # built once, on first access
+        with pytest.raises(IndexError):
+            jobs[len(eager)]
+
+
+def test_run_length_jobs_number_each_run_from_its_prototype():
+    first = JobPlan(job_id=4, model="toy", cut_position=1, compute_time=0.5, comm_time=0.1)
+    second = JobPlan(job_id=0, model="toy", cut_position=0, compute_time=0.1, comm_time=0.5)
+    jobs = RunLengthJobs(((first, 2), (second, 3)))
+    assert [(p.job_id, p.cut_position) for p in jobs] == [
+        (4, 1), (5, 1), (0, 0), (1, 0), (2, 0)
+    ]
+    assert jobs == RunLengthJobs(((first, 2), (second, 3)))
+    with pytest.raises(ValueError, match="run counts"):
+        RunLengthJobs(((first, 0),))

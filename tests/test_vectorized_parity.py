@@ -1,9 +1,9 @@
 """Property tests: vectorized kernels are bit-identical to scalar paths.
 
 The perf layer (lexsort Johnson, cumsum flow shop, ``searchsorted``
-crossing, matrix two-type split, ``plan_batch``) must never change a
-single number. Each vectorized entry point is pinned to its scalar
-oracle here:
+crossing, matrix two-type split, run-length schedules, ``plan_batch``)
+must never change a single number. Each vectorized entry point is
+pinned to its scalar reference in :mod:`repro.faults.oracle` here:
 
 * exact ``==`` on dyadic-grid inputs (multiples of 1/1024), where the
   closed-form cumsum reassociation is provably lossless;
@@ -15,28 +15,42 @@ oracle here:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.baselines import (
+    cloud_only,
+    local_only,
+    partition_only,
+    single_job_optimal_cut,
+)
+from repro.core.joint import jps_line
 from repro.core.partition import (
+    _SPLIT_ROWS,
+    TwoTypeSplit,
     _split_makespan,
     binary_search_cut,
     linear_scan_cut,
+    plans_for_split,
     searchsorted_cut,
     split_exact,
-    split_exact_vectorized,
+    split_jobs,
     two_type_makespans,
 )
-from repro.core.scheduling import (
-    flow_shop_completion_times,
-    flow_shop_completion_times_scalar,
-    johnson_order,
-    johnson_order_scalar,
-)
+from repro.core.plans import JobPlan, RunLengthJobs
+from repro.core.scheduling import flow_shop_completion_times, johnson_order, schedule_jobs
 from repro.engine import PlanningEngine
 from repro.experiments.runner import ExperimentEnv
+from repro.faults.oracle import (
+    flow_shop_completion_times_scalar,
+    johnson_order_scalar,
+    jps_line_scalar,
+    split_exact_scalar,
+)
 from repro.net.bandwidth import FOUR_G, WIFI, TrafficShaper
 from repro.net.channel import Channel
 from repro.utils.units import mbps
@@ -136,9 +150,26 @@ def test_searchsorted_cut_rejects_non_monotone_g():
 @given(table=monotone_tables(), n=st.integers(1, 24))
 def test_split_exact_vectorized_matches_scalar(table, n):
     l_star = binary_search_cut(table)
-    fast = split_exact_vectorized(table, l_star, n)
-    slow = split_exact(table, l_star, n)
+    fast = split_exact(table, l_star, n)
+    slow = split_exact_scalar(table, l_star, n)
     assert fast == slow
+
+
+def test_split_exact_in_row_blocks_matches_scalar():
+    """A split that spans three row blocks equals the scalar sweep, and the
+    blocks' rows equal the one-pass matrix."""
+    n = 2 * _SPLIT_ROWS + 88
+    table = make_table(f=[0.0, 0.25, 0.5, 1.5], g=[2.0, 0.625, 0.125, 0.0])
+    l_star = binary_search_cut(table)
+    assert l_star == 2
+    assert split_exact(table, l_star, n) == split_exact_scalar(table, l_star, n)
+    stages = table.stage_lengths(l_star - 1), table.stage_lengths(l_star)
+    blocks = [
+        two_type_makespans(*stages, n, start, min(start + _SPLIT_ROWS, n + 1))
+        for start in range(0, n + 1, _SPLIT_ROWS)
+    ]
+    assert len(blocks) == 3
+    assert np.array_equal(np.concatenate(blocks), two_type_makespans(*stages, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,6 +184,75 @@ def test_two_type_makespan_rows_match_split_makespan(table, n):
     assert makespans.shape == (n + 1,)
     for n_a in range(n + 1):
         assert makespans[n_a] == _split_makespan(table, l_star, n_a, n - n_a)
+
+
+# ----------------------------------------------------------------------
+# run-length schedules == the scalar composition over eager plans
+# ----------------------------------------------------------------------
+
+@st.composite
+def line_plans(draw):
+    """(table, n, split): n up to 300, but 24 for the O(k^2 n) pair search."""
+    split = draw(st.sampled_from(["exact", "ratio", "pair"]))
+    n = draw(st.integers(1, 24 if split == "pair" else 300))
+    return draw(monotone_tables()), n, split
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=line_plans())
+def test_jps_line_matches_scalar_reference_document(case):
+    table, n, split = case
+    ours = jps_line(table, n, split)
+    reference = jps_line_scalar(table, n, split)
+    assert isinstance(ours.jobs, RunLengthJobs)
+    # byte for byte: makespan, metadata, job order and ids
+    assert json.dumps(host_free(ours)) == json.dumps(host_free(reference))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=monotone_tables(),
+    picks=st.tuples(st.integers(0, 19), st.integers(0, 19)),
+    counts=st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(any),
+)
+def test_split_jobs_is_johnson_order_of_eager_plans(table, picks, counts):
+    """Any split, in either position order: the runs reproduce
+    ``schedule_jobs`` over ``plans_for_split``, ids included."""
+    position_a, position_b = (p % table.k for p in picks)
+    split = TwoTypeSplit(position_a, position_b, *counts, makespan=0.0)
+    eager = schedule_jobs(plans_for_split(table, split)).jobs
+    assert split_jobs(table, split) == eager
+
+
+def _eager_uniform(table, position: int, n: int, method: str):
+    f, g = table.stage_lengths(position)
+    plans = [
+        JobPlan(
+            job_id=i,
+            model=table.model_name,
+            cut_position=position,
+            compute_time=f,
+            comm_time=g,
+            cloud_time=table.cloud_rest(position),
+            cut_label=table.positions[position],
+        )
+        for i in range(n)
+    ]
+    return schedule_jobs(plans, method=method)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=monotone_tables(), n=st.integers(1, 300))
+def test_baselines_match_schedule_jobs_over_eager_plans(table, n):
+    for scheme, position in (
+        (local_only, table.k - 1),
+        (cloud_only, 0),
+        (partition_only, single_job_optimal_cut(table)),
+    ):
+        ours = scheme(table, n)
+        eager = _eager_uniform(table, position, n, ours.method)
+        assert ours.makespan == eager.makespan
+        assert ours.jobs == eager.jobs and tuple(ours.jobs) == eager.jobs
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +302,8 @@ def _channel_at(uplink_bps: float) -> Channel:
 
 
 def test_plan_batch_matches_per_call_plan_over_bandwidth_grid():
-    """plan_batch (pricing kernel + ``jps_line_fast``) == per-channel
-    plan() (cost tables + scalar ``jps_line``), scheme by scheme."""
+    """plan_batch (one pricing kernel) == per-channel plan() (one cost
+    table per channel), scheme by scheme."""
     engine = PlanningEngine()
     rates = [mbps(b) for b in np.linspace(0.5, 60.0, 24)]
     n = 8
