@@ -7,7 +7,8 @@ conversion is still tractable.
 """
 
 from repro.core.general import alg3_schedule
-from repro.core.joint import jps_frontier, jps_line
+from repro.core.joint import jps_line
+from repro.engine import PlanningEngine
 from repro.experiments.report import format_table
 from repro.nn import zoo
 from repro.profiling.latency import line_cost_table
@@ -19,6 +20,7 @@ def test_general_structure_ablation(benchmark, env, save_artifact):
     mobile, cloud = env.mobile, env.cloud
     channel = env.channel(5.85)
     networks = [env.network("googlenet"), zoo.mini_inception(2)]
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
 
     def run_all():
         rows = []
@@ -26,7 +28,7 @@ def test_general_structure_ablation(benchmark, env, save_artifact):
             linearized = jps_line(
                 line_cost_table(network, mobile, cloud, channel), N_JOBS
             )
-            frontier = jps_frontier(network, mobile, cloud, channel, N_JOBS)
+            frontier = engine.plan(network, N_JOBS, channel, structure="frontier")
             paths = alg3_schedule(network, mobile, cloud, channel, N_JOBS)
             rows.append(
                 (

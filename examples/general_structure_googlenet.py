@@ -16,8 +16,9 @@ depth per branch. This example contrasts three treatments:
 Run:  python examples/general_structure_googlenet.py
 """
 
-from repro.core import alg3_schedule, jps_frontier, jps_line
+from repro.core import alg3_schedule, jps_line
 from repro.dag import count_paths, enumerate_frontier_cuts, separators
+from repro.engine import PlanningEngine
 from repro.net import FOUR_G, Channel
 from repro.nn import zoo
 from repro.profiling import gtx1080_server, line_cost_table, raspberry_pi_4
@@ -39,7 +40,8 @@ def main() -> None:
           f"(vs 4^9 = {4**9} naive path combinations)\n")
 
     linearized = jps_line(line_cost_table(network, mobile, cloud, channel), N_JOBS)
-    frontier = jps_frontier(network, mobile, cloud, channel, N_JOBS)
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
+    frontier = engine.plan(network, N_JOBS, channel, structure="frontier")
     paths = alg3_schedule(network, mobile, cloud, channel, N_JOBS)
 
     print(f"{'treatment':<22s} {'makespan (s)':>12s} {'avg/job (ms)':>13s}")

@@ -12,7 +12,8 @@ Walks the whole public API in one file:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import cloud_only, jps, jps_line, local_only, partition_only
+from repro.core import cloud_only, jps_line, local_only, partition_only
+from repro.engine import PlanningEngine
 from repro.net import FOUR_G, Channel
 from repro.nn import zoo
 from repro.profiling import gtx1080_server, line_cost_table, raspberry_pi_4
@@ -42,7 +43,7 @@ def main() -> None:
         "LO ": local_only(table, n_jobs),
         "CO ": cloud_only(table, n_jobs),
         "PO ": partition_only(table, n_jobs),
-        "JPS": jps(network, mobile, cloud, channel, n_jobs),
+        "JPS": PlanningEngine(mobile=mobile, cloud=cloud).plan(network, n_jobs, channel),
     }
     print(f"{'scheme':<6s} {'makespan (s)':>12s} {'avg/job (ms)':>13s}")
     for name, schedule in schedules.items():

@@ -39,7 +39,7 @@ fault injection, gateway resilience policies, and the differential
 oracle — see ``docs/robustness.md``).
 """
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: Facade names re-exported lazily from :mod:`repro.api` (PEP 562), so
 #: ``import repro`` stays light and experiment modules that import
@@ -66,7 +66,6 @@ _API_EXPORTS = frozenset(
         "MODELS",
         "get_model",
         # true DAG partitioning + its differential oracle (repro.dag)
-        "jps_dag",
         "partition_dag",
         "DagCutTable",
         "dag_cut_table",

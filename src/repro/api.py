@@ -14,7 +14,7 @@ True
 model hit the memoized structure caches. Construct your own engine for
 custom devices or isolated cache statistics.
 
-The old deep import paths (``repro.core.jps``, ``repro.nn.zoo``, ...)
+The deep import paths (``repro.core.jps_line``, ``repro.nn.zoo``, ...)
 keep working; this module only re-exports, it does not move anything.
 """
 
@@ -28,7 +28,7 @@ from repro.cloud import (
     CloudGpuModel,
     LeastQueuedRouter,
 )
-from repro.core.joint import SplitMode, Structure, jps, jps_dag
+from repro.core.joint import SplitMode, Structure
 from repro.core.plans import JobPlan, Schedule
 from repro.dag.metrics import DuplicationMetrics, duplication_metrics
 from repro.dag.oracle import (
@@ -218,7 +218,6 @@ __all__ = [
     "render_timeline",
     "watch_table",
     # true DAG partitioning + its differential oracle (repro.dag)
-    "jps_dag",
     "partition_dag",
     "DagCutTable",
     "dag_cut_table",
@@ -248,7 +247,6 @@ __all__ = [
     "gtx1080_server",
     "MODELS",
     "get_model",
-    "jps",
 ]
 
 #: Shared engine behind the module-level ``plan``/``compare`` helpers.

@@ -30,7 +30,7 @@ from repro.core.general import (
     alg3_schedule,
     representative_paths,
 )
-from repro.core.joint import FrontierTable, frontier_table, jps, jps_frontier, jps_line
+from repro.core.joint import jps_line
 from repro.core.partition import (
     TwoTypeSplit,
     binary_search_cut,
@@ -47,6 +47,7 @@ from repro.core.scheduling import (
     best_order_brute_force,
     flow_shop_completion_times,
     flow_shop_makespan,
+    johnson_makespan,
     johnson_order,
     proposition_4_1_makespan,
     schedule_jobs,
@@ -55,7 +56,6 @@ from repro.core.scheduling import (
 __all__ = [
     "ContinuousProblem",
     "ExponentialCommModel",
-    "FrontierTable",
     "JobPlan",
     "LinearComputeModel",
     "Schedule",
@@ -75,10 +75,8 @@ __all__ = [
     "flow_shop_completion_times",
     "flow_shop_makespan",
     "fractional_lower_bound",
-    "frontier_table",
+    "johnson_makespan",
     "johnson_order",
-    "jps",
-    "jps_frontier",
     "jps_line",
     "kkt_stationarity_residual",
     "linear_scan_cut",

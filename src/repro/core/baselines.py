@@ -24,8 +24,7 @@ from repro.core.partition import cut_plan
 from repro.core.plans import JobPlan, RunLengthJobs, Schedule
 from repro.core.scheduling import (
     flow_shop_completion_arrays,
-    flow_shop_makespan,
-    johnson_order,
+    johnson_makespan,
     schedule_jobs,
 )
 from repro.profiling.latency import CostTable
@@ -126,9 +125,7 @@ def brute_force(
     best_combo: tuple[int, ...] | None = None
     best_makespan = float("inf")
     for combo in combinations_with_replacement(candidates, n):
-        stages = [stage_of[p] for p in combo]
-        order = johnson_order(stages)
-        makespan = flow_shop_makespan([stages[i] for i in order])
+        makespan = johnson_makespan([stage_of[p] for p in combo])
         if makespan < best_makespan - 1e-15:
             best_makespan = makespan
             best_combo = combo

@@ -44,6 +44,7 @@ __all__ = [
     "johnson_order",
     "johnson_order_indices",
     "flow_shop_makespan",
+    "johnson_makespan",
     "flow_shop_completion_times",
     "flow_shop_completion_arrays",
     "proposition_4_1_makespan",
@@ -149,6 +150,12 @@ def flow_shop_makespan(stages: Sequence[Stage]) -> float:
     if f.size == 0:
         return 0.0
     return float(flow_shop_completion_arrays(f, g)[1][-1])
+
+
+def johnson_makespan(stages: Sequence[Stage]) -> float:
+    """Optimal makespan of a job set: Johnson's order, then the exact makespan."""
+    order = johnson_order(stages)
+    return flow_shop_makespan([stages[i] for i in order])
 
 
 def proposition_4_1_makespan(stages: Sequence[Stage]) -> float:

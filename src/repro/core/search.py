@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.joint import jps_line
 from repro.core.plans import Schedule
-from repro.core.scheduling import flow_shop_makespan, johnson_order
+from repro.core.scheduling import johnson_makespan
 from repro.profiling.latency import CostTable
 from repro.utils.rng import make_rng
 from repro.utils.validation import require_positive
@@ -29,8 +29,7 @@ def _evaluate(table: CostTable, counts: np.ndarray) -> float:
     for position, count in enumerate(counts):
         if count:
             stages.extend([table.stage_lengths(position)] * int(count))
-    order = johnson_order(stages)
-    return flow_shop_makespan([stages[i] for i in order])
+    return johnson_makespan(stages)
 
 
 def _counts_to_schedule(table: CostTable, counts: np.ndarray, makespan: float) -> Schedule:

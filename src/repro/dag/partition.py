@@ -62,6 +62,7 @@ __all__ = [
     "refine_closed_sets",
     "dag_pareto_cuts",
     "DagCutTable",
+    "cut_columns",
     "dag_cut_table",
     "unique_cut_labels",
     "dag_schedule_from_table",
@@ -274,9 +275,7 @@ def dag_pareto_cuts(
         mobile: sum(node_time(v) for v in mobile) for mobile in pool
     }
     cuts = [make_cut(dag, mobile) for mobile in pool]
-    surviving = prune_dominated(cuts, compute_of)
-    surviving.sort(key=lambda c: compute_of[c.mobile])
-    return surviving, {"mode": mode, "states": len(pool)}
+    return prune_dominated(cuts, compute_of), {"mode": mode, "states": len(pool)}
 
 
 # ----------------------------------------------------------------------
@@ -284,23 +283,22 @@ def dag_pareto_cuts(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class DagCutTable:
-    """A line-shaped cost table synthesized from true DAG cuts.
+    """A line-shaped cost table synthesized from Pareto-optimal graph cuts.
 
-    The same shape as :class:`repro.core.joint.FrontierTable` — position
-    ``i`` of ``table`` is backed by ``cuts[i]`` — so the binary search,
-    two-type split, and the engine's pricing kernels consume DAG plans
-    unchanged. ``mode`` records how the cut space was generated
-    (``"exact-closure"`` or ``"refined"``), ``states`` how many closed
-    sets were examined.
+    Position ``i`` of ``table`` is backed by ``cuts[i]``, so the binary
+    search, two-type split, and the engine's pricing kernels consume
+    cut-backed plans unchanged and a schedule built on the table can be
+    executed on the real graph. Frontier tables and true-DAG tables
+    share this record: for DAG tables ``mode`` records how the cut space
+    was generated (``"exact-closure"`` or ``"refined"``) and ``states``
+    how many closed sets were examined; frontier tables leave both
+    ``None``.
     """
 
     table: CostTable
     cuts: tuple[Cut, ...]
-    mode: str
-    states: int
-
-    def cut_at(self, position: int) -> Cut:
-        return self.cuts[position]
+    mode: str | None = None
+    states: int | None = None
 
 
 def unique_cut_labels(cuts: Sequence[Cut]) -> tuple[str, ...]:
@@ -314,6 +312,34 @@ def unique_cut_labels(cuts: Sequence[Cut]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def cut_columns(
+    dag: Dag,
+    cuts: Sequence[Cut],
+    node_time: NodeCost,
+    cloud_time: NodeCost | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bandwidth-independent ``(f, payload, cloud)`` columns of a cut list.
+
+    ``f`` sums the node mobile times over each ``cut.mobile``; the
+    payload is the cut's deduplicated crossing bytes, 0 for the
+    all-mobile cut (nothing leaves the device); ``cloud`` is the cloud
+    time of each cut's mobile part in running-max form — that time is
+    not exactly monotone across Pareto cuts, and the running max keeps
+    :class:`CostTable`'s invariant — and identically 0 when
+    ``cloud_time`` is None (the two-stage model). The engine's frontier
+    and DAG structures and :func:`dag_cut_table` all price through here.
+    """
+    f = np.array([sum(node_time(v) for v in cut.mobile) for cut in cuts])
+    payloads = np.array(
+        [0.0 if len(cut.mobile) == len(dag) else float(cut.transfer_bytes) for cut in cuts]
+    )
+    if cloud_time is None:
+        return f, payloads, np.zeros(len(cuts))
+    total = sum(cloud_time(v) for v in dag.node_ids)
+    rests = np.array([total - sum(cloud_time(v) for v in cut.mobile) for cut in cuts])
+    return f, payloads, np.maximum.accumulate(rests.max() - rests)
+
+
 def dag_cut_table(
     dag: Dag,
     node_time: NodeCost,
@@ -325,32 +351,19 @@ def dag_cut_table(
 ) -> DagCutTable:
     """Price the Pareto cut space of a DAG into a :class:`CostTable`.
 
-    ``f`` is the summed mobile time of each cut's node set, ``g`` the
-    upload time of its deduplicated crossing bytes (exactly 0 when
-    nothing crosses — the fully-local cut), ``cloud`` the usual
-    running-max rendition of the remaining cloud work (identically 0
-    when ``cloud_time`` is None, matching the 2-stage model).
+    The columns come from :func:`cut_columns`; ``g`` is the upload time
+    of each payload (exactly 0 when nothing crosses — the fully-local
+    cut).
     """
     cuts, info = dag_pareto_cuts(
         dag, node_time, max_states=max_states, extra_sets=extra_sets
     )
-    f = np.array([sum(node_time(v) for v in c.mobile) for c in cuts])
-    g = np.array(
-        [upload_time(c.transfer_bytes) if c.transfer_bytes > 0 else 0.0 for c in cuts]
-    )
-    if cloud_time is None:
-        cloud = np.zeros(len(cuts))
-    else:
-        total = sum(cloud_time(v) for v in dag.node_ids)
-        rests = np.array(
-            [total - sum(cloud_time(v) for v in c.mobile) for c in cuts]
-        )
-        cloud = np.maximum.accumulate(rests.max() - rests)
+    f, payloads, cloud = cut_columns(dag, cuts, node_time, cloud_time)
     table = CostTable(
         model_name=f"{name or dag.name}/dag",
         positions=unique_cut_labels(cuts),
         f=f,
-        g=g,
+        g=np.array([upload_time(b) if b > 0 else 0.0 for b in payloads]),
         cloud=cloud,
         graph=None,
     )
@@ -360,8 +373,13 @@ def dag_cut_table(
 # ----------------------------------------------------------------------
 # scheduling over a DAG cut table
 # ----------------------------------------------------------------------
-def _johnson_makespan(stages: list[tuple[float, float]], order: Sequence[int]) -> float:
-    """Makespan of a job set run in its Johnson ``order`` (scalar recurrence)."""
+def _recurrence_makespan(stages: list[tuple[float, float]], order: Sequence[int]) -> float:
+    """Makespan of a job set run in ``order``, by the scalar flow-shop recurrence.
+
+    Not :func:`repro.core.scheduling.johnson_makespan`: that one runs the
+    numpy closed form, whose sums can differ from this loop in the last
+    bit, and every DAG plan's makespan is pinned to this loop's floats.
+    """
     c1 = c2 = 0.0
     for i in order:
         f, g = stages[i]
@@ -392,7 +410,7 @@ def _exact_menu(
     for combo in combinations_with_replacement(range(table.k), n):
         stages = [stage_of[p] for p in combo]
         order = sorted(range(n), key=lambda i: rank[combo[i]])
-        makespan = _johnson_makespan(stages, order)
+        makespan = _recurrence_makespan(stages, order)
         if makespan < best - _IMPROVEMENT:
             best = makespan
             best_positions = tuple(combo[i] for i in order)
@@ -481,7 +499,7 @@ def dag_schedule_from_table(
         ]
         stages = [table.stage_lengths(p) for p in split_positions]
         order = johnson_order(stages)
-        makespan = _johnson_makespan(stages, order)
+        makespan = _recurrence_makespan(stages, order)
         positions = tuple(split_positions[i] for i in order)
         uniform_makespan, uniform_position = _uniform_floor(table, n)
         if uniform_makespan < makespan - _IMPROVEMENT:

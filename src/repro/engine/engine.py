@@ -29,10 +29,15 @@ A warm ``plan()`` therefore costs only the search: one
 stage matrix, and at most two prototype jobs (the run-length
 :class:`~repro.core.plans.RunLengthJobs` builds per-job plans only when
 read) — the cost the paper's Fig. 12(d) says the deployed scheduler
-pays per decision. The engine is the one planner behind the
-``repro.api`` facade, the serving stack and
-:class:`~repro.experiments.runner.ExperimentEnv` (every figure harness);
-the uncached :func:`repro.core.joint.jps` path is its reference.
+pays per decision. The engine is the one network planner: it serves
+the ``repro.api`` facade, the serving stack and
+:class:`~repro.experiments.runner.ExperimentEnv` (every figure harness).
+Nothing else plans a network, so its checks do not share its caches:
+the tests compare a warm engine with a fresh one, line plans with
+:func:`~repro.faults.oracle.jps_line_scalar` on an independently built
+:func:`~repro.profiling.latency.line_cost_table`, and plans with the
+brute-force oracles of :mod:`repro.faults.oracle` and
+:mod:`repro.dag.oracle`.
 """
 
 from __future__ import annotations
@@ -45,18 +50,13 @@ import numpy as np
 from typing import Sequence
 
 from repro.core.baselines import cloud_only, local_only, partition_only
-from repro.core.joint import (
-    FrontierTable,
-    SplitMode,
-    Structure,
-    attach_frontier_cuts,
-    jps_line,
-)
+from repro.core.joint import SplitMode, Structure, attach_frontier_cuts, jps_line
 from repro.core.plans import Schedule
 from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
 from repro.dag.graph import Dag
 from repro.dag.partition import (
     DagCutTable,
+    cut_columns,
     dag_pareto_cuts,
     dag_schedule_from_table,
     unique_cut_labels,
@@ -232,8 +232,8 @@ class PlanningEngine:
     :class:`Network`, a :class:`Channel` (or any duck-typed channel
     exposing ``uplink_time``; see :func:`repro.engine.keys.channel_fingerprint`
     for how such channels key the caches), and produces the same
-    :class:`Schedule` the uncached :func:`repro.core.joint.jps` path
-    would — the caches are exact, not approximate.
+    :class:`Schedule` warm or cold — the caches are exact, not
+    approximate.
 
     ``max_entries`` bounds each per-channel LRU; the bandwidth-
     independent structure caches are bounded by the same limit but in
@@ -262,7 +262,7 @@ class PlanningEngine:
         self._lines: LRUCache[_LineStructure] = LRUCache(self.max_entries)
         self._frontiers: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._tables: LRUCache[CostTable] = LRUCache(self.max_entries)
-        self._frontier_tables: LRUCache[FrontierTable] = LRUCache(self.max_entries)
+        self._frontier_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
         self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
         self._pricing: LRUCache[PricingKernel] = LRUCache(self.max_entries)
         self._dags: LRUCache[_CutStructure] = LRUCache(self.max_entries)
@@ -396,26 +396,16 @@ class PlanningEngine:
                     c.mobile: sum(mobile_time[v] for v in c.mobile) for c in candidates
                 }
                 cuts = prune_dominated(candidates, compute_of)
-                cuts.sort(key=lambda c: compute_of[c.mobile])
                 labels = tuple(c.label for c in cuts)
-            total_cloud = sum(cloud_time.values())
-            rests = np.array(
-                [total_cloud - sum(cloud_time[v] for v in c.mobile) for c in cuts]
+            f, payloads, cloud = cut_columns(
+                graph, cuts, mobile_time.__getitem__, cloud_time.__getitem__
             )
             return _CutStructure(
                 cuts=tuple(cuts),
                 labels=labels,
-                f=np.array([sum(mobile_time[v] for v in c.mobile) for c in cuts]),
-                # the full cut keeps everything mobile: nothing crosses
-                payloads=np.array(
-                    [
-                        0.0 if len(c.mobile) == len(graph) else float(c.transfer_bytes)
-                        for c in cuts
-                    ]
-                ),
-                # the cloud time of the mobile part is not exactly monotone
-                # across Pareto cuts; the running max keeps CostTable's invariant
-                cloud=np.maximum.accumulate(rests.max() - rests),
+                f=f,
+                payloads=payloads,
+                cloud=cloud,
                 mode=info.get("mode"),
                 states=info.get("states"),
             )
@@ -465,13 +455,14 @@ class PlanningEngine:
         channel: Channel,
         predictor: LayerPredictor | None = None,
         predictor_key=None,
-    ) -> FrontierTable:
+    ) -> DagCutTable:
         """The Pareto-frontier table, priced through ``channel``.
 
-        Identical to :func:`repro.core.joint.frontier_table` output —
-        same cuts in the same order, same (f, g, cloud) — but the cut
-        enumeration and dominance pruning are paid once per
-        (network, devices, predictor) rather than per call.
+        The exact series-parallel cut space, pruned to its (compute,
+        transfer bytes) Pareto set in increasing-``f`` order and priced
+        by :func:`repro.dag.partition.cut_columns`. The enumeration and
+        dominance pruning are paid once per (network, devices,
+        predictor), not per channel. ``mode`` and ``states`` are None.
         """
         return self._cut_table("frontier", model, channel, predictor, predictor_key)
 
@@ -484,7 +475,7 @@ class PlanningEngine:
     ) -> DagCutTable:
         """The true-DAG Pareto cut table, priced through ``channel``.
 
-        Same pricing as :func:`repro.dag.partition.dag_cut_table` over
+        Same columns as :func:`repro.dag.partition.dag_cut_table` over
         the memoized cut space: shared crossing tensors counted once per
         tail, full cut uploads nothing, cloud column in running-max
         form. See ``docs/dag.md``.
@@ -498,7 +489,7 @@ class PlanningEngine:
         channel: Channel,
         predictor: LayerPredictor | None,
         predictor_key,
-    ) -> FrontierTable | DagCutTable:
+    ) -> DagCutTable:
         network = self.resolve(model)
         key = (
             (f"table-{kind}",)
@@ -506,7 +497,7 @@ class PlanningEngine:
             + (channel_fingerprint(channel),)
         )
 
-        def build() -> FrontierTable | DagCutTable:
+        def build() -> DagCutTable:
             structure = self._cut_structure(kind, network, predictor, predictor_key)
             table = CostTable(
                 model_name=f"{network.name}/{kind}",
@@ -518,14 +509,12 @@ class PlanningEngine:
                 cloud=structure.cloud.copy(),
                 graph=None,
             )
-            if kind == "dag":
-                return DagCutTable(
-                    table=table,
-                    cuts=structure.cuts,
-                    mode=structure.mode,
-                    states=structure.states,
-                )
-            return FrontierTable(table=table, cuts=structure.cuts)
+            return DagCutTable(
+                table=table,
+                cuts=structure.cuts,
+                mode=structure.mode,
+                states=structure.states,
+            )
 
         cache = self._dag_tables if kind == "dag" else self._frontier_tables
         return cache.get_or_build(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.core.partition import binary_search_cut
 from repro.core.plans import JobPlan, Schedule
-from repro.core.scheduling import flow_shop_makespan, johnson_order
+from repro.core.scheduling import flow_shop_makespan, johnson_makespan, johnson_order
 from repro.profiling.latency import CostTable
 
 __all__ = ["refine_end_jobs"]
@@ -44,11 +44,6 @@ def _plan_at(table: CostTable, job_id: int, position: int) -> JobPlan:
             table.mobile_nodes_at(position) if table.graph is not None else None
         ),
     )
-
-
-def _johnson_makespan(stages: list[tuple[float, float]]) -> float:
-    order = johnson_order(stages)
-    return flow_shop_makespan([stages[i] for i in order])
 
 
 def refine_end_jobs(table: CostTable, schedule: Schedule) -> Schedule:
@@ -80,7 +75,7 @@ def refine_end_jobs(table: CostTable, schedule: Schedule) -> Schedule:
                     + [stage_of[pair[1]]] * (interior - n_a)
                     + [stage_of[p_t]]
                 )
-                makespan = _johnson_makespan(stages)
+                makespan = johnson_makespan(stages)
                 if makespan < best_makespan - 1e-15:
                     best_makespan = makespan
                     best_config = (p_h, p_t, n_a)

@@ -1,9 +1,8 @@
 """Metrics: counters, gauges, and streaming quantile histograms.
 
-Promoted from ``repro.serving.metrics`` (which remains as a
-backward-compatible shim) so every layer — the planning engine, the
-simulator, the serving gateway, the experiment harnesses — shares one
-metric substrate and one snapshot/exposition path.
+Every layer — the planning engine, the simulator, the serving gateway,
+the experiment harnesses — shares this one metric substrate and one
+snapshot/exposition path.
 
 The gateway runs for simulated hours and millions of requests, so the
 latency distribution cannot be kept as raw samples. A

@@ -11,7 +11,6 @@ from repro.profiling.energy import (
 )
 from repro.profiling.latency import (
     CostTable,
-    cut_costs,
     line_cost_table,
     node_mobile_time,
     path_cost_table,
@@ -42,7 +41,6 @@ __all__ = [
     "LookupTable",
     "ProfileRecord",
     "build_lookup_table",
-    "cut_costs",
     "gtx1080_server",
     "line_cost_table",
     "measure_communication",

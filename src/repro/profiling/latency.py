@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.dag.cuts import Cut
 from repro.dag.graph import Dag
 from repro.dag.transform import VirtualBlock, linearize
 from repro.net.channel import Channel
@@ -41,7 +40,6 @@ __all__ = [
     "node_mobile_time",
     "line_cost_table",
     "path_cost_table",
-    "cut_costs",
     "smooth_cost_table",
 ]
 
@@ -252,37 +250,6 @@ def path_cost_table(
         cloud=np.cumsum(cloud_steps),
         graph=None,
     )
-
-
-def cut_costs(
-    network: Network,
-    cuts: list[Cut],
-    mobile: DeviceModel,
-    cloud: DeviceModel,
-    channel: Channel,
-    predictor: LayerPredictor | None = None,
-) -> dict[frozenset[str], tuple[float, float, float]]:
-    """(f, g, cloud_rest) for arbitrary DAG cuts.
-
-    Per-node times are computed once and summed per cut, so evaluating
-    the thousands of frontier cuts of GoogLeNet stays O(cuts · |V|).
-    """
-    graph = network.graph
-    mobile_time = {
-        v: node_mobile_time(graph.payload(v), mobile, predictor) for v in graph.node_ids
-    }
-    cloud_time = {v: node_mobile_time(graph.payload(v), cloud) for v in graph.node_ids}
-    total_cloud = sum(cloud_time.values())
-    result: dict[frozenset[str], tuple[float, float, float]] = {}
-    for cut in cuts:
-        f = sum(mobile_time[v] for v in cut.mobile)
-        g = channel.uplink_time(cut.transfer_bytes) if cut.transfer_bytes else 0.0
-        # a cut containing every node is fully local: nothing crosses the net
-        if len(cut.mobile) == len(graph):
-            g = 0.0
-        rest = total_cloud - sum(cloud_time[v] for v in cut.mobile)
-        result[cut.mobile] = (f, g, rest)
-    return result
 
 
 def smooth_cost_table(table: CostTable, keep_endpoints: bool = True) -> CostTable:

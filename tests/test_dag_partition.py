@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.joint import Structure, jps
+from repro.core.joint import Structure
+from repro.dag.cuts import Cut, make_cut
 from repro.dag.graph import Dag
 from repro.dag.partition import (
+    cut_columns,
     dag_cut_table,
     dag_pareto_cuts,
     dag_schedule_from_table,
@@ -122,6 +124,30 @@ def test_unique_cut_labels_disambiguate():
     assert labels == ("x", "y", "x#2")
 
 
+def test_cut_columns_keep_the_all_mobile_cut_local_and_cloud_monotone():
+    """The two column rules no zoo table exercises: a cut record holding
+    every node uploads nothing even if it carries bytes, and a cut list
+    whose mobile-side cloud time dips still gets a non-decreasing cloud
+    column (the running max)."""
+    dag = diamond()
+    cloud_time = {"a": 0.0, "b": 5.0, "c": 1.0, "d": 1.0}
+    cuts = [
+        make_cut(dag, "a"),
+        make_cut(dag, "ab"),
+        make_cut(dag, "ac"),
+        Cut(mobile=frozenset("abcd"), frontier=("d",), transfer_bytes=64.0),
+    ]
+    f, payloads, cloud = cut_columns(
+        dag, cuts, DIAMOND_TIMES.__getitem__, cloud_time.__getitem__
+    )
+    assert f.tolist() == [1.0, 5.0, 5.0, 13.0]
+    assert payloads.tolist() == [100.0, 110.0, 110.0, 0.0]
+    # cloud time spent on the mobile side: 0, 5, 1, 7
+    assert cloud.tolist() == [0.0, 5.0, 5.0, 7.0]
+    _, _, two_stage = cut_columns(dag, cuts, DIAMOND_TIMES.__getitem__)
+    assert two_stage.tolist() == [0.0] * 4
+
+
 # ----------------------------------------------------------------------
 # scheduling modes
 # ----------------------------------------------------------------------
@@ -196,7 +222,7 @@ def test_partition_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# engine + jps() wiring
+# engine wiring
 # ----------------------------------------------------------------------
 
 
@@ -264,17 +290,19 @@ def test_engine_clear_resets_dag_caches():
 def test_jps_auto_dispatches_non_sp_to_dag(mobile, cloud):
     network = non_sp_network()
     channel = make_channel(10.0)
-    auto = jps(network, mobile, cloud, channel, 8)
-    forced = jps(network, mobile, cloud, channel, 8, structure="dag")
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
+    auto = engine.plan(network, 8, channel)
+    forced = engine.plan(network, 8, channel, structure="dag")
     assert auto.method == "JPS-dag"
     assert auto.to_dict() == forced.to_dict()
-    engine = PlanningEngine(mobile=mobile, cloud=cloud)
-    assert engine.plan(network, 8, channel).makespan == auto.makespan
+    fresh = PlanningEngine(mobile=mobile, cloud=cloud)
+    assert fresh.plan(network, 8, channel).makespan == auto.makespan
 
 
 def test_jps_auto_keeps_zoo_models_on_their_structures(
     mobile, cloud, alexnet, googlenet
 ):
     channel = make_channel(10.0)
-    assert jps(alexnet, mobile, cloud, channel, 4).method == "JPS"
-    assert jps(googlenet, mobile, cloud, channel, 4).method == "JPS-frontier"
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
+    assert engine.plan(alexnet, 4, channel).method == "JPS"
+    assert engine.plan(googlenet, 4, channel).method == "JPS-frontier"

@@ -23,7 +23,7 @@ def test_design_module_references_import():
     text = _read("DESIGN.md")
     for dotted in sorted(set(re.findall(r"`(repro\.[a-z_.]+)`", text))):
         candidate = dotted
-        # references may point at module members (repro.core.joint.jps_frontier)
+        # references may point at module members (repro.core.joint.jps_line)
         while candidate:
             try:
                 importlib.import_module(candidate)

@@ -1,18 +1,22 @@
 """PlanningEngine: memoized caches are exact, keyed, bounded, observable."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.api import list_models
+from repro.api import default_engine, list_models
 from repro.core.baselines import single_job_optimal_cut
-from repro.core.joint import jps
+from repro.core.joint import Structure
 from repro.engine import LRUCache, PlanningEngine, PricingKernel
 from repro.engine.keys import channel_fingerprint, identity_token, network_fingerprint
 from repro.experiments.runner import ExperimentEnv
+from repro.faults.oracle import jps_line_scalar
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
 from repro.nn.zoo import get_model, line_dnn
 from repro.profiling.device import raspberry_pi_4
+from repro.profiling.latency import line_cost_table, node_mobile_time
 from repro.profiling.lookup import LookupTable, build_lookup_table
 from repro.profiling.regression import CommLatencyModel
 from repro.runtime.scheduler_runtime import OnDeviceScheduler
@@ -104,19 +108,81 @@ def test_clear_resets_entries_not_counters(engine):
 
 
 # ----------------------------------------------------------------------
-# exactness against the uncached path
+# exactness: a warm engine plans what a fresh one plans
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["alexnet", "mobilenet-v2", "googlenet"])
 def test_engine_matches_core_jps(engine, name):
     channel = make_channel(8.0)
     network = get_model(name)
-    direct = jps(network, engine.mobile, engine.cloud, channel, n=20)
+    engine.plan(network, 7, make_channel(3.0))  # warm the structure caches
+    direct = PlanningEngine(mobile=engine.mobile, cloud=engine.cloud).plan(
+        network, 20, channel
+    )
     cached = engine.plan(network, 20, channel)
     assert cached.makespan == pytest.approx(direct.makespan, rel=1e-12)
     assert [p.cut_position for p in cached.jobs] == [
         p.cut_position for p in direct.jobs
     ]
+
+
+def test_line_plans_match_the_scalar_reference_on_an_independent_table(mobile, cloud):
+    """Every LINE zoo model: the engine's plan is, byte for byte, the
+    scalar JPS composition run on a table built outside the engine."""
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
+    line_models = [
+        name for name in list_models() if engine.structure_of(name) is Structure.LINE
+    ]
+    assert len(line_models) >= 10
+    for name in line_models:
+        network = engine.resolve(name)
+        for uplink in (1.0, 5.85, 100.0):
+            channel = make_channel(uplink)
+            table = line_cost_table(network, mobile, cloud, channel)
+            for n in (1, 4, 100):
+                planned = json.dumps(host_free(engine.plan(network, n, channel)))
+                reference = json.dumps(host_free(jps_line_scalar(table, n)))
+                assert planned == reference, (name, uplink, n)
+
+
+@pytest.mark.parametrize(
+    "name, structure",
+    [
+        ("googlenet", Structure.FRONTIER),
+        ("mini-inception", Structure.FRONTIER),
+        ("multitask-perception", Structure.FRONTIER),
+        ("inception-v4", Structure.DAG),
+    ],
+)
+def test_cut_table_rows_are_their_cuts_priced_again(name, structure):
+    """Each row of a frontier or DAG cost table is its cut, priced here:
+    f sums the node mobile times over the cut, g uploads its crossing
+    bytes (nothing for the all-mobile cut), and cloud is the running max
+    of the cloud time spent on the mobile side."""
+    engine = default_engine()
+    channel = make_channel(5.85)
+    assert engine.structure_of(name) is structure
+    table = engine.cost_table(name, channel)
+    by_kind = {Structure.FRONTIER: engine.frontier_table, Structure.DAG: engine.dag_table}
+    cuts = by_kind[structure](name, channel).cuts
+    assert len(cuts) == table.k
+    graph = engine.resolve(name).graph
+    mobile_time = {v: node_mobile_time(graph.payload(v), engine.mobile) for v in graph.node_ids}
+    cloud_time = {v: node_mobile_time(graph.payload(v), engine.cloud) for v in graph.node_ids}
+    total_cloud = sum(cloud_time.values())
+    rests = [total_cloud - sum(cloud_time[v] for v in cut.mobile) for cut in cuts]
+    running = 0.0
+    for i, cut in enumerate(cuts):
+        all_mobile = len(cut.mobile) == len(graph)
+        running = max(running, max(rests) - rests[i])
+        assert table.f[i] == sum(mobile_time[v] for v in cut.mobile), (name, i)
+        assert table.g[i] == (
+            0.0 if all_mobile else channel.uplink_time(cut.transfer_bytes)
+        ), (name, i)
+        assert table.cloud[i] == running, (name, i)
+    assert np.all(np.diff(table.f) >= 0)
+    sizes = [cut.transfer_bytes for cut in cuts]
+    assert all(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize("scheme", ["LO", "CO", "PO", "JPS"])

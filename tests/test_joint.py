@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import brute_force, cloud_only, local_only, partition_only
-from repro.core.joint import frontier_table, jps, jps_frontier, jps_line
+from repro.core.joint import jps_line
 from repro.core.partition import binary_search_cut
+from repro.engine import PlanningEngine
 from repro.profiling.latency import line_cost_table, smooth_cost_table
+
+
+@pytest.fixture(scope="module")
+def engine(mobile, cloud):
+    return PlanningEngine(mobile=mobile, cloud=cloud)
 
 
 def test_jps_line_metadata(alexnet_table):
@@ -57,8 +63,8 @@ def test_jps_gap_to_brute_force_bounded_on_raw_table(alexnet_table):
         assert j.makespan <= bf.makespan * 1.25
 
 
-def test_frontier_table_is_line_shaped(googlenet, mobile, cloud, channel_10mbps):
-    frontier = frontier_table(googlenet, mobile, cloud, channel_10mbps)
+def test_frontier_table_is_line_shaped(engine, googlenet, channel_10mbps):
+    frontier = engine.frontier_table(googlenet, channel_10mbps)
     table = frontier.table
     assert np.all(np.diff(table.f) >= 0)
     assert table.is_g_non_increasing()
@@ -70,8 +76,8 @@ def test_frontier_table_is_line_shaped(googlenet, mobile, cloud, channel_10mbps)
     assert all(b < a for a, b in zip(table.g[:-1], table.g[1:]))
 
 
-def test_jps_frontier_attaches_mobile_sets(googlenet, mobile, cloud, channel_10mbps):
-    schedule = jps_frontier(googlenet, mobile, cloud, channel_10mbps, 10)
+def test_frontier_plan_attaches_mobile_sets(engine, googlenet, channel_10mbps):
+    schedule = engine.plan(googlenet, 10, channel_10mbps, structure="frontier")
     assert schedule.method == "JPS-frontier"
     assert all(p.mobile_nodes is not None for p in schedule.jobs)
     from repro.dag.cuts import is_downward_closed
@@ -80,23 +86,25 @@ def test_jps_frontier_attaches_mobile_sets(googlenet, mobile, cloud, channel_10m
         assert is_downward_closed(googlenet.graph, plan.mobile_nodes)
 
 
-def test_jps_dispatch_auto(alexnet, googlenet, mobile, cloud, channel_10mbps):
-    line = jps(alexnet, mobile, cloud, channel_10mbps, 5)
+def test_jps_dispatch_auto(engine, alexnet, googlenet, channel_10mbps):
+    line = engine.plan(alexnet, 5, channel_10mbps)
     assert line.method == "JPS"
-    general = jps(googlenet, mobile, cloud, channel_10mbps, 5)
+    general = engine.plan(googlenet, 5, channel_10mbps)
     assert general.method == "JPS-frontier"
     with pytest.raises(ValueError, match="structure"):
-        jps(alexnet, mobile, cloud, channel_10mbps, 5, structure="nope")
+        engine.plan(alexnet, 5, channel_10mbps, structure="nope")
 
 
-def test_jps_dispatch_paths(mini_inception, mobile, cloud, channel_10mbps):
-    schedule = jps(mini_inception, mobile, cloud, channel_10mbps, 4, structure="paths")
+def test_jps_dispatch_paths(engine, mini_inception, channel_10mbps):
+    schedule = engine.plan(mini_inception, 4, channel_10mbps, structure="paths")
     assert schedule.method == "JPS-paths"
 
 
-def test_frontier_beats_linearized_on_general_dag(googlenet, mobile, cloud, channel_10mbps):
+def test_frontier_beats_linearized_on_general_dag(
+    engine, googlenet, mobile, cloud, channel_10mbps
+):
     """Keeping intra-module cuts must not hurt (and usually helps)."""
     table = line_cost_table(googlenet, mobile, cloud, channel_10mbps)
     linearized = jps_line(table, 20)
-    frontier = jps_frontier(googlenet, mobile, cloud, channel_10mbps, 20)
+    frontier = engine.plan(googlenet, 20, channel_10mbps, structure="frontier")
     assert frontier.makespan <= linearized.makespan + 1e-9

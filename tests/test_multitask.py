@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.joint import jps
 from repro.dag.cuts import enumerate_frontier_cuts, is_downward_closed
 from repro.dag.topology import separators
+from repro.engine import PlanningEngine
 from repro.nn.layers import OutputCollector, ShapeError
 from repro.nn.zoo import multitask_perception
 
@@ -72,7 +72,7 @@ def test_finishing_one_head_locally_is_free(net):
 
 
 def test_jps_on_multitask(net, mobile, cloud, channel_10mbps):
-    schedule = jps(net, mobile, cloud, channel_10mbps, 10)
+    schedule = PlanningEngine(mobile=mobile, cloud=cloud).plan(net, 10, channel_10mbps)
     assert schedule.method == "JPS-frontier"
     assert schedule.makespan > 0
     from repro.core.baselines import local_only

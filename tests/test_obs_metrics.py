@@ -146,16 +146,3 @@ def test_unlabeled_snapshot_keeps_historical_wire_format():
     assert set(snapshot["histograms"]["latency"]) == {
         "count", "sum", "mean", "min", "max", "p50", "p95", "p99",
     }
-
-
-# ----------------------------------------------------------------------
-# the serving shim is gone: importing it fails loudly, pointing here
-# ----------------------------------------------------------------------
-
-
-def test_serving_metrics_shim_is_removed_with_a_loud_pointer():
-    import sys
-
-    sys.modules.pop("repro.serving.metrics", None)
-    with pytest.raises(ImportError, match="repro.obs.metrics"):
-        import repro.serving.metrics  # noqa: F401

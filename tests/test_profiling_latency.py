@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dag.cuts import enumerate_frontier_cuts
+from repro.engine import PlanningEngine
 from repro.profiling.latency import (
     CostTable,
-    cut_costs,
     line_cost_table,
     node_mobile_time,
     path_cost_table,
@@ -116,9 +115,14 @@ def test_path_cost_table(branchy, mobile, cloud, channel_10mbps):
     assert np.all(np.diff(table.f) >= 0)
 
 
-def test_cut_costs_full_graph_has_zero_comm(branchy, mobile, cloud, channel_10mbps):
-    cuts = enumerate_frontier_cuts(branchy.graph)
-    costs = cut_costs(branchy, cuts, mobile, cloud, channel_10mbps)
+def test_cut_table_full_graph_has_zero_comm(branchy, mobile, cloud, channel_10mbps):
+    engine = PlanningEngine(mobile=mobile, cloud=cloud)
+    frontier = engine.frontier_table(branchy, channel_10mbps)
+    table = frontier.table
+    costs = {
+        cut.mobile: (table.f[i], table.g[i], table.cloud_rest(i))
+        for i, cut in enumerate(frontier.cuts)
+    }
     full = frozenset(branchy.graph.node_ids)
     f, g, rest = costs[full]
     assert g == 0.0 and f > 0
