@@ -12,18 +12,26 @@ and writes a machine-readable artifact at the repo root:
   ``PlanningEngine.plan_batch`` sweep, in cells per second;
 * **gateway_dispatch** — served + dropped events per second of wall
   time through the incremental heap-indexed ``Gateway._dispatch``, on a
-  one-server ``FleetGateway``.
+  one-server ``FleetGateway``;
+* **frontier_cuts** — GoogLeNet's cold Pareto frontier cut space built
+  by the reference (``prune_dominated`` over every
+  ``enumerate_frontier_cuts`` candidate) and by the batch builder
+  ``frontier_pareto_cuts``, in ms, with the candidate and survivor
+  counts.
 
-Every section asserts parity before timing (kernel inputs are drawn on
-a dyadic grid where the closed form is bit-exact). Run as a CLI::
+Every section checks parity before timing (kernel inputs are drawn on
+a dyadic grid where the closed form is bit-exact); ``frontier_cuts``
+records it as ``identical`` (cuts, labels and each mobile set's
+iteration order), which ``--check`` requires. Run as a CLI::
 
     python benchmarks/bench_kernels.py [--quick] [--check] [--out PATH]
 
 ``--quick`` trims repeats and workload sizes for CI smoke (kernel n
 stays 10k — the regression gate is defined there); ``--check`` exits
-non-zero when a speedup floor is missed: each kernel, and both
-``plan_batch`` and per-call ``plan()``, must beat their scalar
-reference by ``5x``.
+non-zero when a speedup floor is missed — each kernel, both
+``plan_batch`` and per-call ``plan()``, and the batch frontier builder
+must beat their reference by ``5x`` — or when the two frontier cut
+lists differ.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from repro.core.scheduling import (
     johnson_order,
     johnson_order_indices,
 )
+from repro.dag.cuts import enumerate_frontier_cuts, frontier_pareto_cuts, prune_dominated
 from repro.engine import PlanningEngine
 from repro.faults.oracle import (
     flow_shop_completion_times_scalar,
@@ -51,6 +60,9 @@ from repro.faults.oracle import (
 from repro.fleet import FleetGateway, ServerSpec, SystemConfig, WorkloadConfig
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
+from repro.nn.zoo import get_model
+from repro.profiling.device import raspberry_pi_4
+from repro.profiling.latency import node_mobile_time
 from repro.serving.workload import ClientSpec, generate_requests
 from repro.utils.units import mbps
 
@@ -62,6 +74,8 @@ MIN_KERNEL_SPEEDUP = 5.0
 #: Floor for the batched sweep and for the warm per-call loop, each over
 #: the scalar reference planner on the same cells.
 MIN_PLAN_BATCH_SPEEDUP = 5.0
+#: Floor for the batch frontier builder over the per-candidate reference.
+MIN_FRONTIER_SPEEDUP = 5.0
 
 KERNEL_JOBS = 10_000
 PLAN_BANDWIDTHS = 64
@@ -214,6 +228,44 @@ def bench_gateway_dispatch(clients: int, horizon: float) -> dict:
     }
 
 
+def bench_frontier_cuts(repeats: int, model: str = "googlenet") -> dict:
+    """The cold Pareto frontier cut space, per candidate and in batch.
+
+    The reference builds and validates a ``Cut`` per candidate and sums
+    its compute over the mobile set; the batch builder prices each
+    block's candidates as boolean rows and builds ``Cut`` objects only
+    for the survivors of a rounding-safe dominance check. Node times are
+    the engine's mobile-device times.
+    """
+    dag = get_model(model).graph
+    device = raspberry_pi_4()
+    times = {v: node_mobile_time(dag.payload(v), device) for v in dag.node_ids}
+
+    def reference() -> list:
+        cuts = enumerate_frontier_cuts(dag)
+        compute = {c.mobile: sum(times[v] for v in c.mobile) for c in cuts}
+        return prune_dominated(cuts, compute)
+
+    def batched() -> list:
+        return frontier_pareto_cuts(dag, times.__getitem__)
+
+    expected, ours = reference(), batched()
+    identical = ours == expected and [(c.label, list(c.mobile)) for c in ours] == [
+        (c.label, list(c.mobile)) for c in expected
+    ]
+    reference_s = best_of(reference, repeats)
+    batched_s = best_of(batched, repeats)
+    return {
+        "model": model,
+        "candidates": len(enumerate_frontier_cuts(dag)),
+        "survivors": len(expected),
+        "identical": identical,
+        "reference_ms": reference_s * 1e3,
+        "batched_ms": batched_s * 1e3,
+        "speedup": reference_s / batched_s,
+    }
+
+
 def run(quick: bool) -> dict:
     repeats = 3 if quick else 7
     document = {
@@ -222,12 +274,14 @@ def run(quick: bool) -> dict:
         "thresholds": {
             "kernel_speedup_min": MIN_KERNEL_SPEEDUP,
             "plan_batch_speedup_min": MIN_PLAN_BATCH_SPEEDUP,
+            "frontier_speedup_min": MIN_FRONTIER_SPEEDUP,
         },
         "kernels": bench_kernels(repeats),
         "plan_batch": bench_plan_batch(1 if quick else 3),
         "gateway_dispatch": bench_gateway_dispatch(
             clients=8 if quick else 32, horizon=20.0 if quick else 60.0
         ),
+        "frontier_cuts": bench_frontier_cuts(repeats),
     }
     return document
 
@@ -273,6 +327,17 @@ def main(argv: list[str] | None = None) -> int:
         f"gateway dispatch: {gd['events_per_s']:,.0f} events/s "
         f"({gd['served']} served, {gd['expired']} expired of {gd['requests']})"
     )
+    fc = document["frontier_cuts"]
+    print(
+        f"{fc['model']} frontier cuts: {fc['candidates']} candidates, "
+        f"{fc['survivors']} survivors; reference {fc['reference_ms']:.1f} ms, "
+        f"batch {fc['batched_ms']:.1f} ms ({fc['speedup']:.1f}x), "
+        f"identical: {fc['identical']}"
+    )
+    if not fc["identical"]:
+        failures.append("the batch frontier cuts differ from the reference")
+    if fc["speedup"] < MIN_FRONTIER_SPEEDUP:
+        failures.append(f"frontier cut speedup {fc['speedup']:.2f}x < {MIN_FRONTIER_SPEEDUP}x")
     print(f"[artifact: {args.out}]")
 
     if args.check and failures:

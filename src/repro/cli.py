@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.cloud import BATCHING_POLICIES
@@ -88,6 +89,17 @@ from repro.sim.trace import render_gantt
 __all__ = ["main", "build_parser"]
 
 
+def _mbps(text: str) -> float:
+    """An uplink rate option: a finite number of Mbps above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite rate > 0 Mbps, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -102,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print a model's cost table")
     p.add_argument("model", choices=sorted(MODELS))
-    p.add_argument("--mbps", type=float, default=5.85, help="uplink rate (Mbps)")
+    p.add_argument("--mbps", type=_mbps, default=5.85, help="uplink rate (Mbps)")
 
     p = sub.add_parser("plan", help="plan a job set with one scheme")
     p.add_argument("model", choices=sorted(MODELS))
     p.add_argument("-n", "--jobs", type=int, default=100)
-    p.add_argument("--mbps", type=float, default=5.85)
+    p.add_argument("--mbps", type=_mbps, default=5.85)
     p.add_argument("--scheme", choices=SCHEMES + ["JPS-ratio"], default="JPS")
     p.add_argument(
         "--structure",
@@ -127,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="all schemes side by side")
     p.add_argument("model", choices=sorted(MODELS))
     p.add_argument("-n", "--jobs", type=int, default=100)
-    p.add_argument("--mbps", type=float, default=5.85)
+    p.add_argument("--mbps", type=_mbps, default=5.85)
     p.add_argument("--json", action="store_true", help="emit all schedules as JSON")
 
     p = sub.add_parser("serve", help="run the multi-client offload gateway")
@@ -135,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=2.0, help="per-client req/s")
     p.add_argument("--horizon", type=float, default=60.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
-    p.add_argument("--mbps", type=float, default=8.0, help="initial uplink rate")
+    p.add_argument("--mbps", type=_mbps, default=8.0, help="initial uplink rate")
     p.add_argument(
-        "--drop-mbps", type=float, default=4.0,
+        "--drop-mbps", type=_mbps, default=4.0,
         help="uplink rate after the mid-run drop (== --mbps for a flat trace)",
     )
     p.add_argument(
@@ -179,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=3.0, help="per-client req/s")
     p.add_argument("--horizon", type=float, default=12.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
-    p.add_argument("--mbps", type=float, default=8.0, help="per-server uplink rate")
+    p.add_argument("--mbps", type=_mbps, default=8.0, help="per-server uplink rate")
     p.add_argument(
         "--deadline", type=float, default=1.0,
         help="per-request relative deadline (s); <= 0 disables deadlines",
@@ -242,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="Graphviz DOT of a model, JPS cut highlighted")
     p.add_argument("model", choices=sorted(MODELS))
-    p.add_argument("--mbps", type=float, default=5.85)
+    p.add_argument("--mbps", type=_mbps, default=5.85)
 
     p = sub.add_parser("energy", help="energy-latency frontier of a model")
     p.add_argument("model", choices=sorted(MODELS))
-    p.add_argument("--mbps", type=float, default=5.85)
+    p.add_argument("--mbps", type=_mbps, default=5.85)
     p.add_argument("--radio", choices=["wifi", "cellular"], default="wifi")
 
     p = sub.add_parser(

@@ -51,9 +51,12 @@ def binary_search_cut(table: CostTable) -> int:
     """Alg. 2: leftmost position with ``f >= g`` via binary search.
 
     Requires ``g`` non-increasing (run virtual-block clustering first);
-    ``f`` is non-decreasing by construction. The result always exists
-    because the final position has ``g = 0``: a network that never
-    crosses earlier is simply best run fully locally.
+    ``f`` is non-decreasing by construction. A full table crosses at the
+    latest at its final position, whose ``g`` is 0: a network that never
+    crosses earlier is simply best run fully locally. A table without
+    that endpoint may not cross at all (a memory budget drops it, see
+    :func:`repro.extensions.memory.restrict_table`); the result is then
+    the final position, the one with the smallest ``g``.
     """
     if not table.is_g_non_increasing():
         raise ValueError(
@@ -77,8 +80,8 @@ def searchsorted_cut(table: CostTable) -> int:
     non-increasing, ``h`` is non-decreasing and the leftmost position
     with ``f >= g`` is the leftmost with ``h >= 0``. Float subtraction
     is sign-exact (``sign(fl(f - g)) == sign(f - g)``), so the crossing
-    index matches :func:`binary_search_cut` exactly; the last position
-    has ``g = 0`` hence ``h >= 0``, so a crossing always exists.
+    index matches :func:`binary_search_cut` exactly, including its
+    answer for a table that never crosses: the final position.
     """
     if not table.is_g_non_increasing():
         raise ValueError(
@@ -152,12 +155,18 @@ def split_by_paper_ratio(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     take ``n_a = round(n * rho / (rho + 1))``. A crossing at position 0
     (``f(0) >= g(0)``, e.g. extremely fast networks) or an exact tie
     ``f(l*) == g(l*)`` puts every job on a single layer, matching the
-    Theorem 5.2 regime.
+    Theorem 5.2 regime. So does a table that never crosses
+    (``f(l*) < g(l*)`` at its final position ``l*``): there ``g``
+    bounds every stage and ``l*`` has the smallest.
     """
     require_positive(n, "n")
-    if l_star == 0 or np.isclose(table.f[l_star], table.g[l_star]):
-        # exact crossing (Theorem 5.2 regime) or crossing at the first
-        # position: a single cut layer serves every job
+    if (
+        l_star == 0
+        or np.isclose(table.f[l_star], table.g[l_star])
+        or table.f[l_star] < table.g[l_star]
+    ):
+        # exact crossing (Theorem 5.2 regime), crossing at the first
+        # position or no crossing: a single cut layer serves every job
         makespan = flow_shop_makespan([table.stage_lengths(l_star)] * n)
         return TwoTypeSplit(
             position_a=l_star, position_b=l_star, n_a=0, n_b=n, makespan=makespan

@@ -26,10 +26,10 @@ evaluated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -42,12 +42,17 @@ __all__ = [
     "cut_edge_tails",
     "cut_transfer_bytes",
     "enumerate_frontier_cuts",
+    "frontier_pareto_cuts",
     "prune_dominated",
 ]
 
 #: Rows per numpy pass of the block batch pricer (:func:`_block_cut_bytes`);
 #: bounds its boolean matrices to a few MB however wide the block.
 _BATCH_ROWS = 4096
+
+#: Distinct frontier cuts past which enumeration gives up: a guard against
+#: graphs that are not actually series-parallel.
+_MAX_FRONTIER_CUTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -140,84 +145,126 @@ def _closure_up_to(dag: Dag, node: str) -> frozenset[str]:
     return frozenset(dag.ancestors(node) | {node})
 
 
+def _combo_set(base: frozenset[str], block: ParallelBlock, combo) -> frozenset[str]:
+    """The mobile set of one branch-position ``combo`` of ``block``.
+
+    Position ``p`` on a branch keeps its first ``p`` interior nodes on
+    the mobile side. The set is built by the same operations whoever
+    asks, so its iteration order (and every float summed over it) is
+    the same for the enumeration and the batch builder.
+    """
+    mobile = set(base)
+    for branch, position in zip(block.branches, combo):
+        mobile.update(branch[: int(position)])
+    return frozenset(mobile)
+
+
 def _block_cut_sets(
     dag: Dag, block: ParallelBlock, base: frozenset[str]
 ) -> Iterator[frozenset[str]]:
     """All cuts threading through ``block``: one position per branch.
 
-    Position ``p`` on a branch keeps its first ``p`` interior nodes on the
-    mobile side. The all-zero combination duplicates "cut after entry"
-    and is skipped (the caller already emitted it). Sets are yielded
-    lazily, in :func:`itertools.product` order, so a caller's cap fires
-    before a wide block is materialized.
+    The all-zero combination duplicates "cut after entry" and is skipped
+    (the caller already emitted it). Sets are yielded lazily, in
+    :func:`itertools.product` order, so a caller's cap fires before a
+    wide block is materialized.
     """
     ranges = [range(len(branch) + 1) for branch in block.branches]
     for combo in product(*ranges):
         if all(p == 0 for p in combo):
             continue
-        mobile = set(base)
-        for branch, position in zip(block.branches, combo):
-            mobile.update(branch[:position])
-        yield frozenset(mobile)
+        yield _combo_set(base, block, combo)
+
+
+class _BlockRows:
+    """Every cut of one parallel block as a boolean row over the nodes that matter.
+
+    Row ``i`` is ``base`` OR one prefix mask per branch, the branch
+    positions being ``np.unravel_index(i, sizes)`` — :func:`itertools.product`
+    order, so row 0 is ``base`` itself and row ``i >= 1`` is the
+    ``i``-th :func:`_block_cut_sets` set. Columns cover ``base``, the
+    block's interior and every head of an edge that can cross; ``base``
+    nodes feeding only ``base`` are left out, being on the mobile side
+    in every row.
+    """
+
+    def __init__(self, dag: Dag, block: ParallelBlock, base: frozenset[str]) -> None:
+        succ, volumes = dag._succ, dag._volumes
+        reach = set(base).union(*block.branches)  # every node some row puts on mobile
+        ordered = sorted(reach, key=dag._topological_position().__getitem__)
+        # only edges out of a reachable tail into a node outside ``base`` can cross
+        edges = [(t, h) for t in ordered for h in succ[t] if h not in base]
+        column: dict[str, int] = {}
+        for t, h in edges:
+            column.setdefault(t, len(column))
+            column.setdefault(h, len(column))
+        self.column = column
+        self.tail_col = np.array([column[t] for t, _ in edges], dtype=np.intp)
+        self.head_col = np.array([column[h] for _, h in edges], dtype=np.intp)
+        self.edge_bytes = np.array([volumes[e] for e in edges], dtype=float)
+        self.starts = np.flatnonzero(np.diff(self.tail_col, prepend=-1))
+
+        self.base_row = np.zeros(len(column), dtype=bool)
+        self.base_row[[c for v, c in column.items() if v in base]] = True
+        self.prefixes = []
+        for branch in block.branches:
+            masks = np.zeros((len(branch) + 1, len(column)), dtype=bool)
+            for p, v in enumerate(branch):
+                masks[p + 1 :, column[v]] = True  # v's branch successor is never in base
+            self.prefixes.append(masks)
+        self.sizes = tuple(len(branch) + 1 for branch in block.branches)
+        self.count = prod(self.sizes)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start..stop-1`` as one boolean matrix."""
+        digits = np.unravel_index(np.arange(start, stop), self.sizes)
+        rows = self.base_row | self.prefixes[0][digits[0]]
+        for masks, position in zip(self.prefixes[1:], digits[1:]):
+            rows |= masks[position]
+        return rows
+
+    def transfer_bytes(self, rows: np.ndarray) -> np.ndarray:
+        """:func:`cut_transfer_bytes` of each row, bit for bit.
+
+        An edge crosses where ``row[tail] & ~row[head]``; each tail's
+        largest crossing volume comes from ``np.maximum.reduceat`` over
+        the edges grouped by tail in topological order (0.0 where none
+        crosses, which adds nothing), and the bytes from a sequential
+        ``np.cumsum`` from 0.0 — the scalar loop's summation order.
+        ``np.sum`` would add pairwise and could differ in the last bit.
+        """
+        crossing = rows[:, self.tail_col] & ~rows[:, self.head_col]
+        per_tail = np.zeros((len(rows), len(self.starts) + 1))
+        np.maximum.reduceat(
+            np.where(crossing, self.edge_bytes, 0.0), self.starts, axis=1, out=per_tail[:, 1:]
+        )
+        return np.cumsum(per_tail, axis=1)[:, -1]
+
+    def not_closed(self, rows: np.ndarray) -> np.ndarray:
+        """True for each row holding a node but not all of its predecessors.
+
+        A predecessor of an interior node is in ``base`` or on a branch
+        (every path into the block passes its entry), so the edges that
+        can cross also cover every edge a row could break.
+        """
+        return (rows[:, self.head_col] & ~rows[:, self.tail_col]).any(axis=1)
 
 
 def _block_cut_bytes(dag: Dag, block: ParallelBlock, base: frozenset[str]) -> np.ndarray:
     """:func:`cut_transfer_bytes` of every :func:`_block_cut_sets` set, in order.
 
-    Each cut is a boolean row over the nodes that can matter: ``base``
-    OR one prefix mask per branch, rows in :func:`itertools.product`
-    order with the all-zero row dropped. An edge crosses where
-    ``row[tail] & ~row[head]``; each tail's largest crossing volume comes
-    from ``np.maximum.reduceat`` over the edges grouped by tail in
-    topological order (0.0 where none crosses, which adds nothing), and
-    the bytes from a sequential ``np.cumsum`` from 0.0 — the scalar
-    loop's summation order, so every value equals the scalar one bit for
-    bit. ``np.sum`` would add pairwise and could differ in the last bit.
-    Rows are priced ``_BATCH_ROWS`` at a time.
+    Rows 1.. of :class:`_BlockRows`, priced ``_BATCH_ROWS`` at a time.
     """
-    succ, volumes = dag._succ, dag._volumes
-    reach = set(base).union(*block.branches)  # every node some row puts on mobile
-    ordered = sorted(reach, key=dag._topological_position().__getitem__)
-    # only edges out of a reachable tail into a node outside ``base`` can cross
-    edges = [(t, h) for t in ordered for h in succ[t] if h not in base]
-    column: dict[str, int] = {}
-    for t, h in edges:
-        column.setdefault(t, len(column))
-        column.setdefault(h, len(column))
-    tail_col = np.array([column[t] for t, _ in edges], dtype=np.intp)
-    head_col = np.array([column[h] for _, h in edges], dtype=np.intp)
-    edge_bytes = np.array([volumes[e] for e in edges], dtype=float)
-    starts = np.flatnonzero(np.diff(tail_col, prepend=-1))
-
-    base_row = np.zeros(len(column), dtype=bool)
-    base_row[[c for v, c in column.items() if v in base]] = True
-    prefixes = []
-    for branch in block.branches:
-        masks = np.zeros((len(branch) + 1, len(column)), dtype=bool)
-        for p, v in enumerate(branch):
-            masks[p + 1 :, column[v]] = True  # v's branch successor is never in base
-        prefixes.append(masks)
-
-    sizes = tuple(len(branch) + 1 for branch in block.branches)
-    combos = prod(sizes)
-    result = np.empty(combos - 1)
-    for start in range(1, combos, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, combos)
-        digits = np.unravel_index(np.arange(start, stop), sizes)
-        rows = base_row | prefixes[0][digits[0]]
-        for masks, position in zip(prefixes[1:], digits[1:]):
-            rows |= masks[position]
-        crossing = rows[:, tail_col] & ~rows[:, head_col]
-        per_tail = np.zeros((stop - start, len(starts) + 1))
-        np.maximum.reduceat(
-            np.where(crossing, edge_bytes, 0.0), starts, axis=1, out=per_tail[:, 1:]
-        )
-        result[start - 1 : stop - 1] = np.cumsum(per_tail, axis=1)[:, -1]
+    batch = _BlockRows(dag, block, base)
+    result = np.empty(batch.count - 1)
+    for start in range(1, batch.count, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, batch.count)
+        result[start - 1 : stop - 1] = batch.transfer_bytes(batch.rows(start, stop))
     return result
 
 
 def enumerate_frontier_cuts(
-    dag: Dag, max_cuts: int = 100_000, include_empty: bool = False
+    dag: Dag, max_cuts: int = _MAX_FRONTIER_CUTS, include_empty: bool = False
 ) -> list[Cut]:
     """Every downward-closed cut of a series-parallel DAG.
 
@@ -240,10 +287,7 @@ def enumerate_frontier_cuts(
     def _record(mobile: frozenset[str], label: str) -> None:
         if mobile not in seen:
             if len(seen) >= max_cuts:
-                raise ValueError(
-                    f"{dag.name!r}: more than {max_cuts} frontier cuts; "
-                    "graph is too branchy for exact enumeration"
-                )
+                _too_many_cuts(dag, max_cuts)
             seen[mobile] = label
 
     if include_empty:
@@ -261,6 +305,152 @@ def enumerate_frontier_cuts(
     _record(frozenset(order), f"after:{order[-1]}")
 
     return [make_cut(dag, mobile, label) for mobile, label in seen.items()]
+
+
+def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cut]:
+    """The Pareto frontier cuts of a series-parallel DAG, priced in batch.
+
+    Returns exactly ``prune_dominated(enumerate_frontier_cuts(dag),
+    compute)`` with ``compute[c.mobile] = sum(node_time(v) for v in
+    c.mobile)``: the same cuts and labels, each mobile set iterating in
+    the same order, and the same errors. Each separator block's
+    candidates are :class:`_BlockRows` rows, ``_BATCH_ROWS`` at a time:
+    bytes priced exactly, compute as ``rows @ times``, the downward
+    closure and the ``_MAX_FRONTIER_CUTS`` cap checked on the rows.
+
+    The matrix product adds in another order than the set sum, so a
+    candidate is ruled out only when another moves no more bytes and
+    computes less by more than ``_dominance_gap`` — then its exact sum
+    is strictly larger too, and :func:`prune_dominated` would drop it.
+    Only the remaining candidates become :class:`Cut` objects, through
+    :func:`make_cut` and the enumeration's own set construction, and
+    :func:`prune_dominated` decides among them on the exact sums.
+    """
+    max_cuts = _MAX_FRONTIER_CUTS
+    times = {v: node_time(v) for v in dag.node_ids}
+    blocks = parallel_blocks(dag)
+    order = dag.topological_order()
+    sources: list[tuple[ParallelBlock, frozenset[str], tuple[int, ...]]] = []
+    owners, combos, f_parts, byte_parts = [], [], [], []
+    total = len(blocks) + 1  # every "after" cut, the all-local one included
+    if total > max_cuts:
+        _too_many_cuts(dag, max_cuts)
+    broken = None  # the first candidate that is not downward-closed
+    for index, block in enumerate(blocks):
+        base = _closure_up_to(dag, block.entry)
+        base_time = sum(times[v] for v in base)
+        owners.append(np.array([index]))
+        combos.append(np.array([0]))
+        f_parts.append(np.array([base_time]))
+        byte_parts.append(np.array([cut_transfer_bytes(dag, base)]))
+        if block.is_trivial:
+            sources.append((block, base, (1,)))
+            continue
+        batch = _BlockRows(dag, block, base)
+        sources.append((block, base, batch.sizes))
+        interior = block.interior_nodes()
+        # branches overlap only off series-parallel graphs; there two
+        # positions can name one set, and the first in product order counts
+        overlapping = len(interior) < sum(map(len, block.branches))
+        if not overlapping:
+            total += batch.count - 1
+        if total > max_cuts:
+            _too_many_cuts(dag, max_cuts)
+        interior_times = np.zeros(len(batch.column))
+        for v in interior:
+            interior_times[batch.column[v]] = times[v]
+        seen: set[bytes] = set()
+        for start in range(1, batch.count, _BATCH_ROWS):
+            rows = batch.rows(start, min(start + _BATCH_ROWS, batch.count))
+            kept = np.arange(len(rows))
+            if overlapping:
+                kept = _first_rows(rows, seen)
+                rows = rows[kept]
+                total += len(kept)
+                if total > max_cuts:
+                    _too_many_cuts(dag, max_cuts)
+            open_rows = np.flatnonzero(batch.not_closed(rows))
+            if broken is None and len(open_rows):
+                broken = (index, start + kept[open_rows[0]])
+            owners.append(np.full(len(rows), index))
+            combos.append(start + kept)
+            f_parts.append(base_time + rows @ interior_times)
+            byte_parts.append(batch.transfer_bytes(rows))
+    if broken is not None:
+        _candidate(dag, sources, *broken)  # make_cut raises: not downward-closed
+    owners.append(np.array([-1]))
+    combos.append(np.array([0]))
+    f_parts.append(np.array([sum(times.values())]))
+    byte_parts.append(np.zeros(1))
+
+    f = np.concatenate(f_parts)
+    nbytes = np.concatenate(byte_parts)
+    owner = np.concatenate(owners)
+    combo = np.concatenate(combos)
+    gap = _dominance_gap(times.values())
+    survivors = np.arange(len(f))
+    if isfinite(gap):
+        by_f = np.argsort(f, kind="stable")
+        fewest_bytes = np.minimum.accumulate(nbytes[by_f])
+        below = np.searchsorted(f[by_f], f - gap, side="left")
+        dominated = (below > 0) & (fewest_bytes[below - 1] <= nbytes)
+        survivors = survivors[~dominated]
+
+    cuts = [
+        make_cut(dag, frozenset(order), f"after:{order[-1]}")
+        if owner[i] < 0
+        else _candidate(dag, sources, owner[i], combo[i])
+        for i in survivors.tolist()
+    ]
+    compute = {cut.mobile: sum(times[v] for v in cut.mobile) for cut in cuts}
+    return prune_dominated(cuts, compute)
+
+
+def _candidate(
+    dag: Dag,
+    sources: list[tuple[ParallelBlock, frozenset[str], tuple[int, ...]]],
+    index: int,
+    combo: int,
+) -> Cut:
+    """:func:`make_cut` of row ``combo`` of block ``index``, as the enumeration builds it."""
+    block, base, sizes = sources[index]
+    if combo == 0:
+        return make_cut(dag, base, f"after:{block.entry}")
+    mobile = _combo_set(base, block, np.unravel_index(combo, sizes))
+    return make_cut(dag, mobile, f"inside:{block.entry}->{block.exit}")
+
+
+def _first_rows(rows: np.ndarray, seen: set[bytes]) -> np.ndarray:
+    """Indices of the rows not in ``seen`` (nor earlier in ``rows``); adds them."""
+    kept = []
+    for i, key in enumerate(np.packbits(rows, axis=1)):
+        key = key.tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
+
+
+def _too_many_cuts(dag: Dag, max_cuts: int) -> None:
+    raise ValueError(
+        f"{dag.name!r}: more than {max_cuts} frontier cuts; "
+        "graph is too branchy for exact enumeration"
+    )
+
+
+def _dominance_gap(times: Iterable[float]) -> float:
+    """A compute difference that no summation order can reverse.
+
+    Any order of summing at most ``n`` of the node times lands within
+    ``(n - 1) * u * sum(|t|)`` of the real sum (``u`` the unit roundoff,
+    ``eps / 2``), so a batch sum and a set sum of one cut differ by less
+    than ``2 * n * u * sum(|t|)``. Two cuts whose batch sums differ by
+    more than twice that keep their order in exact sums; the gap is
+    twice that again, which also covers rounding in the comparison.
+    NaN or infinite times give a non-finite gap, and nothing is ruled out.
+    """
+    values = list(times)
+    return 4.0 * (len(values) + 2) * float(np.finfo(float).eps) * sum(map(abs, values))
 
 
 def prune_dominated(

@@ -4,7 +4,8 @@ Every JPS call decomposes into a *structure* phase (linearize the graph
 or enumerate + Pareto-prune the frontier cut space; run Alg. 3's path
 conversion) and a *search* phase (binary search + two-type split +
 Johnson sort). The structure phase dominates wall time — GoogLeNet's
-frontier enumeration visits thousands of cuts — yet its inputs change
+frontier space has thousands of candidate cuts, priced in batch by
+:func:`repro.dag.cuts.frontier_pareto_cuts` — yet its inputs change
 rarely: the same (network, devices, predictor) tuple is replanned for
 dozens of bandwidths and job counts in every experiment sweep.
 
@@ -52,7 +53,7 @@ from typing import Sequence
 from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.joint import SplitMode, Structure, attach_frontier_cuts, jps_line
 from repro.core.plans import Schedule
-from repro.dag.cuts import Cut, enumerate_frontier_cuts, prune_dominated
+from repro.dag.cuts import Cut, frontier_pareto_cuts
 from repro.dag.graph import Dag
 from repro.dag.partition import (
     DagCutTable,
@@ -83,7 +84,12 @@ from repro.profiling.latency import (
     node_mobile_time,
 )
 from repro.utils.units import BITS_PER_BYTE
-from repro.utils.validation import require_finite, require_non_negative, require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_integer,
+    require_non_negative,
+    require_positive,
+)
 
 __all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
 
@@ -108,7 +114,8 @@ class _CutStructure:
 
     Both cut spaces are downward-closed node sets (ideals) of the
     original graph, priced on the same columns. The ``frontier`` kind
-    enumerates a series-parallel graph's frontier cuts exactly; the
+    takes a series-parallel graph's exact Pareto frontier cuts from
+    :func:`repro.dag.cuts.frontier_pareto_cuts`; the
     ``dag`` kind takes :func:`repro.dag.partition.dag_pareto_cuts`,
     which also covers graphs the frontier enumeration rejects and
     records how it generated the space in ``mode``/``states``.
@@ -171,7 +178,7 @@ class PricingKernel:
 
     def g_at(self, uplink_bps: float) -> np.ndarray:
         """The ``g`` column at one uplink rate (bit-exact channel pricing)."""
-        require_positive(uplink_bps, "uplink_bps")
+        require_finite(require_positive(uplink_bps, "uplink_bps"), "uplink_bps")
         return self._g(uplink_bps)
 
     def table_at(self, uplink_bps: float) -> CostTable:
@@ -198,8 +205,8 @@ class PricingKernel:
         ``cloud_rest`` (ties go to the first position).
         """
         rates = np.asarray(rates, dtype=float)
-        if not (rates > 0).all():
-            raise ValueError(f"uplink rates must be > 0, got {rates.tolist()!r}")
+        if not ((rates > 0) & np.isfinite(rates)).all():
+            raise ValueError(f"uplink rates must be > 0 and finite, got {rates.tolist()!r}")
         g = self._g(rates[:, None])
         totals = self.f + g
         if include_cloud:
@@ -391,11 +398,7 @@ class PlanningEngine:
                 cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
                 labels = unique_cut_labels(cuts)
             else:
-                candidates = enumerate_frontier_cuts(graph)
-                compute_of = {
-                    c.mobile: sum(mobile_time[v] for v in c.mobile) for c in candidates
-                }
-                cuts = prune_dominated(candidates, compute_of)
+                cuts = frontier_pareto_cuts(graph, mobile_time.__getitem__)
                 labels = tuple(c.label for c in cuts)
             f, payloads, cloud = cut_columns(
                 graph, cuts, mobile_time.__getitem__, cloud_time.__getitem__
@@ -681,6 +684,7 @@ class PlanningEngine:
         gateway go through here to amortize cache lookups to one
         content-addressed key per model.
         """
+        n = require_integer(n, "n")
         network = self.resolve(model)
         rates = [float(rate) for rate in uplink_bps]
         with self.tracer.span(
@@ -817,6 +821,7 @@ class PlanningEngine:
         ``"PO"``). Baselines plan on the same memoized table, so a
         ``compare()`` sweep reuses one structure build across schemes.
         """
+        n = require_integer(n, "n")
         network = self.resolve(model)
         with self.tracer.span(
             "engine/plan",

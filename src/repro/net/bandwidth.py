@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.units import mbps
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_positive
 
 __all__ = ["BandwidthPreset", "THREE_G", "FOUR_G", "WIFI", "PRESETS", "TrafficShaper"]
 
@@ -24,8 +24,8 @@ class BandwidthPreset:
     downlink_bps: float
 
     def __post_init__(self) -> None:
-        require_positive(self.uplink_bps, "uplink_bps")
-        require_positive(self.downlink_bps, "downlink_bps")
+        for name in ("uplink_bps", "downlink_bps"):
+            require_finite(require_positive(getattr(self, name), name), name)
 
 
 THREE_G = BandwidthPreset("3G", uplink_bps=mbps(1.1), downlink_bps=mbps(2.0))
@@ -48,17 +48,17 @@ class TrafficShaper:
     downlink_bps: float
 
     def __post_init__(self) -> None:
-        require_positive(self.uplink_bps, "uplink_bps")
-        require_positive(self.downlink_bps, "downlink_bps")
+        for name in ("uplink_bps", "downlink_bps"):
+            require_finite(require_positive(getattr(self, name), name), name)
 
     @classmethod
     def from_preset(cls, preset: BandwidthPreset) -> "TrafficShaper":
         return cls(uplink_bps=preset.uplink_bps, downlink_bps=preset.downlink_bps)
 
     def set_uplink_mbps(self, value: float) -> None:
-        require_positive(value, "uplink Mbps")
+        require_finite(require_positive(value, "uplink Mbps"), "uplink Mbps")
         self.uplink_bps = mbps(value)
 
     def set_downlink_mbps(self, value: float) -> None:
-        require_positive(value, "downlink Mbps")
+        require_finite(require_positive(value, "downlink Mbps"), "downlink Mbps")
         self.downlink_bps = mbps(value)

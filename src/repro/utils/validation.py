@@ -8,6 +8,7 @@ scheduling loop.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 
@@ -22,6 +23,14 @@ def require_positive(value: float, name: str) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def require_integer(value: object, name: str) -> int:
+    """Validate that ``value`` is an integer (NumPy's too) and return it as ``int``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_finite(value: float, name: str) -> float:

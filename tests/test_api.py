@@ -64,6 +64,25 @@ def test_as_channel_coercions():
     assert api.as_channel is as_channel  # the facade re-exports the one coercion
 
 
+def test_as_channel_rejects_an_infinite_rate():
+    with pytest.raises(ValueError, match="uplink_bps must be finite"):
+        api.as_channel(float("inf"))
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, "3", None])
+def test_plan_rejects_a_non_integer_job_count(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        api.plan("alexnet", n, api.as_channel(10.0))
+
+
+def test_plan_accepts_numpy_integer_job_counts():
+    import numpy as np
+
+    expected = host_free(api.plan("alexnet", 3, 10.0))
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert host_free(api.plan("alexnet", n, 10.0)) == expected
+
+
 def test_plan_accepts_enum_and_string_variants():
     by_string = api.plan("alexnet", n=10, bandwidth=10.0, split="ratio")
     by_enum = api.plan("alexnet", n=10, bandwidth=10.0, split=api.SplitMode.RATIO)

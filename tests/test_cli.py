@@ -65,6 +65,30 @@ def test_unknown_model_rejected():
         main(["summary", "alexnet-9000"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "alexnet", "--mbps", "inf"],
+        ["plan", "alexnet", "--mbps", "0"],
+        ["compare", "alexnet", "--mbps", "nan"],
+        ["table", "alexnet", "--mbps", "-1"],
+        ["dot", "alexnet", "--mbps", "fast"],
+        ["energy", "alexnet", "--mbps", "inf"],
+        ["serve", "--mbps", "0"],
+        ["serve", "--drop-mbps", "inf"],
+        ["fleet", "--mbps", "0"],
+    ],
+)
+def test_bad_uplink_rates_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [message] = [line for line in err.splitlines() if "error:" in line]
+    assert f"must be a finite rate > 0 Mbps, got {argv[-1]!r}" in message
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

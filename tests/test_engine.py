@@ -506,6 +506,27 @@ def test_single_job_cuts_exact_ties_go_to_the_first_position():
         assert_cuts_match_per_rate(kernel, [rate], include_cloud)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0])
+def test_kernel_pricing_rejects_non_finite_or_non_positive_rates(rate):
+    kernel = toy_kernel()
+    with pytest.raises(ValueError, match="uplink_bps"):
+        kernel.g_at(rate)
+    with pytest.raises(ValueError, match="uplink rates must be > 0 and finite"):
+        kernel.single_job_cuts([1e6, rate])
+    with pytest.raises(ValueError, match="uplink_bps"):
+        PlanningEngine().plan_batch("alexnet", 4, [1e6, rate])
+
+
+def test_plan_batch_rejects_a_non_integer_job_count():
+    engine = PlanningEngine()
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        engine.plan_batch("alexnet", 2.5, [1e6])
+    with pytest.raises(ValueError, match="n must be an integer"):
+        engine.plan("alexnet", 2.0, Channel(shaper=TrafficShaper(1e6, 2e6)))
+    batch = engine.plan_batch("alexnet", np.int64(4), [1e6])
+    assert host_free(batch[0]) == host_free(engine.plan_batch("alexnet", 4, [1e6])[0])
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
 def test_single_job_cuts_rejects_non_positive_rates(rate):
     with pytest.raises(ValueError, match="rates must be > 0"):

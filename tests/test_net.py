@@ -38,6 +38,22 @@ def test_shaper_validation():
         TrafficShaper(uplink_bps=-1, downlink_bps=1)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_rates_are_rejected_with_their_field(rate):
+    for field in ("uplink_bps", "downlink_bps"):
+        rates = {"uplink_bps": 1e6, "downlink_bps": 1e6, field: rate}
+        with pytest.raises(ValueError, match=field):
+            TrafficShaper(**rates)
+        with pytest.raises(ValueError, match=field):
+            BandwidthPreset("bad", **rates)
+    shaper = TrafficShaper.from_preset(WIFI)
+    with pytest.raises(ValueError, match="uplink Mbps"):
+        shaper.set_uplink_mbps(rate)
+    with pytest.raises(ValueError, match="downlink Mbps"):
+        shaper.set_downlink_mbps(rate)
+    assert shaper == TrafficShaper.from_preset(WIFI)  # nothing was set
+
+
 def test_channel_zero_payload_costs_nothing():
     channel = Channel.from_preset(FOUR_G)
     assert channel.uplink_time(0) == 0.0

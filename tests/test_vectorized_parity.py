@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import (
@@ -45,6 +45,7 @@ from repro.core.plans import JobPlan, RunLengthJobs
 from repro.core.scheduling import flow_shop_completion_times, johnson_order, schedule_jobs
 from repro.engine import PlanningEngine
 from repro.experiments.runner import ExperimentEnv
+from repro.extensions.memory import feasible_positions, restrict_table
 from repro.faults.oracle import (
     flow_shop_completion_times_scalar,
     johnson_order_scalar,
@@ -200,6 +201,9 @@ def line_plans(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=line_plans())
+# a table that never crosses (f < g at the last position) once divided
+# by zero in the paper's ratio split
+@example(case=(make_table(f=[0.0, 0.0], g=[2.0**-10, 2.0**-10]), 1, "ratio"))
 def test_jps_line_matches_scalar_reference_document(case):
     table, n, split = case
     ours = jps_line(table, n, split)
@@ -207,6 +211,30 @@ def test_jps_line_matches_scalar_reference_document(case):
     assert isinstance(ours.jobs, RunLengthJobs)
     # byte for byte: makespan, metadata, job order and ids
     assert json.dumps(host_free(ours)) == json.dumps(host_free(reference))
+
+
+@pytest.mark.parametrize("split", ["ratio", "exact", "pair"])
+def test_jps_line_plans_memory_restricted_tables(split):
+    """AlexNet under 1-64 MiB budgets at the paper's and two more rates.
+
+    A budget can drop the g = 0 endpoint, and half of these 16 tables
+    never cross; every split still plans each one on the crossing (or
+    final) position, the scalar reference agreeing byte for byte.
+    """
+    env = ExperimentEnv()
+    never_cross = 0
+    for budget_mib in (1, 4, 16, 64):
+        for rate in (1.1, 5.85, 18.88, 40.0):
+            full = env.engine.cost_table("alexnet", env.channel(rate))
+            table = restrict_table(full, feasible_positions(full, budget_mib * 2**20))
+            never_cross += bool(table.f[-1] < table.g[-1])
+            ours = jps_line(table, 10, split)
+            reference = jps_line_scalar(table, 10, split)
+            assert json.dumps(host_free(ours)) == json.dumps(host_free(reference))
+            if split == "ratio" and table.f[-1] < table.g[-1]:
+                assert ours.metadata["n_b"] == 10
+                assert ours.metadata["cut_b"] == table.positions[-1]
+    assert never_cross == 8
 
 
 @settings(max_examples=100, deadline=None)
