@@ -23,13 +23,11 @@ def test_zoo_sweep(benchmark, env, save_artifact):
         rows = []
         for name in models:
             network = get_model(name)
+            structure = env.engine.structure_of(name).value
             if env.treats_as_line(name):
                 table = line_cost_table(network, env.mobile, env.cloud, env.channel(5.85))
-                structure = "line"
             else:
-                # heavy general DAGs go through the cached frontier path
                 table = env.cost_table(name, 5.85)
-                structure = "frontier"
             lo = local_only(table, N_JOBS).average_completion
             co = cloud_only(table, N_JOBS).average_completion
             jps = jps_line(table, N_JOBS).average_completion

@@ -89,15 +89,35 @@ from repro.sim.trace import render_gantt
 __all__ = ["main", "build_parser"]
 
 
-def _mbps(text: str) -> float:
-    """An uplink rate option: a finite number of Mbps above 0."""
+def _number(text: str, accept, expected: str) -> float:
+    """A float option that is finite and passes ``accept``, else one argparse error."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite rate > 0 Mbps, got {text!r}")
+    if not (math.isfinite(value) and accept(value)):
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
     return value
+
+
+def _mbps(text: str) -> float:
+    """An uplink rate option: a finite number of Mbps above 0."""
+    return _number(text, lambda v: v > 0, "a finite rate > 0 Mbps")
+
+
+def _positive(text: str) -> float:
+    """A rate, duration or window: a finite number above 0."""
+    return _number(text, lambda v: v > 0, "a finite number > 0")
+
+
+def _non_negative(text: str) -> float:
+    """A start time, wait or tolerance: a finite number, 0 or above."""
+    return _number(text, lambda v: v >= 0, "a finite number >= 0")
+
+
+def _finite(text: str) -> float:
+    """Any finite number."""
+    return _number(text, lambda v: True, "a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the multi-client offload gateway")
     p.add_argument("--clients", type=int, default=3, help="number of Poisson clients")
-    p.add_argument("--rate", type=float, default=2.0, help="per-client req/s")
-    p.add_argument("--horizon", type=float, default=60.0, help="arrival window (s)")
+    p.add_argument("--rate", type=_positive, default=2.0, help="per-client req/s")
+    p.add_argument("--horizon", type=_positive, default=60.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
     p.add_argument("--mbps", type=_mbps, default=8.0, help="initial uplink rate")
     p.add_argument(
@@ -153,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="uplink rate after the mid-run drop (== --mbps for a flat trace)",
     )
     p.add_argument(
-        "--drop-at", type=float, default=None,
+        "--drop-at", type=_positive, default=None,
         help="when the rate drops (default: mid-horizon)",
     )
     p.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=_positive, default=None,
         help="per-request relative deadline (s); expired requests are dropped",
     )
     p.add_argument(
@@ -177,23 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
              "identical stream (see docs/robustness.md)",
     )
     p.add_argument(
-        "--blackout-start", type=float, default=8.0,
+        "--blackout-start", type=_non_negative, default=8.0,
         help="uplink blackout start (s; --faults only)",
     )
     p.add_argument(
-        "--blackout-duration", type=float, default=2.0,
+        "--blackout-duration", type=_positive, default=2.0,
         help="uplink blackout length (s; --faults only)",
     )
 
     p = sub.add_parser("fleet", help="run an N-server fleet via run_system")
     p.add_argument("--servers", type=int, default=4, help="number of fleet servers")
     p.add_argument("--clients", type=int, default=32, help="number of Poisson clients")
-    p.add_argument("--rate", type=float, default=3.0, help="per-client req/s")
-    p.add_argument("--horizon", type=float, default=12.0, help="arrival window (s)")
+    p.add_argument("--rate", type=_positive, default=3.0, help="per-client req/s")
+    p.add_argument("--horizon", type=_positive, default=12.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
     p.add_argument("--mbps", type=_mbps, default=8.0, help="per-server uplink rate")
     p.add_argument(
-        "--deadline", type=float, default=1.0,
+        "--deadline", type=_finite, default=1.0,
         help="per-request relative deadline (s); <= 0 disables deadlines",
     )
     p.add_argument(
@@ -222,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="GPU batch-size cap (with --cloud-gpus)",
     )
     p.add_argument(
-        "--max-wait", type=float, default=0.02,
+        "--max-wait", type=_non_negative, default=0.02,
         help="hold-and-batch wait window in seconds (with --cloud-gpus)",
     )
     p.add_argument(
@@ -267,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="path for the campaign JSON")
     p.add_argument("--quick", action="store_true", help="small n / short sweeps")
     p.add_argument("--compare", help="previous campaign JSON to diff against")
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=_non_negative, default=0.05)
 
     p = sub.add_parser(
         "trace", help="run a target under the tracer, export Chrome trace JSON"
@@ -314,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the per-window operator table instead of plots",
     )
     p.add_argument(
-        "--every", type=float, default=1.0,
+        "--every", type=_positive, default=1.0,
         help="watch-table window width in seconds",
     )
     return parser

@@ -10,6 +10,7 @@ substrate, so eager re-export here would close an import cycle.
 from repro.dag.cuts import (
     Cut,
     cut_transfer_bytes,
+    enumerate_closed_sets,
     enumerate_frontier_cuts,
     is_downward_closed,
     make_cut,
@@ -52,10 +53,7 @@ _LAZY_EXPORTS = {
     "dag_schedule_from_table": "repro.dag.partition",
     "duplication_mobile_set": "repro.dag.partition",
     "duplication_schedule": "repro.dag.partition",
-    "enumerate_closed_sets": "repro.dag.partition",
     "partition_dag": "repro.dag.partition",
-    "refine_closed_sets": "repro.dag.partition",
-    "topo_prefix_sets": "repro.dag.partition",
     "DagInstance": "repro.dag.oracle",
     "DagInstanceCheck": "repro.dag.oracle",
     "DagOracleResult": "repro.dag.oracle",
@@ -81,6 +79,7 @@ __all__ = [
     "critical_path",
     "cut_transfer_bytes",
     "duplication_metrics",
+    "enumerate_closed_sets",
     "enumerate_frontier_cuts",
     "enumerate_paths",
     "expand_members",

@@ -1,4 +1,4 @@
-"""Cut semantics and exact frontier-cut enumeration.
+"""Cut semantics and the exact cut-space enumerators.
 
 A *cut* of a DNN DAG is a downward-closed node set ``M`` (closed under
 predecessors): layers in ``M`` run on the mobile device, the rest on the
@@ -16,12 +16,16 @@ Two details matter and are easy to get wrong:
   need an input computed on the cloud, which the three-stage execution
   model (mobile compute → upload → cloud compute) cannot express.
 
-For series-parallel DAGs — all models in :mod:`repro.nn.zoo` —
-:func:`enumerate_frontier_cuts` enumerates the *complete* cut space:
-every downward-closed set is "after separator ``s``" or "inside one
-parallel block with a chosen position per branch". This exact enumerator
-is the oracle against which the paper's per-path heuristic (Alg. 3) is
-evaluated.
+Every cut of a one-source, one-sink DAG is "after separator ``s``" or
+"inside the parallel block after ``s``, with one prefix per entry → exit
+path" (the paths hold every interior node, and a downward-closed set
+meets each path in a prefix). :func:`frontier_pareto_cuts` prices those
+candidates in batch and keeps the Pareto set; it is the one cut-space
+builder for frontier and DAG plans. On series-parallel DAGs — all zoo
+models but inception-v4 — the paths are disjoint chains and every
+candidate is a distinct cut, which :func:`enumerate_frontier_cuts`
+lists one by one as the reference. :func:`enumerate_closed_sets` is the
+closure BFS for the graphs the builder cannot take.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from math import isfinite, prod
 import numpy as np
 
 from repro.dag.graph import Dag
-from repro.dag.topology import ParallelBlock, parallel_blocks
+from repro.dag.topology import ParallelBlock, parallel_blocks, separators
 
 __all__ = [
     "Cut",
     "is_downward_closed",
     "cut_edge_tails",
     "cut_transfer_bytes",
+    "enumerate_closed_sets",
     "enumerate_frontier_cuts",
     "frontier_pareto_cuts",
     "prune_dominated",
@@ -50,9 +55,12 @@ __all__ = [
 #: bounds its boolean matrices to a few MB however wide the block.
 _BATCH_ROWS = 4096
 
-#: Distinct frontier cuts past which enumeration gives up: a guard against
-#: graphs that are not actually series-parallel.
+#: Distinct cuts past which enumeration gives up: a guard against graphs
+#: too branchy to enumerate.
 _MAX_FRONTIER_CUTS = 100_000
+
+#: Entry → exit paths per block past which :func:`parallel_blocks` gives up.
+_MAX_BLOCK_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -240,14 +248,14 @@ class _BlockRows:
         )
         return np.cumsum(per_tail, axis=1)[:, -1]
 
-    def not_closed(self, rows: np.ndarray) -> np.ndarray:
-        """True for each row holding a node but not all of its predecessors.
+    def closed(self, rows: np.ndarray) -> np.ndarray:
+        """True for each row that holds every predecessor of its nodes.
 
         A predecessor of an interior node is in ``base`` or on a branch
         (every path into the block passes its entry), so the edges that
         can cross also cover every edge a row could break.
         """
-        return (rows[:, self.head_col] & ~rows[:, self.tail_col]).any(axis=1)
+        return ~(rows[:, self.head_col] & ~rows[:, self.tail_col]).any(axis=1)
 
 
 def _block_cut_bytes(dag: Dag, block: ParallelBlock, base: frozenset[str]) -> np.ndarray:
@@ -308,15 +316,20 @@ def enumerate_frontier_cuts(
 
 
 def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cut]:
-    """The Pareto frontier cuts of a series-parallel DAG, priced in batch.
+    """The Pareto cuts of a one-source, one-sink DAG, priced in batch.
 
-    Returns exactly ``prune_dominated(enumerate_frontier_cuts(dag),
+    Each separator block's candidates are :class:`_BlockRows` rows, the
+    entry's closure plus one prefix per entry → exit path, ``_BATCH_ROWS``
+    at a time: bytes priced exactly, compute as ``rows @ times``, the
+    ``_MAX_FRONTIER_CUTS`` cap checked on the rows. Where a block's paths
+    overlap (off series-parallel graphs), a row can miss a predecessor
+    and two rows can name one set: rows that are not downward-closed are
+    dropped and the first of equal rows in product order counts, so the
+    candidates are exactly the graph's cuts. On a series-parallel graph
+    this returns ``prune_dominated(enumerate_frontier_cuts(dag),
     compute)`` with ``compute[c.mobile] = sum(node_time(v) for v in
     c.mobile)``: the same cuts and labels, each mobile set iterating in
-    the same order, and the same errors. Each separator block's
-    candidates are :class:`_BlockRows` rows, ``_BATCH_ROWS`` at a time:
-    bytes priced exactly, compute as ``rows @ times``, the downward
-    closure and the ``_MAX_FRONTIER_CUTS`` cap checked on the rows.
+    the same order, and the same errors.
 
     The matrix product adds in another order than the set sum, so a
     candidate is ruled out only when another moves no more bytes and
@@ -328,14 +341,13 @@ def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cu
     """
     max_cuts = _MAX_FRONTIER_CUTS
     times = {v: node_time(v) for v in dag.node_ids}
-    blocks = parallel_blocks(dag)
+    blocks = parallel_blocks(dag, _MAX_BLOCK_PATHS)
     order = dag.topological_order()
     sources: list[tuple[ParallelBlock, frozenset[str], tuple[int, ...]]] = []
     owners, combos, f_parts, byte_parts = [], [], [], []
     total = len(blocks) + 1  # every "after" cut, the all-local one included
     if total > max_cuts:
         _too_many_cuts(dag, max_cuts)
-    broken = None  # the first candidate that is not downward-closed
     for index, block in enumerate(blocks):
         base = _closure_up_to(dag, block.entry)
         base_time = sum(times[v] for v in base)
@@ -349,8 +361,6 @@ def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cu
         batch = _BlockRows(dag, block, base)
         sources.append((block, base, batch.sizes))
         interior = block.interior_nodes()
-        # branches overlap only off series-parallel graphs; there two
-        # positions can name one set, and the first in product order counts
         overlapping = len(interior) < sum(map(len, block.branches))
         if not overlapping:
             total += batch.count - 1
@@ -364,20 +374,16 @@ def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cu
             rows = batch.rows(start, min(start + _BATCH_ROWS, batch.count))
             kept = np.arange(len(rows))
             if overlapping:
-                kept = _first_rows(rows, seen)
+                kept = np.flatnonzero(batch.closed(rows))
+                kept = kept[_first_rows(rows[kept], seen)]
                 rows = rows[kept]
                 total += len(kept)
                 if total > max_cuts:
                     _too_many_cuts(dag, max_cuts)
-            open_rows = np.flatnonzero(batch.not_closed(rows))
-            if broken is None and len(open_rows):
-                broken = (index, start + kept[open_rows[0]])
             owners.append(np.full(len(rows), index))
             combos.append(start + kept)
             f_parts.append(base_time + rows @ interior_times)
             byte_parts.append(batch.transfer_bytes(rows))
-    if broken is not None:
-        _candidate(dag, sources, *broken)  # make_cut raises: not downward-closed
     owners.append(np.array([-1]))
     combos.append(np.array([0]))
     f_parts.append(np.array([sum(times.values())]))
@@ -404,6 +410,68 @@ def frontier_pareto_cuts(dag: Dag, node_time: Callable[[str], float]) -> list[Cu
     ]
     compute = {cut.mobile: sum(times[v] for v in cut.mobile) for cut in cuts}
     return prune_dominated(cuts, compute)
+
+
+def _fits_block_rows(dag: Dag) -> bool:
+    """Whether :func:`frontier_pareto_cuts` takes ``dag``, judged from its shape.
+
+    It needs one source and one sink, at most ``_MAX_BLOCK_PATHS``
+    entry → exit paths in every block (a separator's incoming paths are
+    the previous separator's times the block's) and at most
+    ``_MAX_FRONTIER_CUTS`` rows in all, before any row is built.
+    """
+    if len(dag.sources()) != 1 or len(dag.sinks()) != 1:
+        return False
+    order = dag.topological_order()
+    paths = dict.fromkeys(order, 0)
+    paths[order[0]] = 1
+    for v in order:
+        for w in dag.successors(v):
+            paths[w] += paths[v]
+    joints = separators(dag)
+    if any(paths[b] > _MAX_BLOCK_PATHS * paths[a] for a, b in zip(joints, joints[1:])):
+        return False
+    blocks = parallel_blocks(dag, _MAX_BLOCK_PATHS)
+    rows = sum(prod(len(branch) + 1 for branch in block.branches) for block in blocks)
+    return rows + 1 <= _MAX_FRONTIER_CUTS
+
+
+def enumerate_closed_sets(dag: Dag) -> list[frozenset[str]]:
+    """Every downward-closed set holding all sources, by BFS over their lattice.
+
+    Each state grows by one *eligible* node (all predecessors already
+    inside), so every such set is reached. The cut space of the graphs
+    :func:`frontier_pareto_cuts` cannot take: several sources or sinks,
+    a block with too many paths, too many rows. Raises
+    :class:`ValueError` past ``_MAX_FRONTIER_CUTS`` sets.
+    """
+    max_cuts = _MAX_FRONTIER_CUTS
+    position = dag._topological_position()
+    base = frozenset(dag.sources())
+    seen: dict[frozenset[str], None] = {base: None}
+    queue: list[frozenset[str]] = [base]
+    cursor = 0
+    while cursor < len(queue):
+        current = queue[cursor]
+        cursor += 1
+        eligible = sorted(
+            (
+                v
+                for v in dag.node_ids
+                if v not in current
+                and all(p in current for p in dag.predecessors(v))
+            ),
+            key=position.__getitem__,
+        )
+        for v in eligible:
+            grown = current | {v}
+            if grown in seen:
+                continue
+            if len(seen) >= max_cuts:
+                _too_many_cuts(dag, max_cuts)
+            seen[grown] = None
+            queue.append(grown)
+    return queue
 
 
 def _candidate(

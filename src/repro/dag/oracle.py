@@ -262,8 +262,8 @@ def check_dag_instance(
 ) -> DagInstanceCheck:
     """Run the three-way differential on one instance.
 
-    On instances with ``<= exact_limit`` nodes the partitioner (exact
-    closure enumeration + exact scheduling menu) must match the
+    On instances with ``<= exact_limit`` nodes the partitioner (whole
+    cut space + exact scheduling menu) must match the
     brute-force oracle bit-for-bit; on every instance it must price no
     worse than the Fig.-9 duplication baseline, and each emitted plan's
     cut must be executable (downward-closed, sources mobile).

@@ -10,28 +10,26 @@ valid assignment is a downward-closed node set containing every source
 priced by :func:`repro.dag.cuts.cut_transfer_bytes` — each crossing
 tensor shipped **once**.
 
-Candidate generation has two regimes:
-
-* **exact closure enumeration** — BFS over the lattice of downward-closed
-  sets (single-node extensions). Complete whenever the lattice fits in
-  ``max_states``; with the exact scheduling menu this makes the
-  partitioner provably optimal under the two-stage pipeline model
-  (locked against the brute-force oracle in ``repro.dag.oracle``).
-* **contiguous-split DP + critical-path refinement** — when the lattice
-  is too large, seed with every prefix of the topological order (the
-  contiguous-split DP of *Efficient Algorithms for Device Placement of
-  DNN Graph Operators*: exact on graphs where an optimal cut is a
-  topo-prefix, e.g. single-entry/single-exit chains of blocks) and
-  locally expand the Pareto frontier, exploring nodes on the
-  compute-weighted critical path first (*It's the Critical Path!*).
+The candidates are the graph's whole cut space.
+:func:`dag_pareto_cuts` takes it from
+:func:`repro.dag.cuts.frontier_pareto_cuts` — per separator block, the
+entry's closure plus one prefix per entry → exit path, the rows that
+are not downward-closed dropped, priced in batch (the ideals of each
+block, as in *Efficient Algorithms for Device Placement of DNN Graph
+Operators*) — and from the closure BFS
+:func:`repro.dag.cuts.enumerate_closed_sets` on the graphs that builder
+cannot take, chosen from the graph's shape. Either way the space is
+exhaustive, so with the exact scheduling menu the partitioner is
+provably optimal under the two-stage pipeline model (locked against the
+brute-force oracle in ``repro.dag.oracle``).
 
 Scheduling reuses the two-stage flow-shop machinery: either an exact
 menu search (every multiset of Pareto cuts, Johnson-ordered — optimal
 for a fixed cut set) or the line-table two-cut split plus a best-uniform
 floor. The Fig.-9 baseline is kept as :func:`duplication_schedule` for
-differential comparison; :func:`partition_dag` seeds its (repaired)
-mobile set into the candidate pool, so the true partitioner never
-prices worse than the duplication transform.
+differential comparison. Its (repaired) mobile set is one of the cuts,
+so some Pareto cut moves no more bytes at no more compute, and the
+true partitioner never prices worse than the duplication transform.
 """
 
 from __future__ import annotations
@@ -46,10 +44,17 @@ import numpy as np
 from repro.core.partition import binary_search_cut, split_exact
 from repro.core.plans import JobPlan, Schedule
 from repro.core.scheduling import johnson_order
-from repro.dag.cuts import Cut, cut_transfer_bytes, is_downward_closed, make_cut, prune_dominated
+from repro.dag.cuts import (
+    Cut,
+    _fits_block_rows,
+    cut_transfer_bytes,
+    enumerate_closed_sets,
+    frontier_pareto_cuts,
+    is_downward_closed,
+    make_cut,
+    prune_dominated,
+)
 from repro.dag.graph import Dag
-from repro.dag.metrics import critical_path
-from repro.dag.topology import PathExplosionError
 from repro.dag.transform import to_independent_paths
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_positive
@@ -57,9 +62,6 @@ from repro.utils.validation import require_positive
 __all__ = [
     "NodeCost",
     "UploadModel",
-    "topo_prefix_sets",
-    "enumerate_closed_sets",
-    "refine_closed_sets",
     "dag_pareto_cuts",
     "DagCutTable",
     "cut_columns",
@@ -76,10 +78,6 @@ NodeCost = Callable[[str], float]
 #: Upload time (seconds) of a payload in bytes. Must be non-decreasing.
 UploadModel = Callable[[float], float]
 
-#: Closed-set enumeration budget: 4096 states cover every DAG with
-#: <= 12 nodes exhaustively (2^12 sets) and most sparser larger ones.
-DEFAULT_MAX_STATES = 4096
-
 #: Exact-menu scheduling budget: multisets of Pareto cuts evaluated.
 DEFAULT_MAX_ASSIGNMENTS = 100_000
 
@@ -87,195 +85,23 @@ DEFAULT_MAX_ASSIGNMENTS = 100_000
 _IMPROVEMENT = 1e-15
 
 
-# ----------------------------------------------------------------------
-# candidate closed sets
-# ----------------------------------------------------------------------
-def topo_prefix_sets(dag: Dag) -> list[frozenset[str]]:
-    """Every prefix of the topological order that contains all sources.
-
-    Prefixes of a topological order are downward-closed by construction,
-    and Kahn's queue lists every source before any derived node, so the
-    valid prefixes are exactly lengths ``#sources .. |V|``. This is the
-    candidate set of the contiguous-split DP: optimal whenever some
-    optimal cut is order-contiguous (always true for lines; for general
-    DAGs it is the seed the refinement pass improves on).
-    """
-    order = dag.topological_order()
-    first = len(dag.sources())
-    return [frozenset(order[:length]) for length in range(first, len(order) + 1)]
-
-
-def enumerate_closed_sets(
-    dag: Dag, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[list[frozenset[str]], bool]:
-    """BFS over the lattice of downward-closed sets containing all sources.
-
-    Each state expands by adding one *eligible* node (all predecessors
-    already inside), so every downward-closed superset of the source set
-    is reachable. Returns ``(sets, exhaustive)``: when the lattice fits
-    in ``max_states`` the enumeration is complete and ``exhaustive`` is
-    True; otherwise the truncated set list is only a sample and the
-    caller should fall back to :func:`refine_closed_sets`.
-    """
-    require_positive(max_states, "max_states")
-    position = dag._topological_position()
-    base = frozenset(dag.sources())
-    seen: dict[frozenset[str], None] = {base: None}
-    queue: list[frozenset[str]] = [base]
-    cursor = 0
-    while cursor < len(queue):
-        current = queue[cursor]
-        cursor += 1
-        eligible = sorted(
-            (
-                v
-                for v in dag.node_ids
-                if v not in current
-                and all(p in current for p in dag.predecessors(v))
-            ),
-            key=position.__getitem__,
-        )
-        for v in eligible:
-            grown = current | {v}
-            if grown in seen:
-                continue
-            if len(seen) >= max_states:
-                return list(seen), False
-            seen[grown] = None
-            queue.append(grown)
-    return list(seen), True
-
-
-def _repair_closed(dag: Dag, nodes: Iterable[str]) -> frozenset[str]:
-    """Largest downward-closed subset of ``nodes`` (plus all sources).
-
-    A node survives only if every ancestor is also present — the same
-    repair :func:`repro.core.general.alg3_consistent_plans` applies to
-    Alg. 3's union-of-path-prefixes to make it physically executable.
-    """
-    pool = set(nodes) | set(dag.sources())
-    return frozenset(v for v in pool if dag.ancestors(v) <= pool)
-
-
-def refine_closed_sets(
-    dag: Dag,
-    node_time: NodeCost,
-    seeds: Iterable[frozenset[str]],
-    max_states: int = DEFAULT_MAX_STATES,
-) -> list[frozenset[str]]:
-    """Critical-path-guided local search over downward-closed sets.
-
-    Starting from ``seeds`` (topo prefixes, the repaired duplication
-    set, ...), repeatedly expand every (compute, transfer-bytes)
-    Pareto-optimal set by one-node additions and removals until no new
-    Pareto set appears or ``max_states`` distinct sets were examined.
-    Nodes on the compute-weighted critical path are tried first: moving
-    the cut along the heaviest chain is what shifts the compute/upload
-    trade-off fastest, so those neighbors survive the budget cut.
-    """
-    require_positive(max_states, "max_states")
-    position = dag._topological_position()
-    on_critical = set(critical_path(dag, node_time)[0])
-    sources = set(dag.sources())
-
-    def neighbor_rank(v: str) -> tuple[int, int]:
-        return (0 if v in on_critical else 1, position[v])
-
-    costs: dict[frozenset[str], tuple[float, float]] = {}
-
-    def cost(mobile: frozenset[str]) -> tuple[float, float]:
-        if mobile not in costs:
-            costs[mobile] = (
-                sum(node_time(v) for v in mobile),
-                cut_transfer_bytes(dag, mobile),
-            )
-        return costs[mobile]
-
-    for seed in seeds:
-        if len(costs) >= max_states:
-            break
-        cost(seed)
-
-    while True:
-        ranked = sorted(costs, key=lambda m: (*costs[m], sorted(m)))
-        pareto: list[frozenset[str]] = []
-        best_bytes = float("inf")
-        for mobile in ranked:
-            if costs[mobile][1] < best_bytes:
-                pareto.append(mobile)
-                best_bytes = costs[mobile][1]
-        grew = False
-        for mobile in pareto:
-            additions = sorted(
-                (
-                    v
-                    for v in dag.node_ids
-                    if v not in mobile
-                    and all(p in mobile for p in dag.predecessors(v))
-                ),
-                key=neighbor_rank,
-            )
-            removals = sorted(
-                (
-                    v
-                    for v in mobile
-                    if v not in sources
-                    and not any(s in mobile for s in dag.successors(v))
-                ),
-                key=neighbor_rank,
-            )
-            for v in additions:
-                candidate = mobile | {v}
-                if candidate not in costs:
-                    if len(costs) >= max_states:
-                        return list(costs)
-                    cost(candidate)
-                    grew = True
-            for v in removals:
-                candidate = mobile - {v}
-                if candidate not in costs:
-                    if len(costs) >= max_states:
-                        return list(costs)
-                    cost(candidate)
-                    grew = True
-        if not grew:
-            return list(costs)
-
-
-def dag_pareto_cuts(
-    dag: Dag,
-    node_time: NodeCost,
-    max_states: int = DEFAULT_MAX_STATES,
-    extra_sets: Sequence[Iterable[str]] = (),
-) -> tuple[list[Cut], dict]:
+def dag_pareto_cuts(dag: Dag, node_time: NodeCost) -> list[Cut]:
     """Pareto-optimal cuts of a general DAG under true (shared-once) pricing.
 
-    Enumerates downward-closed candidate sets (exact closure BFS when it
-    fits in ``max_states``, topo-prefix DP + critical-path refinement
-    otherwise), prices each with per-tail deduplicated transfer bytes,
-    and prunes dominance on (compute time, transfer bytes) — both
-    bandwidth-independent, so one enumeration serves every channel.
-    ``extra_sets`` are repaired to their largest downward-closed subset
-    and added to the pool (used to seed the Fig.-9 baseline's cut, which
-    guarantees the result never prices worse than the duplication
-    transform). Returns the cuts sorted by increasing compute time plus
-    an info dict (``mode``, ``states``).
+    Every downward-closed set holding the sources is a candidate, priced
+    with per-tail deduplicated transfer bytes, and dominance is pruned
+    on (compute time, transfer bytes) — both bandwidth-independent, so
+    one enumeration serves every channel. The candidates come from
+    :func:`repro.dag.cuts.frontier_pareto_cuts` when the graph's shape
+    lets it take them, else from
+    :func:`repro.dag.cuts.enumerate_closed_sets`. Returns the cuts sorted
+    by increasing compute time, labelled by :func:`make_cut`'s default.
     """
-    repaired = [_repair_closed(dag, s) for s in extra_sets]
-    candidates, exhaustive = enumerate_closed_sets(dag, max_states)
-    if exhaustive:
-        mode = "exact-closure"
-        pool = dict.fromkeys(candidates)
-        pool.update(dict.fromkeys(repaired))
-    else:
-        mode = "refined"
-        seeds = topo_prefix_sets(dag) + repaired
-        pool = dict.fromkeys(refine_closed_sets(dag, node_time, seeds, max_states))
-    compute_of = {
-        mobile: sum(node_time(v) for v in mobile) for mobile in pool
-    }
-    cuts = [make_cut(dag, mobile) for mobile in pool]
-    return prune_dominated(cuts, compute_of), {"mode": mode, "states": len(pool)}
+    if _fits_block_rows(dag):
+        return [make_cut(dag, cut.mobile) for cut in frontier_pareto_cuts(dag, node_time)]
+    pool = enumerate_closed_sets(dag)
+    compute_of = {mobile: sum(node_time(v) for v in mobile) for mobile in pool}
+    return prune_dominated([make_cut(dag, mobile) for mobile in pool], compute_of)
 
 
 # ----------------------------------------------------------------------
@@ -289,16 +115,12 @@ class DagCutTable:
     search, two-type split, and the engine's pricing kernels consume
     cut-backed plans unchanged and a schedule built on the table can be
     executed on the real graph. Frontier tables and true-DAG tables
-    share this record: for DAG tables ``mode`` records how the cut space
-    was generated (``"exact-closure"`` or ``"refined"``) and ``states``
-    how many closed sets were examined; frontier tables leave both
-    ``None``.
+    share this record and one cut-space builder; they differ only in
+    their position labels.
     """
 
     table: CostTable
     cuts: tuple[Cut, ...]
-    mode: str | None = None
-    states: int | None = None
 
 
 def unique_cut_labels(cuts: Sequence[Cut]) -> tuple[str, ...]:
@@ -345,8 +167,6 @@ def dag_cut_table(
     node_time: NodeCost,
     upload_time: UploadModel,
     cloud_time: NodeCost | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
-    extra_sets: Sequence[Iterable[str]] = (),
     name: str | None = None,
 ) -> DagCutTable:
     """Price the Pareto cut space of a DAG into a :class:`CostTable`.
@@ -355,9 +175,7 @@ def dag_cut_table(
     of each payload (exactly 0 when nothing crosses — the fully-local
     cut).
     """
-    cuts, info = dag_pareto_cuts(
-        dag, node_time, max_states=max_states, extra_sets=extra_sets
-    )
+    cuts = dag_pareto_cuts(dag, node_time)
     f, payloads, cloud = cut_columns(dag, cuts, node_time, cloud_time)
     table = CostTable(
         model_name=f"{name or dag.name}/dag",
@@ -367,7 +185,7 @@ def dag_cut_table(
         cloud=cloud,
         graph=None,
     )
-    return DagCutTable(table=table, cuts=tuple(cuts), mode=info["mode"], states=info["states"])
+    return DagCutTable(table=table, cuts=tuple(cuts))
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +240,8 @@ def _uniform_floor(table: CostTable, n: int) -> tuple[float, int]:
 
     For identical jobs the flow-shop makespan has the closed form
     ``f + g + (n-1) * max(f, g)``. Sweeping every position is the floor
-    that completes the duplication-dominance argument: the seeded
-    baseline cut (or its Pareto dominator) is always a candidate here.
+    that completes the duplication-dominance argument: the baseline's
+    cut (or its Pareto dominator) is always a candidate here.
     """
     best = float("inf")
     best_position = 0
@@ -529,35 +347,19 @@ def partition_dag(
     n: int,
     cloud_time: NodeCost | None = None,
     schedule: str = "auto",
-    max_states: int = DEFAULT_MAX_STATES,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
     name: str | None = None,
 ) -> Schedule:
     """True-DAG JPS: partition ``n`` jobs of a general DAG, price the real cut.
 
-    The entry point the oracle harness locks down. The candidate pool is
-    seeded with the (repaired) Fig.-9 duplication cut whenever the path
-    conversion is feasible, so the returned makespan is never worse than
-    :func:`duplication_schedule` on the same instance — the dominance the
-    differential tests assert on 100% of random DAGs.
+    The entry point the oracle harness locks down. The cut space is
+    exhaustive, so it holds the repaired Fig.-9 duplication cut, and the
+    returned makespan is never worse than :func:`duplication_schedule` on
+    the same instance — the dominance the differential tests assert on
+    100% of random DAGs.
     """
     require_positive(n, "n")
-    extra_sets: list[frozenset[str]] = []
-    try:
-        extra_sets.append(duplication_mobile_set(dag, node_time, upload_time))
-    except (ValueError, PathExplosionError):
-        # multi-source/sink graphs or exploding path sets have no Fig.-9
-        # conversion to dominate; the true partitioner still applies
-        pass
-    dct = dag_cut_table(
-        dag,
-        node_time,
-        upload_time,
-        cloud_time=cloud_time,
-        max_states=max_states,
-        extra_sets=extra_sets,
-        name=name,
-    )
+    dct = dag_cut_table(dag, node_time, upload_time, cloud_time=cloud_time, name=name)
     return dag_schedule_from_table(
         dct.table,
         dct.cuts,
@@ -565,7 +367,6 @@ def partition_dag(
         schedule=schedule,
         max_assignments=max_assignments,
         model=name or dag.name,
-        extra_metadata={"cut_mode": dct.mode, "closed_states": dct.states},
     )
 
 
@@ -604,6 +405,17 @@ def _path_prefix_length(
         if cumulative[i] >= g[i]:
             return i + 1
     return len(path)
+
+
+def _repair_closed(dag: Dag, nodes: Iterable[str]) -> frozenset[str]:
+    """Largest downward-closed subset of ``nodes`` (plus all sources).
+
+    A node survives only if every ancestor is also present — the same
+    repair :func:`repro.core.general.alg3_consistent_plans` applies to
+    Alg. 3's union-of-path-prefixes to make it physically executable.
+    """
+    pool = set(nodes) | set(dag.sources())
+    return frozenset(v for v in pool if dag.ancestors(v) <= pool)
 
 
 def duplication_mobile_set(

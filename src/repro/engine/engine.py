@@ -14,11 +14,10 @@ content-addressed keys (:mod:`repro.engine.keys`):
 
 * **bandwidth-independent structure** — the linearized line order with
   cumulative ``f``/``cloud`` and edge volumes, or a Pareto cut set with
-  per-cut compute/bytes/cloud-rest. Frontier and DAG cut sets are both
-  downward-closed node sets and share one builder; they differ only in
-  how the candidates are enumerated. Dominance is decided on (compute
-  time, transfer bytes), both bandwidth-invariant, so one enumeration
-  serves every channel.
+  per-cut compute/bytes/cloud-rest. Frontier and DAG cut sets are the
+  same downward-closed node sets from one builder; they differ only in
+  their labels. Dominance is decided on (compute time, transfer bytes),
+  both bandwidth-invariant, so one enumeration serves every channel.
 * **per-channel cost tables** — the structure priced through a concrete
   channel's ``uplink_time``; an LRU bound keeps sweep-heavy workloads
   from growing without limit.
@@ -112,13 +111,14 @@ class _LineStructure:
 class _CutStructure:
     """Bandwidth-independent Pareto cut data of a non-line model.
 
-    Both cut spaces are downward-closed node sets (ideals) of the
-    original graph, priced on the same columns. The ``frontier`` kind
-    takes a series-parallel graph's exact Pareto frontier cuts from
-    :func:`repro.dag.cuts.frontier_pareto_cuts`; the
-    ``dag`` kind takes :func:`repro.dag.partition.dag_pareto_cuts`,
-    which also covers graphs the frontier enumeration rejects and
-    records how it generated the space in ``mode``/``states``.
+    Both kinds hold the Pareto set of the original graph's whole cut
+    space (its downward-closed node sets), built by
+    :func:`repro.dag.cuts.frontier_pareto_cuts` and priced on the same
+    columns. The kind only picks the labels: block labels
+    (``inside:entry->exit``) for ``frontier``, ``make_cut``'s
+    frontier labels made unique for ``dag``, whose
+    :func:`repro.dag.partition.dag_pareto_cuts` also takes the graphs
+    the builder cannot.
     """
 
     cuts: tuple[Cut, ...]
@@ -126,8 +126,6 @@ class _CutStructure:
     f: np.ndarray                   # mobile compute of each cut
     payloads: np.ndarray            # upload bytes, 0 for the full (all-local) cut
     cloud: np.ndarray               # running-max cloud time of the mobile part
-    mode: str | None = None
-    states: int | None = None
 
 
 @dataclass(frozen=True)
@@ -393,9 +391,8 @@ class PlanningEngine:
                 v: node_mobile_time(graph.payload(v), self.cloud)
                 for v in graph.node_ids
             }
-            info: dict = {}
             if kind == "dag":
-                cuts, info = dag_pareto_cuts(graph, mobile_time.__getitem__)
+                cuts = dag_pareto_cuts(graph, mobile_time.__getitem__)
                 labels = unique_cut_labels(cuts)
             else:
                 cuts = frontier_pareto_cuts(graph, mobile_time.__getitem__)
@@ -409,8 +406,6 @@ class PlanningEngine:
                 f=f,
                 payloads=payloads,
                 cloud=cloud,
-                mode=info.get("mode"),
-                states=info.get("states"),
             )
 
         cache = self._dags if kind == "dag" else self._frontiers
@@ -465,7 +460,7 @@ class PlanningEngine:
         transfer bytes) Pareto set in increasing-``f`` order and priced
         by :func:`repro.dag.partition.cut_columns`. The enumeration and
         dominance pruning are paid once per (network, devices,
-        predictor), not per channel. ``mode`` and ``states`` are None.
+        predictor), not per channel.
         """
         return self._cut_table("frontier", model, channel, predictor, predictor_key)
 
@@ -512,12 +507,7 @@ class PlanningEngine:
                 cloud=structure.cloud.copy(),
                 graph=None,
             )
-            return DagCutTable(
-                table=table,
-                cuts=structure.cuts,
-                mode=structure.mode,
-                states=structure.states,
-            )
+            return DagCutTable(table=table, cuts=structure.cuts)
 
         cache = self._dag_tables if kind == "dag" else self._frontier_tables
         return cache.get_or_build(

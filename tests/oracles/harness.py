@@ -27,7 +27,14 @@ import json
 import sys
 from pathlib import Path
 
-from repro.dag.oracle import DagInstance, DagInstanceCheck, check_dag_instance, random_dag
+from repro.dag.graph import Dag
+from repro.dag.oracle import (
+    DagInstance,
+    DagInstanceCheck,
+    _closed_masks,
+    check_dag_instance,
+    random_dag,
+)
 from repro.faults.oracle import InstanceCheck, check_instance, random_line_table
 from repro.profiling.latency import CostTable
 from repro.utils.rng import make_rng
@@ -120,6 +127,36 @@ def dag_instance_from_seed(seed: int) -> DagInstance:
 
 def check_dag_seed(seed: int) -> DagInstanceCheck:
     return check_dag_instance(dag_instance_from_seed(seed), exact_limit=DAG_EXACT_LIMIT)
+
+
+def oracle_pareto_front(dag: Dag, node_time) -> list[tuple[list[str], str]]:
+    """The (compute, bytes) Pareto cuts of the oracle's bitmask enumeration.
+
+    Every set of :func:`repro.dag.oracle._closed_masks` is priced by its
+    own loops in topological order (each crossing tail's largest volume
+    counted once); ties go as in ``prune_dominated``: compute, bytes,
+    then sorted node ids. Returns ``(sorted mobile set, float.hex(bytes))``
+    per cut, in increasing compute.
+    """
+    order, masks = _closed_masks(dag)
+    priced = []
+    for mask in masks:
+        mobile = [v for i, v in enumerate(order) if mask >> i & 1]
+        inside = set(mobile)
+        compute = shipped = 0.0
+        for v in mobile:
+            compute += node_time(v)
+            crossing = [dag.volume(v, w) for w in dag.successors(v) if w not in inside]
+            if crossing:
+                shipped += max(crossing)
+        priced.append((compute, shipped, sorted(mobile)))
+    priced.sort()
+    front, fewest = [], float("inf")
+    for _, shipped, mobile in priced:
+        if shipped < fewest:
+            front.append((mobile, shipped.hex()))
+            fewest = shipped
+    return front
 
 
 def load_dag_corpus() -> list[dict]:

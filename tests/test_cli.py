@@ -89,6 +89,39 @@ def test_bad_uplink_rates_exit_2_with_one_line(capsys, argv):
     assert f"must be a finite rate > 0 Mbps, got {argv[-1]!r}" in message
 
 
+@pytest.mark.parametrize(
+    ("command", "option", "value", "expected"),
+    [
+        (["serve"], "--rate", "-1", "a finite number > 0"),
+        (["serve"], "--rate", "nan", "a finite number > 0"),
+        (["serve"], "--horizon", "0", "a finite number > 0"),
+        (["serve"], "--deadline", "0", "a finite number > 0"),
+        (["serve"], "--drop-at", "inf", "a finite number > 0"),
+        (["serve", "--faults"], "--blackout-start", "-1", "a finite number >= 0"),
+        (["serve", "--faults"], "--blackout-duration", "0", "a finite number > 0"),
+        (["fleet", "--horizon", "1"], "--deadline", "nan", "a finite number"),
+        (["fleet"], "--rate", "inf", "a finite number > 0"),
+        (["fleet"], "--horizon", "-2", "a finite number > 0"),
+        (["fleet"], "--max-wait", "-0.5", "a finite number >= 0"),
+        (["campaign", "out.json"], "--tolerance", "-1", "a finite number >= 0"),
+        (["report", "report.json"], "--every", "0", "a finite number > 0"),
+    ],
+)
+def test_bad_float_options_exit_2_with_one_line(capsys, command, option, value, expected):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, option, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [message] = [line for line in err.splitlines() if "error:" in line]
+    assert f"argument {option}: must be {expected}, got {value!r}" in message
+
+
+def test_fleet_deadline_at_or_below_zero_still_disables_deadlines():
+    for value in ("0", "-1"):
+        assert build_parser().parse_args(["fleet", "--deadline", value]).deadline <= 0
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

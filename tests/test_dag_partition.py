@@ -1,9 +1,13 @@
-"""True DAG partitioner: closed sets, cut tables, scheduling, engine wiring."""
+"""True DAG partitioner: cut spaces, cut tables, scheduling, engine wiring."""
+
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.joint import Structure
-from repro.dag.cuts import Cut, make_cut
+from repro.dag.cuts import Cut, _fits_block_rows, enumerate_closed_sets, make_cut
 from repro.dag.graph import Dag
 from repro.dag.partition import (
     cut_columns,
@@ -12,9 +16,7 @@ from repro.dag.partition import (
     dag_schedule_from_table,
     duplication_mobile_set,
     duplication_schedule,
-    enumerate_closed_sets,
     partition_dag,
-    topo_prefix_sets,
     unique_cut_labels,
 )
 from repro.engine import PlanningEngine
@@ -22,7 +24,13 @@ from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
 from repro.nn.layers import Add, Conv2d, ReLU
 from repro.nn.network import Network, NetworkBuilder
+from repro.profiling.latency import node_mobile_time
 from repro.utils.units import mbps
+from tests.oracles.harness import dag_instance_from_seed, oracle_pareto_front
+
+#: Random-DAG seeds of their own range, away from the corpus, fuzz,
+#: property and bench ones.
+CUT_SPACE_SEEDS = st.integers(min_value=6_000_000, max_value=6_100_000)
 
 
 def diamond() -> Dag:
@@ -56,6 +64,39 @@ def non_sp_network() -> Network:
     return b.build()
 
 
+def joined_network() -> Network:
+    """Not series-parallel: branches ``a`` and ``b`` join in ``c`` inside the
+    block that ``x`` bypasses, so some branch prefixes are not cuts."""
+    b = NetworkBuilder("joined", input_shape=(3, 32, 32))
+    s = b.add(Conv2d(32, kernel=3, padding="same"), name="s")
+    a = b.add(Conv2d(1, kernel=1), name="a", inputs=(s,))
+    other = b.add(Conv2d(1, kernel=1), name="b", inputs=(s,))
+    c = b.add(Add(), name="c", inputs=(a, other))
+    x = b.add(Conv2d(1, kernel=1), name="x", inputs=(s,))
+    b.add(Add(), name="t", inputs=(c, x))
+    return b.build()
+
+
+def two_by_two() -> Dag:
+    """Two sources (``p``, ``q``) and two sinks (``y``, ``z``)."""
+    dag = Dag(name="two-by-two")
+    for v in "pqmyz":
+        dag.add_node(v)
+    for tail, head, volume in (
+        ("p", "m", 64.0), ("q", "m", 32.0), ("q", "z", 16.0),
+        ("m", "y", 8.0), ("m", "z", 8.0),
+    ):
+        dag.add_edge(tail, head, volume)
+    return dag
+
+
+TWO_BY_TWO_TIMES = {"p": 0.0, "q": 0.0, "m": 0.5, "y": 0.25, "z": 0.125}
+
+
+def _front(cuts) -> list[tuple[list[str], str]]:
+    return [(sorted(c.mobile), c.transfer_bytes.hex()) for c in cuts]
+
+
 def make_channel(uplink_mbps: float) -> Channel:
     return Channel(
         shaper=TrafficShaper(
@@ -65,14 +106,12 @@ def make_channel(uplink_mbps: float) -> Channel:
 
 
 # ----------------------------------------------------------------------
-# candidate closed sets
+# the cut space: the block-row builder, the closure BFS for the rest
 # ----------------------------------------------------------------------
 
 
 def test_diamond_closed_sets_are_the_full_lattice():
-    sets, exhaustive = enumerate_closed_sets(diamond())
-    assert exhaustive
-    assert set(sets) == {
+    assert set(enumerate_closed_sets(diamond())) == {
         frozenset("a"),
         frozenset("ab"),
         frozenset("ac"),
@@ -81,24 +120,9 @@ def test_diamond_closed_sets_are_the_full_lattice():
     }
 
 
-def test_enumeration_truncates_at_budget():
-    sets, exhaustive = enumerate_closed_sets(diamond(), max_states=3)
-    assert not exhaustive
-    assert len(sets) == 3
-
-
-def test_topo_prefixes_are_closed_and_span_all_lengths():
-    dag = diamond()
-    prefixes = topo_prefix_sets(dag)
-    assert [len(p) for p in prefixes] == [1, 2, 3, 4]
-    closed, _ = enumerate_closed_sets(dag)
-    assert set(prefixes) <= set(closed)
-
-
 def test_pareto_cuts_diamond():
-    cuts, info = dag_pareto_cuts(diamond(), DIAMOND_TIMES.__getitem__)
-    assert info["mode"] == "exact-closure"
-    assert info["states"] == 5
+    cuts = dag_pareto_cuts(diamond(), DIAMOND_TIMES.__getitem__)
+    assert _front(cuts) == oracle_pareto_front(diamond(), DIAMOND_TIMES.__getitem__)
     # f strictly increasing, transfer bytes strictly decreasing
     f = [sum(DIAMOND_TIMES[v] for v in c.mobile) for c in cuts]
     bytes_ = [c.transfer_bytes for c in cuts]
@@ -108,11 +132,50 @@ def test_pareto_cuts_diamond():
     by_mobile = {c.mobile: c.transfer_bytes for c in cuts}
     assert by_mobile[frozenset("a")] == 100.0
     assert by_mobile[frozenset("abcd")] == 0.0
+    assert [c.label for c in cuts] == [make_cut(diamond(), c.mobile).label for c in cuts]
 
 
-def test_refined_mode_kicks_in_past_budget():
-    _, info = dag_pareto_cuts(diamond(), DIAMOND_TIMES.__getitem__, max_states=3)
-    assert info["mode"] == "refined"
+def test_two_sources_and_two_sinks_take_the_closure_bfs():
+    dag = two_by_two()
+    assert not _fits_block_rows(dag)
+    cuts = dag_pareto_cuts(dag, TWO_BY_TWO_TIMES.__getitem__)
+    assert _front(cuts) == oracle_pareto_front(dag, TWO_BY_TWO_TIMES.__getitem__)
+    assert all({"p", "q"} <= c.mobile for c in cuts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(CUT_SPACE_SEEDS)
+def test_closure_bfs_equals_the_oracle_front_past_the_row_cap(seed):
+    """Random DAGs the block rows turn away (branch products over the cap)."""
+    instance = dag_instance_from_seed(seed)
+    assume(not _fits_block_rows(instance.dag))
+    cuts = dag_pareto_cuts(instance.dag, instance.node_cost)
+    assert _front(cuts) == oracle_pareto_front(instance.dag, instance.node_cost)
+
+
+@settings(max_examples=15, deadline=None)
+@given(CUT_SPACE_SEEDS)
+def test_block_rows_equal_the_oracle_front_within_the_row_cap(seed):
+    instance = dag_instance_from_seed(seed)
+    assume(_fits_block_rows(instance.dag))
+    cuts = dag_pareto_cuts(instance.dag, instance.node_cost)
+    assert _front(cuts) == oracle_pareto_front(instance.dag, instance.node_cost)
+
+
+def test_closure_bfs_raises_past_the_cap(monkeypatch):
+    dag = two_by_two()
+    count = len(enumerate_closed_sets(dag))
+    monkeypatch.setattr("repro.dag.cuts._MAX_FRONTIER_CUTS", count)
+    assert len(dag_pareto_cuts(dag, TWO_BY_TWO_TIMES.__getitem__)) >= 1
+    monkeypatch.setattr("repro.dag.cuts._MAX_FRONTIER_CUTS", count - 1)
+    message = (
+        f"{dag.name!r}: more than {count - 1} frontier cuts; "
+        "graph is too branchy for exact enumeration"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_closed_sets(dag)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dag_pareto_cuts(dag, TWO_BY_TWO_TIMES.__getitem__)
 
 
 def test_unique_cut_labels_disambiguate():
@@ -193,7 +256,6 @@ def test_partition_dag_dominates_duplication_on_the_diamond():
     baseline = duplication_schedule(diamond(), DIAMOND_TIMES.__getitem__, upload, 2)
     assert schedule.makespan < baseline.makespan
     assert baseline.metadata["over_shipped_bytes"] == 100.0
-    assert schedule.metadata["cut_mode"] == "exact-closure"
     # every emitted plan carries an executable cut
     for job in schedule.jobs:
         assert job.mobile_nodes is not None
@@ -306,3 +368,26 @@ def test_jps_auto_keeps_zoo_models_on_their_structures(
     engine = PlanningEngine(mobile=mobile, cloud=cloud)
     assert engine.plan(alexnet, 4, channel).method == "JPS"
     assert engine.plan(googlenet, 4, channel).method == "JPS-frontier"
+
+
+@pytest.mark.parametrize("network", [non_sp_network, joined_network])
+def test_forced_frontier_plans_off_series_parallel(network):
+    """The frontier kind takes the same cut space as the dag kind, the
+    whole one: the oracle's Pareto front under the engine's node times."""
+    net = network()
+    engine = PlanningEngine()
+    schedule = engine.plan(net, 4, make_channel(10.0), structure="frontier")
+    assert schedule.method == "JPS-frontier"
+    frontier, dag = (
+        engine.priced_table(net, mbps(10.0), structure=kind).cuts
+        for kind in ("frontier", "dag")
+    )
+    assert [c.mobile for c in frontier] == [c.mobile for c in dag]
+    times = {
+        v: node_mobile_time(net.graph.payload(v), engine.mobile)
+        for v in net.graph.node_ids
+    }
+    assert _front(dag) == oracle_pareto_front(net.graph, times.__getitem__)
+    # the kind only picks the labels: block labels vs make_cut's default
+    assert frontier[-1].label == f"after:{net.graph.topological_order()[-1]}"
+    assert [c.label for c in dag] == [make_cut(net.graph, c.mobile).label for c in dag]

@@ -33,6 +33,7 @@ from repro.dag.transform import should_cluster_block
 from repro.nn.zoo import MODELS, get_model
 from repro.profiling.device import gtx1080_server, raspberry_pi_4
 from repro.profiling.latency import node_mobile_time
+from tests.oracles.harness import oracle_pareto_front
 
 #: Blocks with more interior cuts than this are checked on every
 #: ``STRIDE``-th cut only (three inception-v4 blocks have ~24k each).
@@ -239,19 +240,29 @@ def test_frontier_builder_matches_the_reference_off_series_parallel():
     assert len(enumerate_frontier_cuts(dag)) == 11
 
 
-def test_frontier_builder_raises_where_make_cut_does():
-    """Branches ``(a, c)`` and ``(b, c)`` join at ``c``: ``{s, a, c}`` lacks ``b``."""
+def test_frontier_builder_drops_the_rows_make_cut_rejects():
+    """Branches ``(a, c)`` and ``(b, c)`` join at ``c``: ``{s, a, c}`` lacks ``b``.
+
+    The series-parallel reference refuses the graph; the builder drops
+    the rows that are not downward-closed and returns the Pareto front
+    of the graph's whole cut space.
+    """
     dag = Dag(name="joined")
     for v in ("s", "a", "b", "c", "x", "t"):
         dag.add_node(v)
-    for tail, head in (("s", "a"), ("s", "b"), ("s", "x"), ("a", "c"), ("b", "c"),
-                       ("c", "t"), ("x", "t")):
-        dag.add_edge(tail, head, 1.0)
-    with pytest.raises(ValueError) as expected:
+    for tail, head, volume in (
+        ("s", "a", 8.0), ("s", "b", 8.0), ("s", "x", 8.0), ("a", "c", 1.0),
+        ("b", "c", 2.0), ("c", "t", 0.5), ("x", "t", 1.0),
+    ):
+        dag.add_edge(tail, head, volume)
+    with pytest.raises(ValueError, match="is not downward-closed"):
         enumerate_frontier_cuts(dag)
-    assert "is not downward-closed" in str(expected.value)
-    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-        frontier_pareto_cuts(dag, {v: 1.0 for v in dag.node_ids}.__getitem__)
+    times = {"s": 0.0, "a": 0.5, "b": 0.25, "c": 1.0, "x": 0.125, "t": 2.0}
+    cuts = frontier_pareto_cuts(dag, times.__getitem__)
+    assert [(sorted(c.mobile), c.transfer_bytes.hex()) for c in cuts] == (
+        oracle_pareto_front(dag, times.__getitem__)
+    )
+    assert any(c.label == "inside:s->t" for c in cuts)
 
 
 @pytest.mark.parametrize("graph", ["googlenet", "forked"])
