@@ -1,13 +1,14 @@
-"""Optimality probe at paper scale (n = 100), where brute force cannot go.
+"""Optimality probe at paper scale (n = 100).
 
-Sandwiches JPS between the fractional LP lower bound and the strongest
-upper-bound search available (multiset local search with random
-restarts), for every experiment model at 4G.
+Sandwiches JPS between the fractional LP lower bound and the exact
+optimum over cut multisets (:func:`repro.core.baselines.brute_force`,
+a dynamic program that reaches n = 100), for every experiment model at
+4G.
 """
 
 from repro.core.analysis import fractional_lower_bound
+from repro.core.baselines import brute_force
 from repro.core.joint import jps_line
-from repro.core.search import local_search
 from repro.experiments.report import format_table
 from repro.experiments.runner import EXPERIMENT_MODELS
 from repro.extensions.refine import refine_end_jobs
@@ -23,12 +24,12 @@ def test_optimality_probe_at_scale(benchmark, env, save_artifact):
             bound = fractional_lower_bound(table, N_JOBS)
             jps = jps_line(table, N_JOBS)
             refined = refine_end_jobs(table, jps)
-            searched = local_search(table, N_JOBS, restarts=2, seed=0)
+            optimum = brute_force(table, N_JOBS)
             rows.append(
                 (
                     model,
                     bound,
-                    searched.makespan,
+                    optimum.makespan,
                     refined.makespan,
                     jps.makespan,
                     (refined.makespan / bound - 1) * 100,
@@ -40,15 +41,16 @@ def test_optimality_probe_at_scale(benchmark, env, save_artifact):
     save_artifact(
         "optimality_probe_n100",
         format_table(
-            headers=["model", "LP bound (s)", "local search (s)",
+            headers=["model", "LP bound (s)", "optimum (s)",
                      "JPS+refine (s)", "JPS (s)", "refine vs bound (%)"],
             rows=rows,
             title=f"Optimality probe at n = {N_JOBS} (4G)",
             float_format="{:.3f}",
         ),
     )
-    for model, bound, searched, refined, jps, gap in rows:
-        assert bound <= searched + 1e-9
+    for model, bound, optimum, refined, jps, gap in rows:
+        assert bound <= optimum + 1e-9
+        assert optimum <= refined + 1e-9
         assert refined <= jps + 1e-9
-        # JPS+refine within 11% of the LP bound -> near-optimal at scale
+        # JPS+refine within 11% of the LP bound
         assert gap < 11.0

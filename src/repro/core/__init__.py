@@ -35,6 +35,7 @@ from repro.core.partition import (
     TwoTypeSplit,
     binary_search_cut,
     linear_scan_cut,
+    optimal_multiset,
     partition_ratio,
     plans_for_split,
     split_best_pair,
@@ -42,7 +43,6 @@ from repro.core.partition import (
     split_exact,
 )
 from repro.core.plans import JobPlan, Schedule
-from repro.core.search import local_search
 from repro.core.scheduling import (
     best_order_brute_force,
     flow_shop_completion_times,
@@ -81,8 +81,8 @@ __all__ = [
     "kkt_stationarity_residual",
     "linear_scan_cut",
     "local_only",
-    "local_search",
     "lse_max",
+    "optimal_multiset",
     "partition_only",
     "partition_ratio",
     "plans_for_split",

@@ -7,26 +7,23 @@
   (Neurosurgeon / DADS style): one homogeneous cut minimizing a single
   job's end-to-end latency ``f + g (+ cloud rest)``, ignoring the
   multi-job pipeline.
-* **BF (brute force)** — exhaustive search over cut-position multisets
-  (job identity does not matter) with Johnson's rule scheduling each
-  candidate; the optimum the paper compares against in Fig. 11.
+* **BF (brute force)** — the optimum over cut-position multisets (job
+  identity does not matter), each scheduled by Johnson's rule; the
+  optimum the paper compares against in Fig. 11, found by the exact
+  dynamic program :func:`repro.core.partition.optimal_multiset` rather
+  than by enumerating the multisets.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.partition import cut_plan
+from repro.core.partition import cut_plan, optimal_multiset
 from repro.core.plans import JobPlan, RunLengthJobs, Schedule
-from repro.core.scheduling import (
-    flow_shop_completion_arrays,
-    johnson_makespan,
-    schedule_jobs,
-)
+from repro.core.scheduling import flow_shop_completion_arrays, schedule_jobs
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_positive
 
@@ -96,57 +93,43 @@ def brute_force_search_space(n: int, num_positions: int) -> int:
 
 
 def brute_force(
-    table: CostTable,
-    n: int,
-    positions: Sequence[int] | None = None,
-    max_candidates: int = 2_000_000,
+    table: CostTable, n: int, positions: Sequence[int] | None = None
 ) -> Schedule:
     """BF: optimal partition multiset + Johnson scheduling.
 
     Because jobs are identical, only the multiset of cut positions
-    matters, which reduces the paper's ``O(c^n)`` enumeration to
-    ``C(n + c - 1, c - 1)`` candidates. ``positions`` restricts the cut
-    candidates (the usual way to keep large-n searches tractable; pass
-    ``None`` to search every position).
+    matters, which reduces the paper's ``O(c^n)`` enumeration to the
+    ``C(n + c - 1, c - 1)`` multisets reported as ``search_space``;
+    :func:`~repro.core.partition.optimal_multiset` finds the best of
+    them exactly without visiting them one by one, so any ``n`` is in
+    reach. ``positions`` restricts the cut candidates (``None``: every
+    position). The chosen multiset is scheduled by
+    :func:`~repro.core.scheduling.schedule_jobs`, whose makespan the
+    schedule reports.
     """
     require_positive(n, "n")
     candidates = list(range(table.k)) if positions is None else sorted(set(positions))
-    if not candidates:
-        raise ValueError("no candidate positions to search")
-    space = brute_force_search_space(n, len(candidates))
-    if space > max_candidates:
-        raise ValueError(
-            f"brute force would evaluate {space} multisets "
-            f"(n={n}, positions={len(candidates)}) > cap {max_candidates}; "
-            "restrict `positions` or lower n"
-        )
-
-    stage_of = {p: table.stage_lengths(p) for p in candidates}
-    best_combo: tuple[int, ...] | None = None
-    best_makespan = float("inf")
-    for combo in combinations_with_replacement(candidates, n):
-        makespan = johnson_makespan([stage_of[p] for p in combo])
-        if makespan < best_makespan - 1e-15:
-            best_makespan = makespan
-            best_combo = combo
-    assert best_combo is not None
-
+    _, order = optimal_multiset(table, n, candidates)
+    combo = tuple(sorted(order))
     plans = [
         JobPlan(
             job_id=i,
             model=table.model_name,
             cut_position=p,
-            compute_time=stage_of[p][0],
-            comm_time=stage_of[p][1],
+            compute_time=table.stage_lengths(p)[0],
+            comm_time=table.stage_lengths(p)[1],
             cloud_time=table.cloud_rest(p),
             cut_label=table.positions[p],
         )
-        for i, p in enumerate(best_combo)
+        for i, p in enumerate(combo)
     ]
     schedule = schedule_jobs(plans, method="BF")
     return Schedule(
         jobs=schedule.jobs,
         makespan=schedule.makespan,
         method="BF",
-        metadata={"search_space": space, "cut_multiset": best_combo},
+        metadata={
+            "search_space": brute_force_search_space(n, len(candidates)),
+            "cut_multiset": combo,
+        },
     )

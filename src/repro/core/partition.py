@@ -23,11 +23,12 @@ test oracle :func:`repro.faults.oracle.split_exact_scalar`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.plans import JobPlan, RunLengthJobs
-from repro.core.scheduling import flow_shop_makespan, johnson_order
+from repro.core.scheduling import flow_shop_makespan, johnson_order, johnson_order_indices
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_positive
 
@@ -44,6 +45,7 @@ __all__ = [
     "split_jobs",
     "plans_for_split",
     "split_best_pair",
+    "optimal_multiset",
 ]
 
 
@@ -253,6 +255,47 @@ def split_exact(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     return TwoTypeSplit(l_star - 1, l_star, best, n - best, best_makespan)
 
 
+def _best_pair(table: CostTable, n: int, candidates: Sequence[int]) -> TwoTypeSplit:
+    """:func:`split_best_pair` over the positions ``candidates`` (ascending)."""
+    require_positive(n, "n")
+    # candidates in scan order: for each b, all n at b, then for each a < b
+    # the splits n_a = 1..n-1 of a with b, in the order Johnson runs them
+    segments: list[tuple[int, int]] = []
+    makespans: list[np.ndarray] = []
+    for j, b in enumerate(candidates):
+        stage_b = table.stage_lengths(b)
+        segments.append((b, b))
+        makespans.append(two_type_makespans(stage_b, stage_b, n, 0, 1))
+        if n == 1:
+            continue
+        for a in candidates[:j]:
+            stage_a = table.stage_lengths(a)
+            segments.append((a, b))
+            a_first = johnson_order([stage_a, stage_b]) == [0, 1]
+            first, second = (stage_a, stage_b) if a_first else (stage_b, stage_a)
+            rows = np.concatenate(
+                [
+                    two_type_makespans(first, second, n, start, min(start + _SPLIT_ROWS, n))
+                    for start in range(1, n, _SPLIT_ROWS)
+                ]
+            )
+            # row i runs i + 1 jobs at ``first``: n_a = i + 1, or n - 1 - i
+            makespans.append(rows if a_first else rows[::-1])
+    values = np.concatenate(makespans)
+    # keep the first candidate that beats the best so far by more than 1e-15
+    best = 0
+    while True:
+        better = np.flatnonzero(values[best + 1 :] < values[best] - 1e-15)
+        if better.size == 0:
+            break
+        best += 1 + int(better[0])
+    ends = np.cumsum([len(m) for m in makespans])
+    segment = int(np.searchsorted(ends, best, side="right"))
+    a, b = segments[segment]
+    n_a = 0 if a == b else best - int(ends[segment - 1]) + 1
+    return TwoTypeSplit(a, b, n_a, n - n_a, float(values[best]))
+
+
 def split_best_pair(table: CostTable, n: int) -> TwoTypeSplit:
     """Best two-type split over *all* position pairs (beyond the paper).
 
@@ -263,27 +306,180 @@ def split_best_pair(table: CostTable, n: int) -> TwoTypeSplit:
     mixture pairs non-adjacent layers. Because the fractional LP bound
     has at most two non-zero weights, searching all O(k^2) pairs with an
     exact integer split recovers the best two-type solution outright.
-    O(k^2 · n) Johnson evaluations — still milliseconds at the paper's
-    scales.
+
+    Every candidate is priced as a :func:`two_type_makespans` row — each
+    pair's ``n - 1`` mixed splits in one matrix pass, its jobs in the
+    order Johnson's rule runs them — and the scan keeps the first
+    candidate that beats the best so far by more than ``1e-15``, in the
+    order of the scalar sweep it replaced
+    (:func:`repro.faults.oracle.split_best_pair_scalar`), so the result
+    is bit-identical to it. It is also the incumbent that bounds
+    :func:`optimal_multiset`.
+    """
+    return _best_pair(table, n, range(table.k))
+
+
+#: Relative slack on the multiset scheduler's pruning: a state is dropped
+#: only when its lower bound exceeds the best known makespan by more than
+#: this fraction, far more than the few ulps by which the bound's sums, the
+#: incumbent's closed form and the recurrence can round apart.
+_BOUND_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class _Remaining:
+    """What the positions of one Johnson-rank suffix can still add.
+
+    For each weight ``mu`` in ``weights`` — 0, 1 and every weight at
+    which the cheapest position of ``mu * f + (1 - mu) * g`` changes —
+    ``cheapest`` holds that minimum: the lower-left convex hull of the
+    positions' ``(f, g)`` points, as the breakpoints of its support
+    function.
+    """
+
+    weights: np.ndarray
+    cheapest: np.ndarray
+    f_min: float
+    g_min: float
+
+    @classmethod
+    def of(cls, f: np.ndarray, g: np.ndarray) -> "_Remaining":
+        hull: list[tuple[float, float]] = []
+        for x, y in sorted(zip(f.tolist(), g.tolist())):
+            if hull and y >= hull[-1][1]:
+                continue  # no less upload for at least as much compute
+            while len(hull) >= 2:
+                (x0, y0), (x1, y1) = hull[-2], hull[-1]
+                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                    break
+                hull.pop()
+            hull.append((x, y))
+        breaks = [(y0 - y1) / (y0 - y1 + x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+        weights = np.array([0.0, *breaks, 1.0])
+        hull_f, hull_g = (np.array(column) for column in zip(*hull))
+        cheapest = (np.outer(weights, hull_f) + np.outer(1 - weights, hull_g)).min(axis=1)
+        return cls(weights, cheapest, float(f.min()), float(g.min()))
+
+    def bound(self, c1: np.ndarray, c2: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """Lower bounds on every completion of the states ``(c1, c2)``.
+
+        With ``m = left`` jobs still to place on these positions, at
+        stage sums ``(F, G)``, the last upload ends no earlier than
+        ``a + F`` with ``a = c1 + g_min``, and the uploads, which cannot
+        start before ``b = max(c2, c1 + f_min)``, take ``G``. For any
+        weight ``mu`` the makespan is thus at least ``mu * (a + F) +
+        (1 - mu) * (b + G) >= mu * a + (1 - mu) * b + m * cheapest(mu)``;
+        the bound is the best weight's — at a breakpoint, since the
+        right side is concave in ``mu`` — which is the fractional
+        optimum of ``max(a + F, b + G)``. A state with no job left is
+        complete and bounds itself.
+        """
+        b = np.maximum(c2, c1 + self.f_min)
+        bound = (c1 + self.g_min - b)[:, None] * self.weights + b[:, None]
+        bound += left[:, None] * self.cheapest
+        return np.where(left > 0, bound.max(axis=1), c2)
+
+
+def _pareto_states(
+    jobs: np.ndarray, c1: np.ndarray, c2: np.ndarray, n: int
+) -> np.ndarray:
+    """Indices, ascending, of the states no other state with as many jobs
+    beats on both ``c1`` and ``c2``; among equal states the first survives."""
+    order = np.lexsort((c2, c1, jobs))
+    _, rank = np.unique(c2[order], return_inverse=True)
+    # exact ranks of c2, offset per job count so that an earlier (smaller)
+    # job count never sets the running minimum of a later one
+    key = rank + (n - jobs[order]) * (int(rank.max()) + 1)
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
+    return np.sort(order[keep])
+
+
+def optimal_multiset(
+    table: CostTable, n: int, positions: Sequence[int] | None = None
+) -> tuple[float, tuple[int, ...]]:
+    """The exact optimum over every multiset of ``n`` cut positions.
+
+    Johnson's rule is makespan-optimal for a fixed job set, and jobs at
+    one position share a stage pair, so a multiset runs its positions in
+    Johnson rank (equal keys in index order), each position's jobs back
+    to back. A dynamic program over the positions in that rank picks a
+    job count per position; its state is the number of jobs placed and
+    the flow-shop pair ``(C1, C2)`` of the recurrence::
+
+        C1 += f;  C2 = max(C2, C1) + g
+
+    stepped once per job, in the order the recurrence runs them, so every
+    state holds exactly the floats of the multiset it stands for. Both
+    steps are monotone in ``(C1, C2)``, even in floating point, so only
+    the Pareto-minimal pairs per job count are kept. States whose lower
+    bound (:meth:`_Remaining.bound`) exceeds the best known makespan by
+    more than ``_BOUND_SLACK`` are dropped; that makespan starts at the
+    best two-type split (:func:`split_best_pair` over ``positions``) and
+    falls to any completed state's. Among equal states, and among equal
+    optima, the one with the most jobs at the earliest-ranked position
+    wins, then the next: where the rank is the index order (every table
+    whose ``g`` is non-increasing) that is the first multiset in
+    ``combinations_with_replacement`` order, unless a tie was carried by
+    a state pruned as dominated.
+
+    ``positions`` restricts the candidates (default: every position).
+    Returns the makespan and the chosen positions in execution (Johnson)
+    order.
     """
     require_positive(n, "n")
-    best: TwoTypeSplit | None = None
-    for b in range(table.k):
-        stage_b = table.stage_lengths(b)
-        # homogeneous candidate
-        makespan = flow_shop_makespan([stage_b] * n)
-        if best is None or makespan < best.makespan - 1e-15:
-            best = TwoTypeSplit(b, b, 0, n, makespan)
-        for a in range(b):
-            stage_a = table.stage_lengths(a)
-            for n_a in range(1, n):
-                stages = [stage_a] * n_a + [stage_b] * (n - n_a)
-                order = johnson_order(stages)
-                makespan = flow_shop_makespan([stages[i] for i in order])
-                if makespan < best.makespan - 1e-15:
-                    best = TwoTypeSplit(a, b, n_a, n - n_a, makespan)
-    assert best is not None
-    return best
+    candidates = list(range(table.k)) if positions is None else sorted(set(positions))
+    if not candidates:
+        raise ValueError("no candidate positions to search")
+    f, g = np.array([table.stage_lengths(p) for p in candidates]).T
+    rank = johnson_order_indices(f, g)
+    ranked = [candidates[i] for i in rank]
+    f, g = f[rank], g[rank]
+    remaining = [_Remaining.of(f[r:], g[r:]) for r in range(len(ranked))]
+    limit = _best_pair(table, n, candidates).makespan * (1 + _BOUND_SLACK)
+
+    # the surviving states, in preference order, and per rank how each
+    # was reached: its parent among the previous rank's states, its count
+    jobs, c1, c2 = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    for r, (f_r, g_r) in enumerate(zip(f.tolist(), g.tolist())):
+        states = np.arange(jobs.size)
+        grown = [(states, np.zeros(jobs.size, dtype=np.int64), jobs, c1, c2)]
+        live, j, a, b = states, jobs, c1, c2
+        for count in range(1, n + 1):
+            # a state that cannot finish under the limit with this
+            # position still open cannot by adding jobs to it either
+            alive = (j < n) & (remaining[r].bound(a, b, n - j) <= limit)
+            live, j, a, b = live[alive], j[alive] + 1, a[alive] + f_r, b[alive]
+            if live.size == 0:
+                break
+            b = np.maximum(b, a) + g_r
+            grown.append((live, np.full(live.size, count), j, a, b))
+        parent, count, j, a, b = (np.concatenate(column) for column in zip(*grown))
+        if r + 1 < len(ranked):
+            fits = remaining[r + 1].bound(a, b, n - j) <= limit
+        else:
+            fits = j == n
+        done = fits & (j == n)
+        if done.any():
+            limit = min(limit, float(b[done].min()) * (1 + _BOUND_SLACK))
+        # preference: the parent's, then more jobs at this position
+        prefer = np.lexsort((-count[fits], parent[fits]))
+        parent, count, j, a, b = (
+            column[fits][prefer] for column in (parent, count, j, a, b)
+        )
+        keep = _pareto_states(j, a, b, n)
+        steps.append((parent[keep], count[keep]))
+        jobs, c1, c2 = j[keep], a[keep], b[keep]
+
+    best = int(np.argmin(c2))
+    counts = []
+    for parent, count in reversed(steps):
+        counts.append(int(count[best]))
+        best = int(parent[best])
+    return float(c2.min()), tuple(
+        p for p, c in zip(ranked, reversed(counts)) for _ in range(c)
+    )
 
 
 def cut_plan(table: CostTable, position: int, job_id: int = 0) -> JobPlan:

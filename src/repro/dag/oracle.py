@@ -14,10 +14,14 @@ evidence, not tautology. Instances from :func:`random_dag` use dyadic
 node times, integer byte volumes, and power-of-two channel rates, making
 every float sum exact and oracle-vs-partitioner comparison bit-exact.
 
-The job count is clamped so the menu (multisets of Pareto cuts × their
-permutations) stays under ``max_evaluations``; the clamped count is
-reported and :func:`check_dag_instance` runs the partitioner at the same
-count, keeping the comparison apples-to-apples.
+The job count is clamped so the enumeration (multisets of Pareto cuts ×
+their permutations) stays under ``max_evaluations``; the clamped count
+is reported and :func:`check_dag_instance` runs the partitioner at the
+same count, keeping the comparison apples-to-apples. The partitioner
+itself enumerates nothing: its scheduler,
+:func:`repro.core.partition.optimal_multiset`, is a dynamic program, so
+agreement here checks it against a search that shares none of its
+pruning.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 
 from repro.dag.graph import Dag
 from repro.dag.partition import (
-    DEFAULT_MAX_ASSIGNMENTS,
     _validate_plan_cuts,
     duplication_schedule,
     partition_dag,
@@ -155,8 +158,8 @@ def dag_exhaustive_optimal(
     (f, g)-dominated cuts — safe because the makespan identity is
     monotone in both stage lengths — and scores every multiset of
     surviving cuts under every distinct execution order with the
-    critical-path identity. ``n`` is clamped down until the menu fits
-    ``max_evaluations``; the result records the count actually used.
+    critical-path identity. ``n`` is clamped down until the enumeration
+    fits ``max_evaluations``; the result records the count actually used.
     """
     require_positive(n, "n")
     if len(dag) > MAX_ORACLE_NODES:
@@ -263,7 +266,7 @@ def check_dag_instance(
     """Run the three-way differential on one instance.
 
     On instances with ``<= exact_limit`` nodes the partitioner (whole
-    cut space + exact scheduling menu) must match the
+    cut space + exact multiset scheduler) must match the
     brute-force oracle bit-for-bit; on every instance it must price no
     worse than the Fig.-9 duplication baseline, and each emitted plan's
     cut must be executable (downward-closed, sources mobile).
@@ -281,14 +284,7 @@ def check_dag_instance(
             max_evaluations=max_evaluations,
         )
         n_used = oracle.n_used
-    partitioned = partition_dag(
-        dag,
-        instance.node_cost,
-        instance.upload_time,
-        n_used,
-        schedule="exact" if exact else "auto",
-        max_assignments=max_evaluations if exact else DEFAULT_MAX_ASSIGNMENTS,
-    )
+    partitioned = partition_dag(dag, instance.node_cost, instance.upload_time, n_used)
     baseline = duplication_schedule(dag, instance.node_cost, instance.upload_time, n_used)
 
     mismatches = list(_validate_plan_cuts(dag, partitioned))

@@ -19,14 +19,13 @@ block, as in *Efficient Algorithms for Device Placement of DNN Graph
 Operators*) — and from the closure BFS
 :func:`repro.dag.cuts.enumerate_closed_sets` on the graphs that builder
 cannot take, chosen from the graph's shape. Either way the space is
-exhaustive, so with the exact scheduling menu the partitioner is
-provably optimal under the two-stage pipeline model (locked against the
-brute-force oracle in ``repro.dag.oracle``).
+exhaustive, and :func:`repro.core.partition.optimal_multiset` schedules
+the jobs on it exactly — the best multiset of Pareto cuts, Johnson
+ordered — so the partitioner is provably optimal under the two-stage
+pipeline model (locked against the brute-force oracle in
+``repro.dag.oracle``).
 
-Scheduling reuses the two-stage flow-shop machinery: either an exact
-menu search (every multiset of Pareto cuts, Johnson-ordered — optimal
-for a fixed cut set) or the line-table two-cut split plus a best-uniform
-floor. The Fig.-9 baseline is kept as :func:`duplication_schedule` for
+The Fig.-9 baseline is kept as :func:`duplication_schedule` for
 differential comparison. Its (repaired) mobile set is one of the cuts,
 so some Pareto cut moves no more bytes at no more compute, and the
 true partitioner never prices worse than the duplication transform.
@@ -35,15 +34,12 @@ true partitioner never prices worse than the duplication transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.partition import binary_search_cut, split_exact
+from repro.core.partition import optimal_multiset
 from repro.core.plans import JobPlan, Schedule
-from repro.core.scheduling import johnson_order
 from repro.dag.cuts import (
     Cut,
     _fits_block_rows,
@@ -77,12 +73,6 @@ __all__ = [
 NodeCost = Callable[[str], float]
 #: Upload time (seconds) of a payload in bytes. Must be non-decreasing.
 UploadModel = Callable[[float], float]
-
-#: Exact-menu scheduling budget: multisets of Pareto cuts evaluated.
-DEFAULT_MAX_ASSIGNMENTS = 100_000
-
-#: Strict-improvement threshold shared with the split optimizers.
-_IMPROVEMENT = 1e-15
 
 
 def dag_pareto_cuts(dag: Dag, node_time: NodeCost) -> list[Cut]:
@@ -191,69 +181,6 @@ def dag_cut_table(
 # ----------------------------------------------------------------------
 # scheduling over a DAG cut table
 # ----------------------------------------------------------------------
-def _recurrence_makespan(stages: list[tuple[float, float]], order: Sequence[int]) -> float:
-    """Makespan of a job set run in ``order``, by the scalar flow-shop recurrence.
-
-    Not :func:`repro.core.scheduling.johnson_makespan`: that one runs the
-    numpy closed form, whose sums can differ from this loop in the last
-    bit, and every DAG plan's makespan is pinned to this loop's floats.
-    """
-    c1 = c2 = 0.0
-    for i in order:
-        f, g = stages[i]
-        c1 += f
-        c2 = max(c2, c1) + g
-    return c2
-
-
-def _exact_menu(
-    table: CostTable, n: int
-) -> tuple[float, tuple[int, ...]]:
-    """Optimal cut assignment over every multiset of table positions.
-
-    Johnson's rule is makespan-optimal for any fixed 2-stage job set, so
-    sweeping all ``C(k+n-1, n)`` multisets of Pareto positions with a
-    Johnson evaluation each *is* the exact optimum over assignments —
-    the same search space as the brute-force oracle, minus the redundant
-    permutations. Returns the best makespan and the chosen positions in
-    execution (Johnson) order.
-    """
-    stage_of = [table.stage_lengths(p) for p in range(table.k)]
-    # Jobs at one position share a stage pair, so Johnson's stable sort of
-    # a combo (positions ascending) is its stable sort by the positions'
-    # own Johnson rank: rank the k positions once, not every combo's jobs.
-    rank = {p: r for r, p in enumerate(johnson_order(stage_of))}
-    best = float("inf")
-    best_positions: tuple[int, ...] = ()
-    for combo in combinations_with_replacement(range(table.k), n):
-        stages = [stage_of[p] for p in combo]
-        order = sorted(range(n), key=lambda i: rank[combo[i]])
-        makespan = _recurrence_makespan(stages, order)
-        if makespan < best - _IMPROVEMENT:
-            best = makespan
-            best_positions = tuple(combo[i] for i in order)
-    return best, best_positions
-
-
-def _uniform_floor(table: CostTable, n: int) -> tuple[float, int]:
-    """Best single-position assignment: all ``n`` jobs on one cut.
-
-    For identical jobs the flow-shop makespan has the closed form
-    ``f + g + (n-1) * max(f, g)``. Sweeping every position is the floor
-    that completes the duplication-dominance argument: the baseline's
-    cut (or its Pareto dominator) is always a candidate here.
-    """
-    best = float("inf")
-    best_position = 0
-    for p in range(table.k):
-        f, g = table.stage_lengths(p)
-        makespan = f + g + (n - 1) * max(f, g)
-        if makespan < best - _IMPROVEMENT:
-            best = makespan
-            best_position = p
-    return best, best_position
-
-
 def _plans_at_positions(
     table: CostTable, positions: Sequence[int], model: str, cuts: tuple[Cut, ...]
 ) -> tuple[JobPlan, ...]:
@@ -276,66 +203,26 @@ def dag_schedule_from_table(
     table: CostTable,
     cuts: tuple[Cut, ...],
     n: int,
-    schedule: str = "auto",
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
     model: str | None = None,
-    extra_metadata: dict | None = None,
 ) -> Schedule:
     """Schedule ``n`` jobs on a priced DAG cut table (method ``JPS-dag``).
 
-    ``schedule``: ``"exact"`` runs the exact multiset menu (optimal,
-    budgeted by ``max_assignments``), ``"two-cut"`` the Theorem-5.3
-    split on the line-shaped table taken to the minimum with the
-    best-uniform floor, ``"auto"`` picks exact whenever the menu fits
-    the budget. Both engine planning paths and :func:`partition_dag`
-    route through here, so plan/batch output stays consistent.
+    The jobs take the optimal multiset of the table's cuts
+    (:func:`repro.core.partition.optimal_multiset`), in Johnson order.
+    Both engine planning paths and :func:`partition_dag` route through
+    here, so plan/batch output stays consistent.
     """
-    require_positive(n, "n")
-    if schedule not in ("auto", "exact", "two-cut"):
-        raise ValueError(
-            f"unknown schedule mode {schedule!r} (use 'auto', 'exact' or 'two-cut')"
-        )
-    menu_size = comb(table.k + n - 1, n)
-    if schedule == "exact" and menu_size > max_assignments:
-        raise ValueError(
-            f"exact menu needs {menu_size} assignments > budget {max_assignments}; "
-            "use schedule='auto' or raise max_assignments"
-        )
-    display = model or table.model_name
-    chosen = schedule
-    if chosen == "auto":
-        chosen = "exact" if menu_size <= max_assignments else "two-cut"
-
-    if chosen == "exact":
-        makespan, positions = _exact_menu(table, n)
-    else:
-        l_star = binary_search_cut(table)
-        split = split_exact(table, l_star, n)
-        split_positions = [
-            split.position_a if i < split.n_a else split.position_b
-            for i in range(n)
-        ]
-        stages = [table.stage_lengths(p) for p in split_positions]
-        order = johnson_order(stages)
-        makespan = _recurrence_makespan(stages, order)
-        positions = tuple(split_positions[i] for i in order)
-        uniform_makespan, uniform_position = _uniform_floor(table, n)
-        if uniform_makespan < makespan - _IMPROVEMENT:
-            makespan = uniform_makespan
-            positions = (uniform_position,) * n
-
-    jobs = _plans_at_positions(table, positions, display, cuts)
+    makespan, positions = optimal_multiset(table, n)
+    jobs = _plans_at_positions(table, positions, model or table.model_name, cuts)
     return Schedule(
         jobs=jobs,
         makespan=makespan,
         method="JPS-dag",
         metadata={
             "structure": "dag",
-            "schedule": chosen,
             "num_pareto_cuts": table.k,
             "s1_size": sum(p.is_communication_heavy for p in jobs),
             "s2_size": sum(not p.is_communication_heavy for p in jobs),
-            **(extra_metadata or {}),
         },
     )
 
@@ -346,8 +233,6 @@ def partition_dag(
     upload_time: UploadModel,
     n: int,
     cloud_time: NodeCost | None = None,
-    schedule: str = "auto",
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
     name: str | None = None,
 ) -> Schedule:
     """True-DAG JPS: partition ``n`` jobs of a general DAG, price the real cut.
@@ -360,14 +245,7 @@ def partition_dag(
     """
     require_positive(n, "n")
     dct = dag_cut_table(dag, node_time, upload_time, cloud_time=cloud_time, name=name)
-    return dag_schedule_from_table(
-        dct.table,
-        dct.cuts,
-        n,
-        schedule=schedule,
-        max_assignments=max_assignments,
-        model=name or dag.name,
-    )
+    return dag_schedule_from_table(dct.table, dct.cuts, n, model=name or dag.name)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from typing import Sequence
 from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.joint import SplitMode, Structure, attach_frontier_cuts, jps_line
 from repro.core.plans import Schedule
-from repro.dag.cuts import Cut, frontier_pareto_cuts
+from repro.dag.cuts import Cut, _fits_block_rows, frontier_pareto_cuts
 from repro.dag.graph import Dag
 from repro.dag.partition import (
     DagCutTable,
@@ -118,7 +118,8 @@ class _CutStructure:
     (``inside:entry->exit``) for ``frontier``, ``make_cut``'s
     frontier labels made unique for ``dag``, whose
     :func:`repro.dag.partition.dag_pareto_cuts` also takes the graphs
-    the builder cannot.
+    the builder cannot. On a non-series-parallel graph the builder
+    cannot take, ``frontier`` gets the ``dag`` kind's cuts and labels.
     """
 
     cuts: tuple[Cut, ...]
@@ -377,7 +378,10 @@ class PlanningEngine:
 
         Dominance compares (compute time, transfer bytes), both
         independent of the channel, so one structure serves every
-        bandwidth.
+        bandwidth. A ``frontier`` build of a graph that ``auto`` sends
+        to ``dag`` and whose blocks the row builder turns away (a huge
+        branch product over few cuts) takes the ``dag`` kind's cut
+        space and labels instead of walking every row.
         """
         key = (kind,) + self._base_key(network, predictor, predictor_key)
 
@@ -391,7 +395,10 @@ class PlanningEngine:
                 v: node_mobile_time(graph.payload(v), self.cloud)
                 for v in graph.node_ids
             }
-            if kind == "dag":
+            if kind == "dag" or (
+                self.structure_of(network) is Structure.DAG
+                and not _fits_block_rows(graph)
+            ):
                 cuts = dag_pareto_cuts(graph, mobile_time.__getitem__)
                 labels = unique_cut_labels(cuts)
             else:

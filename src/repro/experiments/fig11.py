@@ -7,9 +7,11 @@ Theorem 5.3 regularity condition essentially holds, so JPS should track
 the optimum; on raw AlexNet small gaps appear where adjacent-layer time
 differences are drastic — both effects match the paper's discussion.
 
-Brute force enumerates cut-position *multisets* (jobs are identical) —
-``C(n+k-1, k-1)`` candidates, each scheduled optimally by Johnson's
-rule — so modest job counts stay exact without the ``O(k^n)`` blow-up.
+Brute force is the exact optimum over cut-position *multisets* (jobs
+are identical), each scheduled optimally by Johnson's rule; the table
+reports the ``C(n+k-1, k-1)`` multisets it covers, which the dynamic
+program :func:`repro.core.partition.optimal_multiset` searches without
+visiting them one by one.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
 """Differential correctness oracle: exhaustive planning for small n.
 
-The planning stack carries three layers of cleverness — Theorem 5.3's
-two-cut structure, Johnson's rule, and the vectorized kernels — each of
-which could silently drift. This module is the machinery that proves
-they did not: a brute-force planner that enumerates **every** cut
-assignment times **every** execution order (no Johnson, no two-cut
-assumption, no shared code with the schemes under test) and the
-differential checks that cross-examine :func:`repro.core.joint.jps_line`
-against it and against the scalar reference below.
+The planning stack carries four layers of cleverness — Theorem 5.3's
+two-type structure, Johnson's rule, the vectorized kernels and the
+multiset dynamic program behind ``brute_force`` — each of which could
+silently drift. This module is the machinery that proves they did not:
+a brute-force planner that enumerates **every** cut assignment times
+**every** execution order (no Johnson, no two-type assumption, no
+shared code with the schemes under test) and the differential checks
+that cross-examine :func:`repro.core.joint.jps_line` and
+:func:`repro.core.baselines.brute_force` against it and JPS against the
+scalar reference below.
 
 It also holds the **scalar references** the production kernels replaced,
 which no production module imports: :func:`johnson_order_scalar` (two
 sorted lists), :func:`flow_shop_completion_times_scalar` (the
-recurrence), :func:`split_exact_scalar` (one flow-shop evaluation per
-candidate split) and :func:`jps_line_scalar` (binary search, that sweep,
-and ``schedule_jobs`` over eagerly built plans). The parity tests and
+recurrence), :func:`split_exact_scalar` and
+:func:`split_best_pair_scalar` (one flow-shop evaluation per candidate
+split) and :func:`jps_line_scalar` (binary search, those sweeps, and
+``schedule_jobs`` over eagerly built plans). The parity tests and
 ``benchmarks/bench_kernels.py`` compare against them.
 
 The exhaustive makespan uses the independent critical-path identity for
@@ -41,17 +44,22 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.baselines import brute_force
 from repro.core.joint import SplitMode, jps_line
 from repro.core.partition import (
     TwoTypeSplit,
     _split_makespan,
     binary_search_cut,
     plans_for_split,
-    split_best_pair,
     split_by_paper_ratio,
 )
 from repro.core.plans import Schedule
-from repro.core.scheduling import best_order_brute_force, flow_shop_makespan, schedule_jobs
+from repro.core.scheduling import (
+    best_order_brute_force,
+    flow_shop_makespan,
+    johnson_order,
+    schedule_jobs,
+)
 from repro.profiling.latency import CostTable
 from repro.utils.rng import make_rng
 from repro.utils.validation import require_positive
@@ -65,6 +73,7 @@ __all__ = [
     "johnson_order_scalar",
     "flow_shop_completion_times_scalar",
     "split_exact_scalar",
+    "split_best_pair_scalar",
     "jps_line_scalar",
 ]
 
@@ -121,16 +130,43 @@ def split_exact_scalar(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     return best
 
 
+def split_best_pair_scalar(table: CostTable, n: int) -> TwoTypeSplit:
+    """The best pair split as a Python sweep (the oracle for ``split_best_pair``).
+
+    For each position ``b``: all ``n`` jobs at ``b``, then for each
+    ``a < b`` every mixed split ``n_a = 1..n-1``, each evaluated on its
+    own in Johnson order; keeps the first candidate that beats the best
+    so far by more than ``1e-15`` — O(k^2 · n) flow-shop evaluations.
+    """
+    require_positive(n, "n")
+    best: TwoTypeSplit | None = None
+    for b in range(table.k):
+        stage_b = table.stage_lengths(b)
+        makespan = flow_shop_makespan([stage_b] * n)
+        if best is None or makespan < best.makespan - 1e-15:
+            best = TwoTypeSplit(b, b, 0, n, makespan)
+        for a in range(b):
+            stage_a = table.stage_lengths(a)
+            for n_a in range(1, n):
+                stages = [stage_a] * n_a + [stage_b] * (n - n_a)
+                order = johnson_order(stages)
+                makespan = flow_shop_makespan([stages[i] for i in order])
+                if makespan < best.makespan - 1e-15:
+                    best = TwoTypeSplit(a, b, n_a, n - n_a, makespan)
+    assert best is not None
+    return best
+
+
 def jps_line_scalar(
     table: CostTable, n: int, split: str | SplitMode = "exact"
 ) -> Schedule:
     """JPS on a line table, composed the scalar way (the oracle for ``jps_line``).
 
     Alg. 2's binary search, the split (:func:`split_exact_scalar` for
-    ``exact``), then Johnson's rule over one eagerly built ``JobPlan``
-    per job — the same document as :func:`repro.core.joint.jps_line`,
-    job order, ids and metadata included, up to the host-timed
-    ``scheduler_overhead_s``.
+    ``exact``, :func:`split_best_pair_scalar` for ``pair``), then
+    Johnson's rule over one eagerly built ``JobPlan`` per job — the same
+    document as :func:`repro.core.joint.jps_line`, job order, ids and
+    metadata included, up to the host-timed ``scheduler_overhead_s``.
     """
     started = perf_counter()
     mode = SplitMode.coerce(split)
@@ -140,7 +176,7 @@ def jps_line_scalar(
     elif mode is SplitMode.EXACT:
         chosen = split_exact_scalar(table, l_star, n)
     else:
-        chosen = split_best_pair(table, n)
+        chosen = split_best_pair_scalar(table, n)
     schedule = schedule_jobs(plans_for_split(table, chosen), method="JPS")
     return Schedule(
         jobs=schedule.jobs,
@@ -249,9 +285,11 @@ def check_instance(table: CostTable, n: int) -> InstanceCheck:
     :func:`~repro.core.joint.jps_line` disagreeing with
     :func:`jps_line_scalar` (makespan or any job), JPS claiming a
     makespan below the exhaustive optimum (impossible if both are
-    right), or Johnson's order being beaten on JPS's own cut choice. A
-    positive ``gap`` alone is legitimate — end effects let the optimum
-    beat the two-cut structure on some instances (cf. Fig. 11).
+    right), Johnson's order being beaten on JPS's own cut choice, or
+    :func:`~repro.core.baselines.brute_force` missing the exhaustive
+    optimum. A positive ``gap`` alone is legitimate — end effects let
+    the optimum beat the two-type structure on some instances (cf.
+    Fig. 11).
     """
     planned = jps_line(table, n)
     reference = jps_line_scalar(table, n)
@@ -274,6 +312,12 @@ def check_instance(table: CostTable, n: int) -> InstanceCheck:
         mismatches.append(
             f"Johnson order suboptimal for JPS's own assignment: "
             f"{johnson_best!r} < {planned.makespan!r}"
+        )
+    optimum = brute_force(table, n).makespan
+    if abs(optimum - oracle.makespan) > TOLERANCE:
+        mismatches.append(
+            f"brute_force missed the exhaustive optimum: "
+            f"{optimum!r} vs {oracle.makespan!r}"
         )
     return InstanceCheck(
         n=n,

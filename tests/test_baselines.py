@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from repro.core.analysis import fractional_lower_bound
 from repro.core.baselines import (
     brute_force,
     brute_force_search_space,
@@ -14,6 +15,7 @@ from repro.core.baselines import (
     partition_only,
     single_job_optimal_cut,
 )
+from repro.core.joint import jps_line
 from tests.helpers import make_table
 
 
@@ -64,9 +66,17 @@ def test_brute_force_small_instance_exact():
     assert sorted(schedule.metadata["cut_multiset"]) == [0, 1]
 
 
-def test_brute_force_cap_enforced(simple_table):
-    with pytest.raises(ValueError, match="restrict"):
-        brute_force(simple_table, 100, max_candidates=10)
+def test_brute_force_reaches_the_papers_job_count(simple_table):
+    """No enumeration cap: n = 100 over 8 positions (C(107, 7) multisets)
+    is searched exactly, between the LP bound and the paper's JPS."""
+    bf = brute_force(simple_table, 100)
+    assert bf.metadata["search_space"] == brute_force_search_space(100, simple_table.k)
+    assert bf.num_jobs == 100
+    assert sorted(bf.metadata["cut_multiset"]) == list(bf.metadata["cut_multiset"])
+    assert fractional_lower_bound(simple_table, 100) <= bf.makespan + 1e-9
+    assert bf.makespan <= jps_line(simple_table, 100).makespan + 1e-12
+    with pytest.raises(ValueError, match="no candidate positions"):
+        brute_force(simple_table, 4, positions=[])
 
 
 def test_brute_force_restricted_positions(simple_table):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.joint import Structure
 from repro.dag.cuts import Cut, _fits_block_rows, enumerate_closed_sets, make_cut
 from repro.dag.graph import Dag
+from repro.dag.oracle import dag_exhaustive_optimal
 from repro.dag.partition import (
     cut_columns,
     dag_cut_table,
@@ -74,6 +75,25 @@ def joined_network() -> Network:
     c = b.add(Add(), name="c", inputs=(a, other))
     x = b.add(Conv2d(1, kernel=1), name="x", inputs=(s,))
     b.add(Add(), name="t", inputs=(c, x))
+    return b.build()
+
+
+def ladder_network() -> Network:
+    """Not series-parallel: two 1x1-conv rails cross-wired into ``Add`` s
+    for three rungs, one rail then running on alone. Its one block's
+    branch product (160,001 rows) is past the row builder's cap, its
+    ideals few."""
+    b = NetworkBuilder("ladder", input_shape=(3, 32, 32))
+    s = b.add(Conv2d(32, kernel=3, padding="same"), name="s")
+    x = b.add(Conv2d(1, kernel=1), name="x0", inputs=(s,))
+    y = b.add(Conv2d(1, kernel=1), name="y0", inputs=(s,))
+    for rung in (1, 2):
+        x, y = (
+            b.add(Add(), name=f"x{rung}", inputs=(x, y)),
+            b.add(Add(), name=f"y{rung}", inputs=(x, y)),
+        )
+    x = b.add(Conv2d(1, kernel=1), name="z", inputs=(x,))
+    b.add(Add(), name="t", inputs=(x, y))
     return b.build()
 
 
@@ -212,43 +232,23 @@ def test_cut_columns_keep_the_all_mobile_cut_local_and_cloud_monotone():
 
 
 # ----------------------------------------------------------------------
-# scheduling modes
+# scheduling
 # ----------------------------------------------------------------------
 
 
-def test_exact_and_two_cut_agree_on_diamond():
+def test_partition_dag_is_exact_on_the_diamond():
+    """One scheduler, no modes: every job count gets the oracle's optimum."""
     dct = dag_cut_table(diamond(), DIAMOND_TIMES.__getitem__, upload)
-    exact = dag_schedule_from_table(dct.table, dct.cuts, 3, schedule="exact")
-    two_cut = dag_schedule_from_table(dct.table, dct.cuts, 3, schedule="two-cut")
-    auto = dag_schedule_from_table(dct.table, dct.cuts, 3, schedule="auto")
-    assert exact.method == "JPS-dag"
-    assert exact.metadata["schedule"] == "exact"
-    assert two_cut.metadata["schedule"] == "two-cut"
-    assert auto.metadata["schedule"] == "exact"  # menu fits the budget
-    assert auto.makespan == exact.makespan
-    assert two_cut.makespan >= exact.makespan  # exact menu is the optimum
-
-
-def test_exact_over_budget_raises():
-    dct = dag_cut_table(diamond(), DIAMOND_TIMES.__getitem__, upload)
-    with pytest.raises(ValueError, match="exact menu needs"):
-        dag_schedule_from_table(
-            dct.table, dct.cuts, 10, schedule="exact", max_assignments=3
-        )
-
-
-def test_auto_falls_back_to_two_cut_over_budget():
-    dct = dag_cut_table(diamond(), DIAMOND_TIMES.__getitem__, upload)
-    schedule = dag_schedule_from_table(
-        dct.table, dct.cuts, 10, schedule="auto", max_assignments=3
-    )
-    assert schedule.metadata["schedule"] == "two-cut"
-
-
-def test_unknown_schedule_mode_raises():
-    dct = dag_cut_table(diamond(), DIAMOND_TIMES.__getitem__, upload)
-    with pytest.raises(ValueError, match="unknown schedule mode"):
-        dag_schedule_from_table(dct.table, dct.cuts, 2, schedule="greedy")
+    for n in range(1, 5):
+        schedule = dag_schedule_from_table(dct.table, dct.cuts, n, model="diamond")
+        oracle = dag_exhaustive_optimal(diamond(), DIAMOND_TIMES, upload, n)
+        assert oracle.n_used == n
+        assert schedule.method == "JPS-dag"
+        assert schedule.makespan == oracle.makespan
+        assert "schedule" not in schedule.metadata
+        assert partition_dag(
+            diamond(), DIAMOND_TIMES.__getitem__, upload, n
+        ).to_dict() == schedule.to_dict()
 
 
 def test_partition_dag_dominates_duplication_on_the_diamond():
@@ -391,3 +391,26 @@ def test_forced_frontier_plans_off_series_parallel(network):
     # the kind only picks the labels: block labels vs make_cut's default
     assert frontier[-1].label == f"after:{net.graph.topological_order()[-1]}"
     assert [c.label for c in dag] == [make_cut(net.graph, c.mobile).label for c in dag]
+
+
+def test_forced_frontier_takes_the_dag_cut_space_past_the_row_cap():
+    """A graph ``auto`` sends to ``dag`` whose block the row builder turns
+    away: the frontier kind takes the dag kind's cuts and labels instead
+    of walking every row."""
+    net = ladder_network()
+    assert len(net.graph) <= 16
+    assert not _fits_block_rows(net.graph)
+    engine = PlanningEngine()
+    assert engine.structure_of(net) is Structure.DAG
+    schedule = engine.plan(net, 4, make_channel(10.0), structure="frontier")
+    assert schedule.method == "JPS-frontier"
+    frontier, dag = (
+        engine.priced_table(net, mbps(10.0), structure=kind) for kind in ("frontier", "dag")
+    )
+    assert [c.mobile for c in frontier.cuts] == [c.mobile for c in dag.cuts]
+    assert frontier.table.positions == dag.table.positions == unique_cut_labels(dag.cuts)
+    times = {
+        v: node_mobile_time(net.graph.payload(v), engine.mobile)
+        for v in net.graph.node_ids
+    }
+    assert _front(frontier.cuts) == oracle_pareto_front(net.graph, times.__getitem__)

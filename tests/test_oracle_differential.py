@@ -229,7 +229,7 @@ def test_dag_oracle_hand_computed_diamond():
     upload = lambda b: b * 0.005  # noqa: E731
 
     oracle = dag_exhaustive_optimal(dag, times, upload, 2)
-    schedule = partition_dag(dag, times.__getitem__, upload, 2, schedule="exact")
+    schedule = partition_dag(dag, times.__getitem__, upload, 2)
     baseline = duplication_schedule(dag, times.__getitem__, upload, 2)
     assert schedule.makespan == pytest.approx(oracle.makespan)
     # strict improvement: duplication re-ships a's tensor on both paths
