@@ -17,12 +17,17 @@ and writes a machine-readable artifact at the repo root:
   by the reference (``prune_dominated`` over every
   ``enumerate_frontier_cuts`` candidate) and by the batch builder
   ``frontier_pareto_cuts``, in ms, with the candidate and survivor
-  counts.
+  counts;
+* **two_type_split** — the exact split ``split_exact`` on the googlenet
+  and vgg16 tables at 5.85 Mbps for n = 8, 100 and 1000: µs per call
+  and the rows of the stage matrix it prices per call.
 
 Every section checks parity before timing (kernel inputs are drawn on
 a dyadic grid where the closed form is bit-exact); ``frontier_cuts``
 records it as ``identical`` (cuts, labels and each mobile set's
-iteration order), which ``--check`` requires. Run as a CLI::
+iteration order), and ``two_type_split`` as ``identical`` to the
+scalar sweep ``split_exact_scalar`` (every field, the makespan by
+``float.hex``); ``--check`` requires both. Run as a CLI::
 
     python benchmarks/bench_kernels.py [--quick] [--check] [--out PATH]
 
@@ -30,8 +35,9 @@ iteration order), which ``--check`` requires. Run as a CLI::
 stays 10k — the regression gate is defined there); ``--check`` exits
 non-zero when a speedup floor is missed — each kernel, both
 ``plan_batch`` and per-call ``plan()``, and the batch frontier builder
-must beat their reference by ``5x`` — or when the two frontier cut
-lists differ.
+must beat their reference by ``5x`` — when the two frontier cut
+lists differ, or when a split differs from the scalar sweep or prices
+more than ``MAX_SPLIT_ROWS`` rows (a count, so it holds on any host).
 """
 
 from __future__ import annotations
@@ -41,9 +47,13 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.api import as_channel
+from repro.core import partition
+from repro.core.partition import searchsorted_cut, split_exact
 from repro.core.scheduling import (
     flow_shop_completion_arrays,
     flow_shop_completion_times,
@@ -56,6 +66,7 @@ from repro.faults.oracle import (
     flow_shop_completion_times_scalar,
     johnson_order_scalar,
     jps_line_scalar,
+    split_exact_scalar,
 )
 from repro.fleet import FleetGateway, ServerSpec, SystemConfig, WorkloadConfig
 from repro.net.bandwidth import TrafficShaper
@@ -77,9 +88,16 @@ MIN_PLAN_BATCH_SPEEDUP = 5.0
 #: Floor for the batch frontier builder over the per-candidate reference.
 MIN_FRONTIER_SPEEDUP = 5.0
 
+#: Most stage-matrix rows one ``split_exact`` call may price on the
+#: ``two_type_split`` tables.
+MAX_SPLIT_ROWS = 4
+
 KERNEL_JOBS = 10_000
 PLAN_BANDWIDTHS = 64
 PLAN_N = 100
+SPLIT_MODELS = ("googlenet", "vgg16")
+SPLIT_MBPS = 5.85
+SPLIT_JOBS = (8, 100, 1000)
 
 
 def best_of(fn, repeats: int) -> float:
@@ -266,6 +284,47 @@ def bench_frontier_cuts(repeats: int, model: str = "googlenet") -> dict:
     }
 
 
+def _split_fields(split) -> tuple:
+    """Every field of a ``TwoTypeSplit``, the makespan as ``float.hex``."""
+    return split.position_a, split.position_b, split.n_a, split.n_b, split.makespan.hex()
+
+
+def bench_two_type_split(repeats: int, calls: int) -> dict:
+    """``split_exact`` per call: µs, stage-matrix rows priced, parity.
+
+    The rows are counted by wrapping ``two_type_makespans``, the one
+    kernel that prices them; parity is against the scalar sweep over
+    every split, ``split_exact_scalar``.
+    """
+    engine = PlanningEngine()
+    channel = as_channel(SPLIT_MBPS)
+    cells = []
+    for model in SPLIT_MODELS:
+        table = engine.cost_table(model, channel)
+        l_star = searchsorted_cut(table)
+        for n in SPLIT_JOBS:
+            with mock.patch.object(
+                partition, "two_type_makespans", wraps=partition.two_type_makespans
+            ) as kernel:
+                split = split_exact(table, l_star, n)
+            expected = split_exact_scalar(table, l_star, n)
+            seconds = best_of(
+                lambda: [split_exact(table, l_star, n) for _ in range(calls)], repeats
+            )
+            cells.append(
+                {
+                    "model": model,
+                    "n": n,
+                    "us_per_call": seconds / calls * 1e6,
+                    "rows_per_call": sum(
+                        call.args[4] - call.args[3] for call in kernel.call_args_list
+                    ),
+                    "identical": _split_fields(split) == _split_fields(expected),
+                }
+            )
+    return {"mbps": SPLIT_MBPS, "cells": cells}
+
+
 def run(quick: bool) -> dict:
     repeats = 3 if quick else 7
     document = {
@@ -275,6 +334,7 @@ def run(quick: bool) -> dict:
             "kernel_speedup_min": MIN_KERNEL_SPEEDUP,
             "plan_batch_speedup_min": MIN_PLAN_BATCH_SPEEDUP,
             "frontier_speedup_min": MIN_FRONTIER_SPEEDUP,
+            "split_rows_max": MAX_SPLIT_ROWS,
         },
         "kernels": bench_kernels(repeats),
         "plan_batch": bench_plan_batch(1 if quick else 3),
@@ -282,6 +342,7 @@ def run(quick: bool) -> dict:
             clients=8 if quick else 32, horizon=20.0 if quick else 60.0
         ),
         "frontier_cuts": bench_frontier_cuts(repeats),
+        "two_type_split": bench_two_type_split(repeats, calls=50 if quick else 200),
     }
     return document
 
@@ -338,6 +399,16 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("the batch frontier cuts differ from the reference")
     if fc["speedup"] < MIN_FRONTIER_SPEEDUP:
         failures.append(f"frontier cut speedup {fc['speedup']:.2f}x < {MIN_FRONTIER_SPEEDUP}x")
+    for cell in document["two_type_split"]["cells"]:
+        name = f"{cell['model']} split n={cell['n']}"
+        print(
+            f"{name}: {cell['us_per_call']:.1f} us/call, "
+            f"{cell['rows_per_call']} rows/call, identical: {cell['identical']}"
+        )
+        if not cell["identical"]:
+            failures.append(f"{name} differs from the scalar sweep")
+        if cell["rows_per_call"] > MAX_SPLIT_ROWS:
+            failures.append(f"{name} prices {cell['rows_per_call']} rows > {MAX_SPLIT_ROWS}")
     print(f"[artifact: {args.out}]")
 
     if args.check and failures:

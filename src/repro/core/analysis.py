@@ -19,7 +19,7 @@ from scipy import optimize
 
 from repro.core.plans import Schedule
 from repro.profiling.latency import CostTable
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_integer, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> sim import cycle
     from repro.sim.pipeline import PipelineResult
@@ -42,7 +42,7 @@ def fractional_lower_bound(table: CostTable, n: int) -> float:
     not charged, so the bound is strict but usually tight within one
     job's worth of time.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     k = table.k
     # variables: λ_0..λ_{k-1}, t
     c = np.zeros(k + 1)

@@ -25,7 +25,7 @@ from repro.core.partition import cut_plan, optimal_multiset
 from repro.core.plans import JobPlan, RunLengthJobs, Schedule
 from repro.core.scheduling import flow_shop_completion_arrays, schedule_jobs
 from repro.profiling.latency import CostTable
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_integer, require_positive
 
 __all__ = [
     "local_only",
@@ -43,7 +43,7 @@ def _uniform_schedule(
     """All ``n`` jobs cut at ``position``: one prototype, Johnson order is
     the identity, and the makespan is the closed form over ``n`` equal
     stages."""
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     plan = cut_plan(table, position)
     _, c2 = flow_shop_completion_arrays(
         np.full(n, plan.compute_time), np.full(n, plan.comm_time)
@@ -107,7 +107,7 @@ def brute_force(
     :func:`~repro.core.scheduling.schedule_jobs`, whose makespan the
     schedule reports.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     candidates = list(range(table.k)) if positions is None else sorted(set(positions))
     _, order = optimal_multiset(table, n, candidates)
     combo = tuple(sorted(order))

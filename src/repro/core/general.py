@@ -43,7 +43,7 @@ from repro.profiling.latency import (
     node_mobile_time,
     path_cost_table,
 )
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_integer, require_positive
 
 __all__ = [
     "PathPlan",
@@ -197,7 +197,7 @@ def alg3_schedule(
     replaying the flow-shop recurrence with the deduplicated stage
     lengths to obtain the real makespan.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     path_plans, info = alg3_partition(
         network, mobile, cloud, channel, predictor, max_paths
     )
@@ -219,7 +219,7 @@ def alg3_schedule_from_plans(
     and replay only the Johnson ordering + deduplicated flow-shop
     recurrence per job count.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     graph = network.graph
     layer_time = {
         v: node_mobile_time(graph.payload(v), mobile, predictor) for v in graph.node_ids

@@ -96,13 +96,14 @@ def jps_line(table: CostTable, n: int, split: str | SplitMode = "exact") -> Sche
     ``split`` selects the two-type allocation over (l*-1, l*):
     ``"ratio"`` is the paper's floor-ratio rule (Alg. 2 line 9) —
     faithful but degenerate when the true ratio is below 1 (the floor
-    collapses to a single cut layer); ``"exact"`` prices every integer
+    collapses to a single cut layer); ``"exact"`` takes the best integer
     split over the same two layers and is the default; ``"pair"`` takes
     the best two-type mix over all position pairs. The ablation bench
     quantifies the gap.
 
-    The crossing is one :func:`searchsorted_cut` and the exact split the
-    row-blocked matrix kernel of :func:`split_exact`; the schedule holds
+    The crossing is one :func:`searchsorted_cut` and the exact split
+    :func:`split_exact`, which prices only the few splits around the
+    minimum of the convex split makespan; the schedule holds
     one prototype job per cut type (:func:`split_jobs`) and the split's
     own makespan, so a plan does no per-job work. Output is identical to
     the scalar composition kept as

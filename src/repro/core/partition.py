@@ -14,14 +14,17 @@ computation, which ``ratio`` communication-heavy jobs (surplus
 ``g - f`` each) can hide behind.
 
 Beyond the paper's rule we expose an *exact* integer split optimizer
-(same two candidate layers, best ``n1`` by direct makespan evaluation of
-all ``n + 1`` candidates, priced as row blocks of one stage matrix); it
-is the default JPS split. The scalar sweep it replaced is kept as the
-test oracle :func:`repro.faults.oracle.split_exact_scalar`.
+(same two candidate layers, best ``n1`` by direct makespan evaluation);
+it is the default JPS split. A split's makespan is a critical path that
+is convex in ``n1``, so only the few candidates near its minimum that
+can decide the choice are priced, as rows of one stage matrix. The
+scalar sweep over all ``n + 1`` candidates is kept as the test oracle
+:func:`repro.faults.oracle.split_exact_scalar`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +33,7 @@ import numpy as np
 from repro.core.plans import JobPlan, RunLengthJobs
 from repro.core.scheduling import flow_shop_makespan, johnson_order, johnson_order_indices
 from repro.profiling.latency import CostTable
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_integer, require_positive
 
 __all__ = [
     "binary_search_cut",
@@ -161,7 +164,7 @@ def split_by_paper_ratio(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     (``f(l*) < g(l*)`` at its final position ``l*``): there ``g``
     bounds every stage and ``l*`` has the smallest.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     if (
         l_star == 0
         or np.isclose(table.f[l_star], table.g[l_star])
@@ -191,6 +194,12 @@ def split_by_paper_ratio(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
 #: however large ``n`` grows.
 _SPLIT_ROWS = 256
 
+#: Widest scan window :func:`split_exact` grows before it prices every
+#: row instead: arms too flat for rounding to tell their rows apart.
+_WINDOW_ROWS = 16
+
+_EPS = float(np.finfo(float).eps)
+
 
 def two_type_makespans(
     stage_a: tuple[float, float],
@@ -202,8 +211,8 @@ def two_type_makespans(
     """Johnson makespans of the candidate splits ``start..stop-1``, one matrix pass.
 
     Entry ``i`` is the exact makespan of ``start + i`` jobs at
-    ``stage_a`` followed by the rest of the ``n`` at ``stage_b`` (all
-    ``n + 1`` candidates by default) — the order Johnson's rule produces
+    ``stage_a`` followed by the rest of the ``n`` at ``stage_b`` (every
+    split ``0..n`` by default) — the order Johnson's rule produces
     when ``stage_a`` is strictly communication-heavy (``f_a < g_a``) and
     ``stage_b`` computation-heavy (``f_b >= g_b``), as the (l*-1, l*)
     candidates of Theorem 5.3 always are. Each row of the stage matrix
@@ -215,7 +224,7 @@ def two_type_makespans(
     evaluating that candidate on its own, and rows are independent of
     the block they are priced in.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     stop = n + 1 if stop is None else stop
     if not 0 <= start < stop <= n + 1:
         raise ValueError(f"candidate rows must satisfy 0 <= start < stop <= {n + 1}")
@@ -228,26 +237,113 @@ def two_type_makespans(
     return gcum[:, -1] + c1.max(axis=1)
 
 
+def _scan_window(
+    stage_a: tuple[float, float], stage_b: tuple[float, float], n: int
+) -> tuple[int, int]:
+    """The splits ``[lo, hi)`` on which :func:`split_exact`'s scan decides.
+
+    For ``1 <= i <= n - 1`` the makespan of ``i`` jobs at ``stage_a``
+    then ``n - i`` at ``stage_b`` is the critical path
+    ``max_j (sum_{k<=j} f_k + sum_{k>=j} g_k)``, and ``j`` in
+    ``{1, i, i + 1, n}`` attains it (each stage type's terms are linear
+    in ``j``): a maximum of lines in ``i``, so convex. Splits 0 and
+    ``n`` keep only some of those terms and lie off that piece.
+
+    The window starts at the minimizer of the lines and grows until
+    (A) every split before ``lo`` is worse than split ``lo`` by more
+    than ``2 * err + 1e-15`` and (B) every split from ``hi`` on is at
+    least the window's best plus ``2 * err``. Each is checked on the
+    neighbouring split, convexity covering the others on the piece,
+    and on splits 0 and ``n`` directly. ``err`` bounds the rounding of
+    the kernel's rows and of these critical paths together, with room
+    to spare for the comparisons' own rounding (the form of
+    :func:`repro.dag.cuts._dominance_gap`). Under (A) the scan takes
+    split ``lo`` whatever it held before, and under (B) nothing after
+    the window beats what it holds, so scanning the window picks what
+    scanning every split picks.
+
+    Every split ``(0, n + 1)`` comes back when fewer than four are in
+    play, when a sum is not finite, or when the window would outgrow
+    ``_WINDOW_ROWS``.
+    """
+    every = 0, n + 1
+    f_a, g_a = stage_a
+    f_b, g_b = stage_b
+    if n < 3 or not math.isfinite(2 * n * (f_a + g_a + f_b + g_b)):
+        return every
+    err = 4 * (n + 2) * _EPS * n * (max(f_a, f_b) + max(g_a, g_b))
+    # the critical paths through j = 1, j in {i, i + 1} and j = n, as lines c + s * i
+    c0, s0 = f_a + n * g_b, g_a - g_b
+    c1, s1 = max(g_a, f_b) + n * g_b, f_a - g_b
+    c2, s2 = n * f_b + g_b, f_a - f_b
+
+    def path(i: int) -> float:
+        """Split ``i``'s critical path, ``1 <= i <= n - 1``."""
+        return max(c0 + s0 * i, c1 + s1 * i, c2 + s2 * i)
+
+    # the lines' maximum is least where the highest falling line meets the rising ones
+    lines = ((c0, s0), (c1, s1), (c2, s2))
+    x = 1.0
+    for c_d, s_d in lines:
+        if s_d < 0:
+            meet = n - 1
+            for c_u, s_u in lines:
+                if s_u >= 0:
+                    meet = min(meet, (c_u - c_d) / (s_d - s_u))
+            x = max(x, meet)
+    start = int(min(x, n - 2))
+    lo = min(start, start + 1, key=path)
+    hi = lo + 1
+    first = max(f_b + n * g_b, n * f_b + g_b)  # split 0: every job at stage_b
+    last = max(f_a + n * g_a, n * f_a + g_a)  # split n: every job at stage_a
+
+    at_lo = best = path(lo)  # best: the window's least critical path on the convex piece
+    while lo > 0:  # (A)
+        bar = at_lo + 2 * err + 1e-15
+        before = first if lo == 1 else path(lo - 1)
+        if before > bar and first > bar:
+            break
+        lo, at_lo = lo - 1, before
+        if lo:
+            best = min(best, before)
+        if hi - lo > _WINDOW_ROWS:
+            return every
+    while hi <= n:  # (B)
+        after = last if hi == n else path(hi)
+        bar = best + 2 * err
+        if after >= bar and last >= bar:
+            break
+        if hi < n:
+            best = min(best, after)
+        hi += 1
+        if hi - lo > _WINDOW_ROWS:
+            return every
+    return lo, hi
+
+
 def split_exact(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
     """Best integer split over the two candidate layers (l*-1, l*).
 
-    Prices all ``n + 1`` values of ``n_a`` exactly with
-    :func:`two_type_makespans`, ``_SPLIT_ROWS`` candidates per pass, and
-    keeps the first candidate that beats the best so far by more than
-    ``1e-15`` — O(n^2) matrix cells and no per-candidate Python work
-    but the comparison. The ratio rule is a closed-form approximation of
-    this.
+    Scans the values of ``n_a`` in order and keeps the first that beats
+    the best so far by more than ``1e-15``. Only the splits of
+    :func:`_scan_window` are priced, with :func:`two_type_makespans`,
+    ``_SPLIT_ROWS`` per pass: the few around the minimum of the convex
+    makespan, or every ``n + 1`` where rounding cannot tell the rows
+    apart. The choice and its makespan are bit-identical to the scan of
+    every split, :func:`repro.faults.oracle.split_exact_scalar`. The
+    ratio rule is a closed-form approximation of this.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     if l_star == 0:
         makespan = flow_shop_makespan([table.stage_lengths(0)] * n)
         return TwoTypeSplit(0, 0, 0, n, makespan)
     stage_a, stage_b = table.stage_lengths(l_star - 1), table.stage_lengths(l_star)
-    best = 0
-    for start in range(0, n + 1, _SPLIT_ROWS):
-        stop = min(start + _SPLIT_ROWS, n + 1)
+    lo, hi = _scan_window(stage_a, stage_b, n)
+    best = lo
+    for start in range(lo, hi, _SPLIT_ROWS):
+        stop = min(start + _SPLIT_ROWS, hi)
         makespans = two_type_makespans(stage_a, stage_b, n, start, stop).tolist()
-        if start == 0:
+        if start == lo:
             best_makespan = makespans[0]
         for n_a, makespan in enumerate(makespans, start):
             if makespan < best_makespan - 1e-15:
@@ -257,7 +353,7 @@ def split_exact(table: CostTable, l_star: int, n: int) -> TwoTypeSplit:
 
 def _best_pair(table: CostTable, n: int, candidates: Sequence[int]) -> TwoTypeSplit:
     """:func:`split_best_pair` over the positions ``candidates`` (ascending)."""
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     # candidates in scan order: for each b, all n at b, then for each a < b
     # the splits n_a = 1..n-1 of a with b, in the order Johnson runs them
     segments: list[tuple[int, int]] = []
@@ -427,7 +523,7 @@ def optimal_multiset(
     Returns the makespan and the chosen positions in execution (Johnson)
     order.
     """
-    require_positive(n, "n")
+    n = require_positive(require_integer(n, "n"), "n")
     candidates = list(range(table.k)) if positions is None else sorted(set(positions))
     if not candidates:
         raise ValueError("no candidate positions to search")

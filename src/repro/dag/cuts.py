@@ -221,7 +221,7 @@ class _BlockRows:
                 masks[p + 1 :, column[v]] = True  # v's branch successor is never in base
             self.prefixes.append(masks)
         self.sizes = tuple(len(branch) + 1 for branch in block.branches)
-        self.count = prod(self.sizes)
+        self.count = _block_rows(block)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start..stop-1`` as one boolean matrix."""
@@ -256,6 +256,11 @@ class _BlockRows:
         can cross also cover every edge a row could break.
         """
         return ~(rows[:, self.head_col] & ~rows[:, self.tail_col]).any(axis=1)
+
+
+def _block_rows(block: ParallelBlock) -> int:
+    """Rows of :class:`_BlockRows` for ``block``, from its branch lengths alone."""
+    return prod(len(branch) + 1 for branch in block.branches)
 
 
 def _block_cut_bytes(dag: Dag, block: ParallelBlock, base: frozenset[str]) -> np.ndarray:
@@ -431,8 +436,7 @@ def _fits_block_rows(dag: Dag) -> bool:
     joints = separators(dag)
     if any(paths[b] > _MAX_BLOCK_PATHS * paths[a] for a, b in zip(joints, joints[1:])):
         return False
-    blocks = parallel_blocks(dag, _MAX_BLOCK_PATHS)
-    rows = sum(prod(len(branch) + 1 for branch in block.branches) for block in blocks)
+    rows = sum(_block_rows(block) for block in parallel_blocks(dag, _MAX_BLOCK_PATHS))
     return rows + 1 <= _MAX_FRONTIER_CUTS
 
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.dag.cuts import _block_cut_bytes, _closure_up_to, cut_transfer_bytes
+from repro.dag.cuts import (
+    _MAX_FRONTIER_CUTS,
+    _block_cut_bytes,
+    _block_rows,
+    _closure_up_to,
+    cut_transfer_bytes,
+)
 from repro.dag.graph import Dag
 from repro.dag.topology import (
     ParallelBlock,
@@ -130,8 +136,13 @@ def should_cluster_block(dag: Dag, block: ParallelBlock) -> bool:
     edge forces every interior cut to re-upload the entry tensor) are
     clustered; deep GoogLeNet Inception modules (whose 1x1 reductions
     shrink branch tensors below the entry volume) are not.
+
+    A block of more than ``_MAX_FRONTIER_CUTS`` rows (its branch
+    product, counted before any row is priced) is not clustered either:
+    keeping a block only keeps more cuts, and the cut-space builders
+    take such a graph exactly.
     """
-    if block.is_trivial:
+    if block.is_trivial or _block_rows(block) > _MAX_FRONTIER_CUTS:
         return False
     base = _closure_up_to(dag, block.entry)
     entry_bytes = cut_transfer_bytes(dag, base)

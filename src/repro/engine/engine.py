@@ -25,10 +25,10 @@ content-addressed keys (:mod:`repro.engine.keys`):
   deduplicated flow-shop recurrence for any job count.
 
 A warm ``plan()`` therefore costs only the search: one
-``np.searchsorted`` crossing, the exact split as row blocks of one
-stage matrix, and at most two prototype jobs (the run-length
-:class:`~repro.core.plans.RunLengthJobs` builds per-job plans only when
-read) — the cost the paper's Fig. 12(d) says the deployed scheduler
+``np.searchsorted`` crossing, the exact split (the one or two rows of
+its stage matrix that can win), and at most two prototype jobs (the
+run-length :class:`~repro.core.plans.RunLengthJobs` builds per-job
+plans only when read) — the cost the paper's Fig. 12(d) says the deployed scheduler
 pays per decision. The engine is the one network planner: it serves
 the ``repro.api`` facade, the serving stack and
 :class:`~repro.experiments.runner.ExperimentEnv` (every figure harness).

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.joint import Structure
-from repro.dag.cuts import Cut, _fits_block_rows, enumerate_closed_sets, make_cut
+from repro.dag import transform
+from repro.dag.cuts import Cut, _block_rows, _fits_block_rows, enumerate_closed_sets, make_cut
 from repro.dag.graph import Dag
 from repro.dag.oracle import dag_exhaustive_optimal
 from repro.dag.partition import (
@@ -20,6 +21,7 @@ from repro.dag.partition import (
     partition_dag,
     unique_cut_labels,
 )
+from repro.dag.topology import parallel_blocks
 from repro.engine import PlanningEngine
 from repro.net.bandwidth import TrafficShaper
 from repro.net.channel import Channel
@@ -78,16 +80,16 @@ def joined_network() -> Network:
     return b.build()
 
 
-def ladder_network() -> Network:
+def ladder_network(rungs: int = 3) -> Network:
     """Not series-parallel: two 1x1-conv rails cross-wired into ``Add`` s
-    for three rungs, one rail then running on alone. Its one block's
-    branch product (160,001 rows) is past the row builder's cap, its
-    ideals few."""
+    for ``rungs`` rungs, one rail then running on alone. Its one block's
+    branch product (160,000 rows at three rungs, 656,100,000,000 at
+    four) is past the row builder's cap, its ideals few."""
     b = NetworkBuilder("ladder", input_shape=(3, 32, 32))
     s = b.add(Conv2d(32, kernel=3, padding="same"), name="s")
     x = b.add(Conv2d(1, kernel=1), name="x0", inputs=(s,))
     y = b.add(Conv2d(1, kernel=1), name="y0", inputs=(s,))
-    for rung in (1, 2):
+    for rung in range(1, rungs):
         x, y = (
             b.add(Add(), name=f"x{rung}", inputs=(x, y)),
             b.add(Add(), name=f"y{rung}", inputs=(x, y)),
@@ -414,3 +416,30 @@ def test_forced_frontier_takes_the_dag_cut_space_past_the_row_cap():
         for v in net.graph.node_ids
     }
     assert _front(frontier.cuts) == oracle_pareto_front(net.graph, times.__getitem__)
+
+
+def test_a_block_past_the_row_cap_is_planned_without_pricing_its_rows(monkeypatch):
+    """Four rungs: 656,100,000,000 rows in one block. Whether to cluster it
+    is settled from its branch lengths, so no row is priced (pricing them
+    all once asked for 4.77 TiB), and both kinds plan the exact front."""
+
+    def no_pricing(*args):
+        raise AssertionError("a block past the row cap was priced row by row")
+
+    monkeypatch.setattr(transform, "_block_cut_bytes", no_pricing)
+    net = ladder_network(rungs=4)
+    (block,) = [b for b in parallel_blocks(net.graph) if not b.is_trivial]
+    assert _block_rows(block) == 656_100_000_000
+    assert not transform.should_cluster_block(net.graph, block)
+    engine = PlanningEngine()
+    assert engine.structure_of(net) is Structure.DAG
+    times = {
+        v: node_mobile_time(net.graph.payload(v), engine.mobile)
+        for v in net.graph.node_ids
+    }
+    front = oracle_pareto_front(net.graph, times.__getitem__)
+    for structure in ("auto", "frontier"):
+        schedule = engine.plan(net, 4, make_channel(10.0), structure=structure)
+        assert schedule.makespan > 0
+        cuts = engine.priced_table(net, mbps(10.0), structure=structure).cuts
+        assert _front(cuts) == front

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.baselines import brute_force, cloud_only, local_only, partition_only
+from repro.core.joint import jps_line
 from repro.core.partition import (
     binary_search_cut,
     linear_scan_cut,
+    optimal_multiset,
     partition_ratio,
     plans_for_split,
+    split_best_pair,
     split_by_paper_ratio,
     split_exact,
 )
@@ -142,6 +146,37 @@ def test_split_validations(simple_table):
         split_by_paper_ratio(simple_table, l_star, 0)
     with pytest.raises(ValueError):
         split_exact(simple_table, l_star, 0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        jps_line,
+        lambda table, n: split_by_paper_ratio(table, binary_search_cut(table), n),
+        lambda table, n: split_exact(table, binary_search_cut(table), n),
+        split_best_pair,
+        optimal_multiset,
+        brute_force,
+        local_only,
+        cloud_only,
+        partition_only,
+    ],
+    ids=[
+        "jps_line",
+        "split_by_paper_ratio",
+        "split_exact",
+        "split_best_pair",
+        "optimal_multiset",
+        "brute_force",
+        "local_only",
+        "cloud_only",
+        "partition_only",
+    ],
+)
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_core_entry_points_reject_a_non_integer_job_count(simple_table, entry, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        entry(simple_table, n)
 
 
 @settings(max_examples=100, deadline=None)

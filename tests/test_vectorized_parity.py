@@ -28,6 +28,7 @@ from repro.core.baselines import (
     partition_only,
     single_job_optimal_cut,
 )
+from repro.core import partition
 from repro.core.joint import jps_line
 from repro.core.partition import (
     _SPLIT_ROWS,
@@ -156,20 +157,27 @@ def test_split_exact_vectorized_matches_scalar(table, n):
     assert fast == slow
 
 
-def test_split_exact_in_row_blocks_matches_scalar():
+def test_split_exact_in_row_blocks_matches_scalar(monkeypatch):
     """A split that spans three row blocks equals the scalar sweep, and the
-    blocks' rows equal the one-pass matrix."""
+    blocks' rows equal the one-pass matrix. The adjacent cuts' compute
+    differs by 2^-40, an arm too flat for the scan window, so every row
+    is priced."""
     n = 2 * _SPLIT_ROWS + 88
-    table = make_table(f=[0.0, 0.25, 0.5, 1.5], g=[2.0, 0.625, 0.125, 0.0])
+    table = make_table(f=[0.0, 0.25, 0.25 + 2.0**-40, 1.5], g=[2.0, 0.625, 0.125, 0.0])
     l_star = binary_search_cut(table)
     assert l_star == 2
+    priced = []
+
+    def spy(stage_a, stage_b, n, start, stop):
+        priced.append((start, stop))
+        return two_type_makespans(stage_a, stage_b, n, start, stop)
+
+    monkeypatch.setattr(partition, "two_type_makespans", spy)
     assert split_exact(table, l_star, n) == split_exact_scalar(table, l_star, n)
+    rows = [(0, _SPLIT_ROWS), (_SPLIT_ROWS, 2 * _SPLIT_ROWS), (2 * _SPLIT_ROWS, n + 1)]
+    assert priced == rows
     stages = table.stage_lengths(l_star - 1), table.stage_lengths(l_star)
-    blocks = [
-        two_type_makespans(*stages, n, start, min(start + _SPLIT_ROWS, n + 1))
-        for start in range(0, n + 1, _SPLIT_ROWS)
-    ]
-    assert len(blocks) == 3
+    blocks = [two_type_makespans(*stages, n, start, stop) for start, stop in rows]
     assert np.array_equal(np.concatenate(blocks), two_type_makespans(*stages, n))
 
 
