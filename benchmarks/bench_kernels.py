@@ -38,12 +38,19 @@ non-zero when a speedup floor is missed — each kernel, both
 must beat their reference by ``5x`` — when the two frontier cut
 lists differ, or when a split differs from the scalar sweep or prices
 more than ``MAX_SPLIT_ROWS`` rows (a count, so it holds on any host).
+
+Every gated speedup comes from :func:`interleaved`: the reference and
+the fast paths run one after another in each round, and the speedup is
+the median over rounds of the ratio within a round. A host that changes
+speed between two separately timed loops moves such a ratio far less
+than the ratio of two best-of times.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -110,6 +117,28 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def interleaved(reference, fast: list, rounds: int) -> tuple[float, list[float], list[float]]:
+    """Time ``reference`` and each of ``fast`` once per round, rotating
+    which runs first; each timed call follows an untimed one of the same
+    side, so it does not pay for the caches the other side evicted.
+
+    Returns the reference's fastest call, each fast path's fastest call,
+    and each fast path's speedup: the median over rounds of the
+    reference's time over the fast path's in the same round.
+    """
+    sides = [reference, *fast]
+    times: list[list[float]] = [[] for _ in sides]
+    for round_ in range(rounds):
+        for turn in range(len(sides)):
+            side = (round_ + turn) % len(sides)
+            sides[side]()
+            start = time.perf_counter()
+            sides[side]()
+            times[side].append(time.perf_counter() - start)
+    speedups = [statistics.median(r / f for r, f in zip(times[0], t)) for t in times[1:]]
+    return min(times[0]), [min(t) for t in times[1:]], speedups
+
+
 def dyadic_stages(n: int, seed: int = 0) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """(f, g) stage pairs on the 1/1024 grid, as an array and a list.
 
@@ -124,7 +153,7 @@ def dyadic_stages(n: int, seed: int = 0) -> tuple[np.ndarray, list[tuple[float, 
     return stages, [tuple(pair) for pair in stages.tolist()]
 
 
-def bench_kernels(repeats: int) -> dict:
+def bench_kernels(rounds: int) -> dict:
     """Array-native kernels against the scalar loops they replaced.
 
     The timed vector paths are the kernel entry points the hot code
@@ -155,13 +184,12 @@ def bench_kernels(repeats: int) -> dict:
             lambda: flow_shop_completion_times_scalar(stage_list),
         ),
     ):
-        vector_s = best_of(vector, repeats)
-        scalar_s = best_of(scalar, repeats)
+        scalar_s, (vector_s,), (speedup,) = interleaved(scalar, [vector], rounds)
         out[name] = {
             "n": KERNEL_JOBS,
             "scalar_ns_per_op": scalar_s / KERNEL_JOBS * 1e9,
             "vector_ns_per_op": vector_s / KERNEL_JOBS * 1e9,
-            "speedup": scalar_s / vector_s,
+            "speedup": speedup,
         }
     return out
 
@@ -172,7 +200,7 @@ def make_channel(uplink_bps: float) -> Channel:
     )
 
 
-def bench_plan_batch(repeats: int, model: str = "alexnet") -> dict:
+def bench_plan_batch(rounds: int, model: str = "alexnet") -> dict:
     """The same 64 warm cells through the scalar reference, ``plan()`` and
     ``plan_batch``, after asserting all three return the same schedules."""
     engine = PlanningEngine()
@@ -197,9 +225,9 @@ def bench_plan_batch(repeats: int, model: str = "alexnet") -> dict:
             assert schedule.makespan == cell[0].makespan
             assert tuple(schedule.jobs) == tuple(cell[0].jobs)
 
-    reference_s = best_of(reference, repeats)
-    per_call_s = best_of(per_call, repeats)
-    batch_s = best_of(batched, repeats)
+    reference_s, (per_call_s, batch_s), (per_call_speedup, batch_speedup) = interleaved(
+        reference, [per_call, batched], rounds
+    )
     return {
         "model": model,
         "n": PLAN_N,
@@ -207,8 +235,8 @@ def bench_plan_batch(repeats: int, model: str = "alexnet") -> dict:
         "reference_cells_per_s": PLAN_BANDWIDTHS / reference_s,
         "per_call_cells_per_s": PLAN_BANDWIDTHS / per_call_s,
         "batch_cells_per_s": PLAN_BANDWIDTHS / batch_s,
-        "per_call_speedup": reference_s / per_call_s,
-        "batch_speedup": reference_s / batch_s,
+        "per_call_speedup": per_call_speedup,
+        "batch_speedup": batch_speedup,
     }
 
 
@@ -246,7 +274,7 @@ def bench_gateway_dispatch(clients: int, horizon: float) -> dict:
     }
 
 
-def bench_frontier_cuts(repeats: int, model: str = "googlenet") -> dict:
+def bench_frontier_cuts(rounds: int, model: str = "googlenet") -> dict:
     """The cold Pareto frontier cut space, per candidate and in batch.
 
     The reference builds and validates a ``Cut`` per candidate and sums
@@ -271,8 +299,7 @@ def bench_frontier_cuts(repeats: int, model: str = "googlenet") -> dict:
     identical = ours == expected and [(c.label, list(c.mobile)) for c in ours] == [
         (c.label, list(c.mobile)) for c in expected
     ]
-    reference_s = best_of(reference, repeats)
-    batched_s = best_of(batched, repeats)
+    reference_s, (batched_s,), (speedup,) = interleaved(reference, [batched], rounds)
     return {
         "model": model,
         "candidates": len(enumerate_frontier_cuts(dag)),
@@ -280,7 +307,7 @@ def bench_frontier_cuts(repeats: int, model: str = "googlenet") -> dict:
         "identical": identical,
         "reference_ms": reference_s * 1e3,
         "batched_ms": batched_s * 1e3,
-        "speedup": reference_s / batched_s,
+        "speedup": speedup,
     }
 
 
@@ -336,7 +363,8 @@ def run(quick: bool) -> dict:
             "frontier_speedup_min": MIN_FRONTIER_SPEEDUP,
             "split_rows_max": MAX_SPLIT_ROWS,
         },
-        "kernels": bench_kernels(repeats),
+        # kernel rounds are short, so the gate whose ratio varied most gets the most rounds
+        "kernels": bench_kernels(15 if quick else 31),
         "plan_batch": bench_plan_batch(1 if quick else 3),
         "gateway_dispatch": bench_gateway_dispatch(
             clients=8 if quick else 32, horizon=20.0 if quick else 60.0

@@ -11,7 +11,6 @@ from repro.core.baselines import brute_force
 from repro.core.joint import jps_line
 from repro.experiments.report import format_table
 from repro.experiments.runner import EXPERIMENT_MODELS
-from repro.extensions.refine import refine_end_jobs
 
 N_JOBS = 100
 
@@ -23,16 +22,14 @@ def test_optimality_probe_at_scale(benchmark, env, save_artifact):
             table = env.cost_table(model, 5.85)
             bound = fractional_lower_bound(table, N_JOBS)
             jps = jps_line(table, N_JOBS)
-            refined = refine_end_jobs(table, jps)
             optimum = brute_force(table, N_JOBS)
             rows.append(
                 (
                     model,
                     bound,
                     optimum.makespan,
-                    refined.makespan,
                     jps.makespan,
-                    (refined.makespan / bound - 1) * 100,
+                    (jps.makespan / bound - 1) * 100,
                 )
             )
         return rows
@@ -41,16 +38,15 @@ def test_optimality_probe_at_scale(benchmark, env, save_artifact):
     save_artifact(
         "optimality_probe_n100",
         format_table(
-            headers=["model", "LP bound (s)", "optimum (s)",
-                     "JPS+refine (s)", "JPS (s)", "refine vs bound (%)"],
+            headers=["model", "LP bound (s)", "optimum (s)", "JPS (s)",
+                     "JPS vs bound (%)"],
             rows=rows,
             title=f"Optimality probe at n = {N_JOBS} (4G)",
             float_format="{:.3f}",
         ),
     )
-    for model, bound, optimum, refined, jps, gap in rows:
+    for model, bound, optimum, jps, gap in rows:
         assert bound <= optimum + 1e-9
-        assert optimum <= refined + 1e-9
-        assert refined <= jps + 1e-9
-        # JPS+refine within 11% of the LP bound
+        assert optimum <= jps + 1e-9
+        # JPS within 11% of the LP bound
         assert gap < 11.0

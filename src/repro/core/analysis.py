@@ -3,10 +3,12 @@
 The centerpiece is :func:`fractional_lower_bound`: allow each job to
 pick a *fractional mixture* of cut positions and drop the pipeline end
 effects — the makespan can never beat ``n * min_λ max(Σλf, Σλg)`` over
-probability vectors λ. That tiny LP (solved with ``scipy.linprog``)
-lower-bounds every scheme in this repository, so tests can sandwich JPS
-between it and the baselines instead of only comparing schemes to each
-other.
+probability vectors λ. That tiny LP has a closed form on the lower-left
+convex hull of the ``(f, g)`` points
+(:func:`repro.core.partition.lower_hull`, the hull behind the exact
+scheduler's pruning bound), and it lower-bounds every scheme in this
+repository, so tests can sandwich JPS between it and the baselines
+instead of only comparing schemes to each other.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize
 
+from repro.core.partition import lower_hull
 from repro.core.plans import Schedule
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_integer, require_positive
@@ -41,31 +43,25 @@ def fractional_lower_bound(table: CostTable, n: int) -> float:
     last job's communication (which every real pipeline also pays) are
     not charged, so the bound is strict but usually tight within one
     job's worth of time.
+
+    By LP duality the optimum is ``max_mu min_i (mu * f_i + (1 - mu) *
+    g_i)`` over ``mu`` in ``[0, 1]``: the peak of the support function
+    of the points' lower-left convex hull (:func:`lower_hull`), where the
+    hull crosses ``f = g``. So the best mixture takes the two hull
+    vertices around the crossing, and its ``t`` is the crossing point;
+    a hull that lies on one side of ``f = g`` peaks at its end, where
+    ``t`` is the least ``f`` or the least ``g``.
     """
     n = require_positive(require_integer(n, "n"), "n")
-    k = table.k
-    # variables: λ_0..λ_{k-1}, t
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2, k + 1))
-    a_ub[0, :k] = table.f
-    a_ub[0, -1] = -1.0
-    a_ub[1, :k] = table.g
-    a_ub[1, -1] = -1.0
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    result = optimize.linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(2),
-        A_eq=a_eq,
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * k + [(0, None)],
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - LP on this structure can't fail
-        raise RuntimeError(f"lower-bound LP failed: {result.message}")
-    return float(n * result.x[-1])
+    hull_f, hull_g, _ = lower_hull(zip(table.f.tolist(), table.g.tolist()))
+    crossed = int(np.searchsorted(hull_f - hull_g, 0.0))  # first vertex with f >= g
+    if crossed == 0:
+        return float(n * hull_f[0])
+    if crossed == hull_f.size:
+        return float(n * hull_g[-1])
+    (x0, x1), (y0, y1) = hull_f[crossed - 1 : crossed + 1], hull_g[crossed - 1 : crossed + 1]
+    share = (y0 - x0) / ((y0 - x0) + (x1 - y1))  # of the mixture at the second vertex
+    return float(n * (x0 + share * (x1 - x0)))
 
 
 def best_single_cut_rate(table: CostTable) -> tuple[int, float]:

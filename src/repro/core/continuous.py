@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.profiling.latency import CostTable
 from repro.utils.validation import require_non_negative, require_positive
@@ -124,6 +123,8 @@ def crossing_point(problem: ContinuousProblem) -> float:
         return lo
     if gap(hi) <= 0:
         return hi
+    from scipy import optimize  # deferred: the only scipy use, kept off the import path
+
     return float(optimize.brentq(gap, lo, hi, xtol=1e-12))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "plans_for_split",
     "split_best_pair",
     "optimal_multiset",
+    "optimal_multisets",
+    "lower_hull",
 ]
 
 
@@ -422,15 +424,44 @@ def split_best_pair(table: CostTable, n: int) -> TwoTypeSplit:
 _BOUND_SLACK = 1e-9
 
 
+def lower_hull(
+    points: Iterable[tuple[float, float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lower-left convex hull of the ``(f, g)`` points.
+
+    Returns the hull's vertices, ``f`` ascending and ``g`` descending,
+    and the weights ``mu`` at which the cheapest vertex of
+    ``mu * f + (1 - mu) * g`` changes, between 0 and 1: the breakpoints
+    of the support function ``cheapest(mu) = min_i (mu * f_i + (1 - mu)
+    * g_i)``. Any mixture of the points costs at least ``cheapest(mu)``
+    per unit of mixture at every weight, and by LP duality the least
+    ``max(f, g)`` of a mixture is ``max_mu cheapest(mu)``: the point
+    where the hull crosses ``f = g``.
+    """
+    hull: list[tuple[float, float]] = []
+    for x, y in sorted(points):
+        if hull and y >= hull[-1][1]:
+            continue  # no less upload for at least as much compute
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    breaks = [(y0 - y1) / (y0 - y1 + x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    hull_f, hull_g = (np.array(column) for column in zip(*hull))
+    return hull_f, hull_g, np.array([0.0, *breaks, 1.0])
+
+
 @dataclass(frozen=True)
 class _Remaining:
-    """What the positions of one Johnson-rank suffix can still add.
+    """What the pairs of one Johnson-rank suffix can still add.
 
-    For each weight ``mu`` in ``weights`` — 0, 1 and every weight at
-    which the cheapest position of ``mu * f + (1 - mu) * g`` changes —
-    ``cheapest`` holds that minimum: the lower-left convex hull of the
-    positions' ``(f, g)`` points, as the breakpoints of its support
-    function.
+    At each weight ``mu`` in ``weights`` — 0, 1 and every breakpoint of
+    a group's :func:`lower_hull` over its pairs in the suffix — row ``m``
+    of ``cheapest`` holds group ``m``'s least ``mu * f + (1 - mu) * g``
+    over those pairs (0 for a group with none left). Each row is concave
+    and piecewise linear in ``mu``, with its kinks among ``weights``.
     """
 
     weights: np.ndarray
@@ -439,134 +470,182 @@ class _Remaining:
     g_min: float
 
     @classmethod
-    def of(cls, f: np.ndarray, g: np.ndarray) -> "_Remaining":
-        hull: list[tuple[float, float]] = []
-        for x, y in sorted(zip(f.tolist(), g.tolist())):
-            if hull and y >= hull[-1][1]:
-                continue  # no less upload for at least as much compute
-            while len(hull) >= 2:
-                (x0, y0), (x1, y1) = hull[-2], hull[-1]
-                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
-                    break
-                hull.pop()
-            hull.append((x, y))
-        breaks = [(y0 - y1) / (y0 - y1 + x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
-        weights = np.array([0.0, *breaks, 1.0])
-        hull_f, hull_g = (np.array(column) for column in zip(*hull))
-        cheapest = (np.outer(weights, hull_f) + np.outer(1 - weights, hull_g)).min(axis=1)
-        return cls(weights, cheapest, float(f.min()), float(g.min()))
+    def of(cls, points: Sequence[list[tuple[float, float]]]) -> "_Remaining":
+        """From each group's ``(f, g)`` points: its pairs in the suffix."""
+        hulls = {m: lower_hull(group) for m, group in enumerate(points) if group}
+        if len(hulls) == 1:
+            ((_, _, weights),) = hulls.values()
+        else:  # every kink of the groups' sum is one group's
+            weights = np.unique(np.concatenate([w for _, _, w in hulls.values()]))
+        cheapest = np.zeros((len(points), weights.size))
+        for m, (hull_f, hull_g, _) in hulls.items():
+            cheapest[m] = (np.outer(weights, hull_f) + np.outer(1 - weights, hull_g)).min(axis=1)
+        # a hull's first vertex has the least f of its points, its last the least g
+        f_min = min(float(hull_f[0]) for hull_f, _, _ in hulls.values())
+        g_min = min(float(hull_g[-1]) for _, hull_g, _ in hulls.values())
+        return cls(weights, cheapest, f_min, g_min)
 
-    def bound(self, c1: np.ndarray, c2: np.ndarray, left: np.ndarray) -> np.ndarray:
+    def load(self, left: np.ndarray, skip: int = -1) -> np.ndarray | None:
+        """Per state and weight, ``sum_m left[m] * cheapest[m]`` over the
+        groups other than ``skip`` (None when there is no other group)."""
+        total = None
+        for m, (left_m, cheapest_m) in enumerate(zip(left, self.cheapest)):
+            if m != skip:
+                term = left_m[:, None] * cheapest_m
+                total = term if total is None else total + term
+        return total
+
+    def bound(self, c1: np.ndarray, c2: np.ndarray, load: np.ndarray) -> np.ndarray:
         """Lower bounds on every completion of the states ``(c1, c2)``.
 
-        With ``m = left`` jobs still to place on these positions, at
-        stage sums ``(F, G)``, the last upload ends no earlier than
-        ``a + F`` with ``a = c1 + g_min``, and the uploads, which cannot
-        start before ``b = max(c2, c1 + f_min)``, take ``G``. For any
-        weight ``mu`` the makespan is thus at least ``mu * (a + F) +
-        (1 - mu) * (b + G) >= mu * a + (1 - mu) * b + m * cheapest(mu)``;
-        the bound is the best weight's — at a breakpoint, since the
-        right side is concave in ``mu`` — which is the fractional
-        optimum of ``max(a + F, b + G)``. A state with no job left is
-        complete and bounds itself.
+        With jobs still to place on these pairs, at stage sums ``(F,
+        G)``, the last upload ends no earlier than ``a + F`` with ``a =
+        c1 + g_min``, and the uploads, which cannot start before ``b =
+        max(c2, c1 + f_min)``, take ``G``. For any weight ``mu`` the
+        makespan is thus at least ``mu * (a + F) + (1 - mu) * (b + G) >=
+        mu * a + (1 - mu) * b + load(mu)``, where ``load`` (:meth:`load`)
+        prices each group's jobs left at its cheapest pair. The right
+        side is concave in ``mu``, so its maximum over ``[0, 1]`` — the
+        fractional optimum of ``max(a + F, b + G)`` — is at one of the
+        ``weights``, and that maximum is the bound.
         """
         b = np.maximum(c2, c1 + self.f_min)
         bound = (c1 + self.g_min - b)[:, None] * self.weights + b[:, None]
-        bound += left[:, None] * self.cheapest
-        return np.where(left > 0, bound.max(axis=1), c2)
+        bound += load
+        return bound.max(axis=1)
 
 
 def _pareto_states(
-    jobs: np.ndarray, c1: np.ndarray, c2: np.ndarray, n: int
+    keys: np.ndarray, c1: np.ndarray, c2: np.ndarray, full: int
 ) -> np.ndarray:
-    """Indices, ascending, of the states no other state with as many jobs
+    """Indices, ascending, of the states no other state with the same key
     beats on both ``c1`` and ``c2``; among equal states the first survives."""
-    order = np.lexsort((c2, c1, jobs))
-    _, rank = np.unique(c2[order], return_inverse=True)
-    # exact ranks of c2, offset per job count so that an earlier (smaller)
-    # job count never sets the running minimum of a later one
-    key = rank + (n - jobs[order]) * (int(rank.max()) + 1)
+    order = np.lexsort((c2, c1, keys))
+    c2 = c2[order]
+    by_c2 = np.argsort(c2)
+    ascending = c2[by_c2]
+    # exact ranks of c2 (equal values share one), offset per key so that
+    # an earlier (smaller) key never sets the running minimum of a later one
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[by_c2] = np.cumsum(np.concatenate(([0], ascending[1:] != ascending[:-1])))
+    key = rank + (full - keys[order]) * order.size
     keep = np.ones(order.size, dtype=bool)
     keep[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
     return np.sort(order[keep])
 
 
-def optimal_multiset(
-    table: CostTable, n: int, positions: Sequence[int] | None = None
-) -> tuple[float, tuple[int, ...]]:
-    """The exact optimum over every multiset of ``n`` cut positions.
+def optimal_multisets(
+    groups: Sequence[tuple[CostTable, int, Sequence[int]]],
+) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """The exact optimum of a mixed job set: one ``(table, count,
+    positions)`` group per model.
 
-    Johnson's rule is makespan-optimal for a fixed job set, and jobs at
-    one position share a stage pair, so a multiset runs its positions in
-    Johnson rank (equal keys in index order), each position's jobs back
-    to back. A dynamic program over the positions in that rank picks a
-    job count per position; its state is the number of jobs placed and
-    the flow-shop pair ``(C1, C2)`` of the recurrence::
+    Every group's jobs take a multiset of its table's candidate
+    ``positions`` (ascending), and all of them share one two-stage flow
+    shop. Johnson's rule is
+    makespan-optimal for a fixed job set, and the jobs of one (group,
+    position) pair share a stage pair, so the pairs of every group run
+    in one joint Johnson rank (equal keys in group, then position,
+    order), each pair's jobs back to back. A dynamic program over the
+    pairs in that rank picks a job count per pair; its state is the
+    count vector of jobs placed per group and the flow-shop pair ``(C1,
+    C2)`` of the recurrence::
 
         C1 += f;  C2 = max(C2, C1) + g
 
     stepped once per job, in the order the recurrence runs them, so every
-    state holds exactly the floats of the multiset it stands for. Both
+    state holds exactly the floats of the multisets it stands for. Both
     steps are monotone in ``(C1, C2)``, even in floating point, so only
-    the Pareto-minimal pairs per job count are kept. States whose lower
-    bound (:meth:`_Remaining.bound`) exceeds the best known makespan by
-    more than ``_BOUND_SLACK`` are dropped; that makespan starts at the
-    best two-type split (:func:`split_best_pair` over ``positions``) and
+    the Pareto-minimal pairs per count vector are kept; there are up to
+    ``prod_m (n_m + 1)`` count vectors, so the states, and the time,
+    grow with that product. A state is dropped when it still has jobs
+    of a group past that group's last pair, or when its lower bound
+    (:meth:`_Remaining.bound`) exceeds the best known makespan by more
+    than ``_BOUND_SLACK``; that makespan starts at the groups' best
+    two-type splits run back to back (:func:`split_best_pair`), and
     falls to any completed state's. Among equal states, and among equal
-    optima, the one with the most jobs at the earliest-ranked position
-    wins, then the next: where the rank is the index order (every table
-    whose ``g`` is non-increasing) that is the first multiset in
-    ``combinations_with_replacement`` order, unless a tie was carried by
-    a state pruned as dominated.
+    optima, the one with the most jobs at the earliest-ranked pair wins,
+    then the next.
 
-    ``positions`` restricts the candidates (default: every position).
-    Returns the makespan and the chosen positions in execution (Johnson)
-    order.
+    Returns the makespan and the ``(group, position)`` of every job, in
+    execution (Johnson) order.
     """
-    n = require_positive(require_integer(n, "n"), "n")
-    candidates = list(range(table.k)) if positions is None else sorted(set(positions))
-    if not candidates:
+    sizes, pairs, stages = [], [], []
+    for m, (table, n, positions) in enumerate(groups):
+        sizes.append(require_positive(require_integer(n, "n"), "n"))
+        pairs += [(m, p) for p in positions]
+        stages += [table.stage_lengths(p) for p in positions]
+    if not pairs:
         raise ValueError("no candidate positions to search")
-    f, g = np.array([table.stage_lengths(p) for p in candidates]).T
-    rank = johnson_order_indices(f, g)
-    ranked = [candidates[i] for i in rank]
-    f, g = f[rank], g[rank]
-    remaining = [_Remaining.of(f[r:], g[r:]) for r in range(len(ranked))]
-    limit = _best_pair(table, n, candidates).makespan * (1 + _BOUND_SLACK)
+    rank = johnson_order_indices(*np.array(stages).T)
+    pairs, stages = [pairs[i] for i in rank], [stages[i] for i in rank]
+    # per rank, what its suffix can add and the groups whose last pair it is
+    suffix: list[list[tuple[float, float]]] = [[] for _ in groups]
+    remaining, closing = [], []
+    for (m, _), stage in zip(reversed(pairs), reversed(stages)):
+        closing.append([] if suffix[m] else [m])
+        suffix[m].append(stage)
+        remaining.append(_Remaining.of(suffix))
+    remaining.reverse()
+    closing.reverse()
+    # a state's key is its count vector of jobs left, in mixed radix
+    radix = np.cumprod([1] + [n + 1 for n in sizes[:-1]])
+    full = int(radix[-1]) * (sizes[-1] + 1) - 1
+    # running the groups back to back is a schedule: the sum of their
+    # best pair splits bounds the optimum
+    back_to_back = sum(
+        _best_pair(table, n, positions).makespan
+        for (table, _, positions), n in zip(groups, sizes)
+    )
+    limit = back_to_back * (1 + _BOUND_SLACK)
 
-    # the surviving states, in preference order, and per rank how each
-    # was reached: its parent among the previous rank's states, its count
-    jobs, c1, c2 = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
+    # the surviving states, in preference order — their jobs left per
+    # group (rows) and (C1, C2) — and per rank how each was reached: its
+    # parent among the previous rank's states, its count
+    left, c1, c2 = np.array(sizes)[:, None], np.zeros(1), np.zeros(1)
     steps: list[tuple[np.ndarray, np.ndarray]] = []
-    for r, (f_r, g_r) in enumerate(zip(f.tolist(), g.tolist())):
-        states = np.arange(jobs.size)
-        grown = [(states, np.zeros(jobs.size, dtype=np.int64), jobs, c1, c2)]
-        live, j, a, b = states, jobs, c1, c2
-        for count in range(1, n + 1):
+    for r, ((m, _), (f_r, g_r)) in enumerate(zip(pairs, stages)):
+        bounds = remaining[r]
+        cheapest, others = bounds.cheapest[m], bounds.load(left, skip=m)
+        states = np.arange(c1.size)
+        grown = [(states, np.zeros(c1.size, dtype=np.int64), c1, c2)]
+        live, rest, a, b = states, left[m], c1, c2
+        for count in range(1, sizes[m] + 1):
             # a state that cannot finish under the limit with this
-            # position still open cannot by adding jobs to it either
-            alive = (j < n) & (remaining[r].bound(a, b, n - j) <= limit)
-            live, j, a, b = live[alive], j[alive] + 1, a[alive] + f_r, b[alive]
+            # pair still open cannot by adding jobs to it either
+            load = rest[:, None] * cheapest
+            if others is not None:  # the other groups' jobs left, fixed at this rank
+                load += others[live]
+            alive = (rest > 0) & (bounds.bound(a, b, load) <= limit)
+            live, rest, a, b = live[alive], rest[alive] - 1, a[alive] + f_r, b[alive]
             if live.size == 0:
                 break
             b = np.maximum(b, a) + g_r
-            grown.append((live, np.full(live.size, count), j, a, b))
-        parent, count, j, a, b = (np.concatenate(column) for column in zip(*grown))
-        if r + 1 < len(ranked):
-            fits = remaining[r + 1].bound(a, b, n - j) <= limit
+            grown.append((live, np.full(live.size, count), a, b))
+        parent, count, a, b = (np.concatenate(column) for column in zip(*grown))
+        left = left[:, parent]
+        left[m] -= count
+        complete = ~left.any(axis=0)
+        if r + 1 < len(pairs):
+            bound = remaining[r + 1].bound(a, b, remaining[r + 1].load(left))
+            fits = np.where(complete, b, bound) <= limit
         else:
-            fits = j == n
-        done = fits & (j == n)
+            fits = np.ones(b.size, dtype=bool)
+        # past a group's last pair its jobs are all placed (the suffix
+        # bound cannot see a group that has no pair left)
+        for closed in closing[r]:
+            fits &= left[closed] == 0
+        done = fits & complete
         if done.any():
             limit = min(limit, float(b[done].min()) * (1 + _BOUND_SLACK))
-        # preference: the parent's, then more jobs at this position
-        prefer = np.lexsort((-count[fits], parent[fits]))
-        parent, count, j, a, b = (
-            column[fits][prefer] for column in (parent, count, j, a, b)
-        )
-        keep = _pareto_states(j, a, b, n)
-        steps.append((parent[keep], count[keep]))
-        jobs, c1, c2 = j[keep], a[keep], b[keep]
+        # preference: the parent's, then more jobs at this pair
+        chosen = np.flatnonzero(fits)
+        chosen = chosen[np.lexsort((-count[chosen], parent[chosen]))]
+        left, a, b = left[:, chosen], a[chosen], b[chosen]
+        keep = _pareto_states(radix @ left, a, b, full)
+        chosen = chosen[keep]
+        steps.append((parent[chosen], count[chosen]))
+        left, c1, c2 = left[:, keep], a[keep], b[keep]
 
     best = int(np.argmin(c2))
     counts = []
@@ -574,8 +653,30 @@ def optimal_multiset(
         counts.append(int(count[best]))
         best = int(parent[best])
     return float(c2.min()), tuple(
-        p for p, c in zip(ranked, reversed(counts)) for _ in range(c)
+        pair for pair, c in zip(pairs, reversed(counts)) for _ in range(c)
     )
+
+
+def optimal_multiset(
+    table: CostTable, n: int, positions: Sequence[int] | None = None
+) -> tuple[float, tuple[int, ...]]:
+    """The exact optimum over every multiset of ``n`` cut positions.
+
+    :func:`optimal_multisets` with one group: its dynamic program runs
+    the positions in Johnson rank (equal keys in index order), and its
+    state is the number of jobs placed and ``(C1, C2)``. Among equal
+    optima, where the rank is the index order (every table whose ``g``
+    is non-increasing), the first multiset in
+    ``combinations_with_replacement`` order wins, unless a tie was
+    carried by a state pruned as dominated.
+
+    ``positions`` restricts the candidates (default: every position).
+    Returns the makespan and the chosen positions in execution (Johnson)
+    order.
+    """
+    candidates = range(table.k) if positions is None else sorted(set(positions))
+    makespan, order = optimal_multisets([(table, n, candidates)])
+    return makespan, tuple(p for _, p in order)
 
 
 def cut_plan(table: CostTable, position: int, job_id: int = 0) -> JobPlan:

@@ -1,4 +1,4 @@
-"""Extensions beyond the paper: 3-stage shop, heterogeneous jobs, refinement."""
+"""Extensions beyond the paper: 3-stage shop, heterogeneous jobs, memory, devices, online."""
 
 from repro.extensions.flowshop3 import (
     flow_shop3_completion_times,
@@ -28,7 +28,6 @@ from repro.extensions.online import (
     flow_shop_makespan_with_releases,
     offline_lower_bound,
 )
-from repro.extensions.refine import refine_end_jobs
 
 __all__ = [
     "ModelJobs",
@@ -50,7 +49,6 @@ __all__ = [
     "johnson3_order",
     "johnson_dominance_holds",
     "jps_heterogeneous",
-    "refine_end_jobs",
     "schedule_jobs_3stage",
     "two_stage_approximation_gap",
 ]

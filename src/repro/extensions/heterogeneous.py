@@ -2,30 +2,26 @@
 
 A mobile device may run inference jobs of *different* DNNs at once
 (e.g. a detector plus a segmenter per camera frame). Johnson's rule
-never needed homogeneity — only the partition theory did — so the
-natural extension is:
-
-1. partition each model's job group with the line machinery (its own
-   crossing layer + two-type split), then
-2. pool every job into a single 2-stage flow shop and let Johnson's
-   rule interleave the models.
-
-Step 1 is per-model greedy: it ignores that another model's jobs can
-hide this model's communication. ``rebalance=True`` adds a coordinate-
-descent pass — re-split one model's jobs while holding the others fixed,
-evaluating the pooled makespan exactly — which recovers most of the
-coupling at O(rounds · Σn) cost. The benchmark suite quantifies both.
+never needed homogeneity — only the partition theory did — so every
+job of every model shares one 2-stage flow shop. The models' cuts are
+coupled there: one model's communication-heavy jobs can hide behind
+another model's computation, so splitting each model on its own leaves
+time on the table. :func:`jps_heterogeneous` therefore takes the exact
+optimum over every model's cut multiset at once
+(:func:`repro.core.partition.optimal_multisets`, the dynamic program
+behind brute force and the DAG planner), which never loses to planning
+each model alone and running the groups back to back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.partition import binary_search_cut, split_exact
+from repro.core.partition import cut_plan, optimal_multisets
 from repro.core.plans import JobPlan, Schedule
-from repro.core.scheduling import flow_shop_makespan, johnson_order, schedule_jobs
+from repro.core.scheduling import schedule_jobs
 from repro.profiling.latency import CostTable
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_integer, require_positive
 
 __all__ = ["ModelJobs", "jps_heterogeneous"]
 
@@ -38,87 +34,37 @@ class ModelJobs:
     count: int
 
     def __post_init__(self) -> None:
-        require_positive(self.count, "count")
+        require_positive(require_integer(self.count, "count"), "count")
 
 
-def _plans_for_counts(
-    group: ModelJobs, l_star: int, n_a: int, base_id: int
-) -> list[JobPlan]:
-    plans = []
-    for index in range(group.count):
-        position = l_star - 1 if index < n_a else l_star
-        f, g = group.table.stage_lengths(position)
-        plans.append(
-            JobPlan(
-                job_id=base_id + index,
-                model=group.table.model_name,
-                cut_position=position,
-                compute_time=f,
-                comm_time=g,
-                cloud_time=group.table.cloud_rest(position),
-                cut_label=group.table.positions[position],
-            )
-        )
-    return plans
+def jps_heterogeneous(groups: list[ModelJobs]) -> Schedule:
+    """Joint partition and scheduling of a mixed-model job set.
 
-
-def _pooled_makespan(groups: list[ModelJobs], l_stars: list[int], n_as: list[int]) -> float:
-    stages = []
-    for group, l_star, n_a in zip(groups, l_stars, n_as):
-        a = group.table.stage_lengths(l_star - 1) if l_star > 0 else None
-        b = group.table.stage_lengths(l_star)
-        stages.extend([a] * n_a if a else [])
-        stages.extend([b] * (group.count - n_a))
-    order = johnson_order(stages)
-    return flow_shop_makespan([stages[i] for i in order])
-
-
-def jps_heterogeneous(
-    groups: list[ModelJobs], rebalance: bool = True, max_rounds: int = 4
-) -> Schedule:
-    """Joint partition and scheduling of a mixed-model job set."""
+    The exact optimum over every group's multiset of cut positions, all
+    jobs in one Johnson order. Planning time grows with the product of
+    the groups' ``count + 1`` (:func:`~repro.core.partition.optimal_multisets`).
+    Jobs are numbered group by group, each group's in cut order; the
+    metadata gives each group's cut multiset.
+    """
     if not groups:
         raise ValueError("need at least one model group")
-    l_stars = [binary_search_cut(g.table) for g in groups]
-    n_as: list[int] = []
-    for group, l_star in zip(groups, l_stars):
-        if l_star == 0:
-            n_as.append(0)
-        else:
-            n_as.append(split_exact(group.table, l_star, group.count).n_a)
-
-    if rebalance and len(groups) > 1:
-        best = _pooled_makespan(groups, l_stars, n_as)
-        for _ in range(max_rounds):
-            improved = False
-            for gi, (group, l_star) in enumerate(zip(groups, l_stars)):
-                if l_star == 0:
-                    continue
-                for candidate in range(group.count + 1):
-                    if candidate == n_as[gi]:
-                        continue
-                    trial = n_as.copy()
-                    trial[gi] = candidate
-                    value = _pooled_makespan(groups, l_stars, trial)
-                    if value < best - 1e-15:
-                        best, n_as, improved = value, trial, True
-            if not improved:
-                break
-
+    _, order = optimal_multisets(
+        [(group.table, group.count, range(group.table.k)) for group in groups]
+    )
+    multisets = [
+        tuple(sorted(p for m, p in order if m == index)) for index in range(len(groups))
+    ]
     plans: list[JobPlan] = []
-    base = 0
-    for group, l_star, n_a in zip(groups, l_stars, n_as):
-        plans.extend(_plans_for_counts(group, l_star, n_a, base))
-        base += group.count
+    for group, positions in zip(groups, multisets):
+        first = len(plans)
+        plans += [cut_plan(group.table, p, first + i) for i, p in enumerate(positions)]
     schedule = schedule_jobs(plans, method="JPS-hetero")
     return Schedule(
         jobs=schedule.jobs,
         makespan=schedule.makespan,
         method="JPS-hetero",
         metadata={
-            "models": [g.table.model_name for g in groups],
-            "l_stars": l_stars,
-            "n_a": n_as,
-            "rebalanced": rebalance,
+            "models": [group.table.model_name for group in groups],
+            "cut_multisets": multisets,
         },
     )

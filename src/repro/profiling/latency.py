@@ -85,8 +85,11 @@ class CostTable:
         for name, arr in (("f", self.f), ("g", self.g), ("cloud", self.cloud)):
             if arr.shape != (k,):
                 raise ValueError(f"{name} must have shape ({k},), got {arr.shape}")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be non-negative")
+            if not (arr.min() >= 0 and arr.max() < np.inf):  # NaN fails both
+                at = int(np.argmin((arr >= 0) & (arr < np.inf)))
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {name}[{at}] = {arr[at]}"
+                )
         if np.any(np.diff(self.f) < 0):
             raise ValueError("f must be non-decreasing")
         if np.any(np.diff(self.cloud) < 0):

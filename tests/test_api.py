@@ -1,6 +1,10 @@
 """The stable ``repro.api`` facade and its top-level re-export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,24 @@ def test_serving_surface_reexported():
 
     assert repro.Gateway is serving.Gateway
     assert repro.BandwidthTimeline is api.BandwidthTimeline
+
+
+def test_the_serving_stack_imports_without_scipy():
+    """scipy's only use is the continuous crossing solver, imported there:
+    a fresh process that loads the fleet, serving, engine and facade
+    packages has no ``scipy`` module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import repro.api, repro.engine, repro.fleet, repro.serving\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

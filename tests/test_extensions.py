@@ -1,4 +1,4 @@
-"""3-stage flow shop, heterogeneous jobs, end-effect refinement."""
+"""3-stage flow shop and heterogeneous job sets."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,6 @@ from repro.extensions.flowshop3 import (
     two_stage_approximation_gap,
 )
 from repro.extensions.heterogeneous import ModelJobs, jps_heterogeneous
-from repro.extensions.refine import refine_end_jobs
 
 
 # ----------------------------------------------------------------------
@@ -112,46 +111,33 @@ def test_heterogeneous_two_models(env):
     assert mixed.makespan <= solo_a + solo_b + 1e-9
 
 
-def test_heterogeneous_rebalance_never_hurts(env):
-    a = ModelJobs(table=env.cost_table("alexnet", 5.85), count=8)
-    b = ModelJobs(table=env.cost_table("resnet18", 5.85), count=8)
-    greedy = jps_heterogeneous([a, b], rebalance=False)
-    balanced = jps_heterogeneous([a, b], rebalance=True)
-    assert balanced.makespan <= greedy.makespan + 1e-12
-
-
-def test_heterogeneous_single_group_matches_jps(env):
+def test_heterogeneous_single_group_is_the_brute_force_optimum(env):
     table = env.cost_table("alexnet", 5.85)
     hetero = jps_heterogeneous([ModelJobs(table=table, count=12)])
-    homo = jps_line(table, 12)
-    assert hetero.makespan == pytest.approx(homo.makespan, rel=1e-9)
+    optimum = brute_force(table, 12)
+    assert hetero.makespan == optimum.makespan
+    assert hetero.metadata["cut_multisets"] == [optimum.metadata["cut_multiset"]]
+    assert [p.job_id for p in sorted(hetero.jobs, key=lambda p: p.job_id)] == list(range(12))
 
 
-# ----------------------------------------------------------------------
-# end-effect refinement
-# ----------------------------------------------------------------------
-
-def test_refine_never_hurts(alexnet_table):
-    for n in (2, 4, 8):
-        base = jps_line(alexnet_table, n)
-        refined = refine_end_jobs(alexnet_table, base)
-        assert refined.makespan <= base.makespan + 1e-12
-        if refined is not base:
-            assert refined.method.endswith("+refine")
-            assert refined.num_jobs == n
-
-
-def test_refine_closes_most_of_the_bf_gap(alexnet_table):
-    n = 8
-    base = jps_line(alexnet_table, n)
-    refined = refine_end_jobs(alexnet_table, base)
-    bf = brute_force(alexnet_table, n)
-    gap_base = base.makespan - bf.makespan
-    gap_refined = refined.makespan - bf.makespan
-    assert gap_refined <= gap_base
-    assert gap_refined <= 0.5 * gap_base + 1e-9
+def test_heterogeneous_pooling_beats_the_back_to_back_optimum(env):
+    """pooled <= each model's optimum run back to back <= each model's JPS
+    run back to back: the joint optimum sees every multiset of both."""
+    a = ModelJobs(table=env.cost_table("alexnet", 5.85), count=8)
+    b = ModelJobs(table=env.cost_table("resnet18", 5.85), count=8)
+    pooled = jps_heterogeneous([a, b])
+    optimum = brute_force(a.table, a.count).makespan + brute_force(b.table, b.count).makespan
+    jps = jps_line(a.table, a.count).makespan + jps_line(b.table, b.count).makespan
+    assert pooled.makespan <= optimum + 1e-9
+    assert optimum <= jps + 1e-9
+    assert pooled.makespan == flow_shop_makespan([p.stages for p in pooled.jobs])
+    multisets = pooled.metadata["cut_multisets"]
+    assert [len(m) for m in multisets] == [8, 8]
+    assert sorted(p.cut_position for p in pooled.jobs if p.model == a.table.model_name) == list(
+        multisets[0]
+    )
 
 
-def test_refine_single_job_noop(alexnet_table):
-    base = jps_line(alexnet_table, 1)
-    assert refine_end_jobs(alexnet_table, base) is base
+def test_heterogeneous_rejects_a_non_integer_count(env):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        ModelJobs(table=env.cost_table("alexnet", 5.85), count=2.5)

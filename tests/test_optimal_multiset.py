@@ -21,7 +21,6 @@ from repro.core.baselines import brute_force, local_only
 from repro.core.joint import jps_line
 from repro.core.partition import optimal_multiset, split_best_pair
 from repro.core.scheduling import johnson_order
-from repro.extensions.refine import refine_end_jobs
 from repro.faults import oracle
 from repro.faults.oracle import (
     check_instance,
@@ -148,12 +147,3 @@ def test_dag_plans_grow_by_at_most_one_job_per_job(env, mbps):
         assert now <= later * (1 + 1e-12)
         assert later <= (now + single) * (1 + 1e-12)
 
-
-def test_jps_with_refine_is_near_the_optimum_at_scale(alexnet_table):
-    """The paper's scheme plus the end-effect pass sit within 2% of the
-    exact optimum at n = 100."""
-    n = 100
-    optimum = brute_force(alexnet_table, n)
-    refined = refine_end_jobs(alexnet_table, jps_line(alexnet_table, n))
-    assert optimum.makespan <= refined.makespan + 1e-12
-    assert refined.makespan <= optimum.makespan * 1.02

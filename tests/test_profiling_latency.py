@@ -28,6 +28,15 @@ def test_cost_table_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["f", "g", "cloud"])
+def test_cost_table_rejects_a_non_finite_entry_with_its_position(column, bad):
+    columns = {"f": [0.0, 1.0, 2.0], "g": [3.0, 1.0, 0.0], "cloud": [0.0, 0.5, 1.0]}
+    columns[column][1] = bad
+    with pytest.raises(ValueError, match=rf"^{column} must be finite .* {column}\[1\] = "):
+        CostTable("x", ("a", "b", "c"), *(np.array(columns[c]) for c in ("f", "g", "cloud")))
+
+
 def test_line_cost_table_boundaries(alexnet_table):
     # position 0 = Input: no local compute, raw-input upload
     assert alexnet_table.f[0] == 0.0
