@@ -120,6 +120,27 @@ def _finite(text: str) -> float:
     return _number(text, lambda v: True, "a finite number")
 
 
+def _integer(text: str, least: int) -> int:
+    """An integer option of at least ``least``, else one argparse error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """A count of servers, clients, jobs or batch slots: 1 or more."""
+    return _integer(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """A seed or an optional pool size: 0 or more."""
+    return _integer(text, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -138,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a job set with one scheme")
     p.add_argument("model", choices=sorted(MODELS))
-    p.add_argument("-n", "--jobs", type=int, default=100)
+    p.add_argument("-n", "--jobs", type=_positive_int, default=100)
     p.add_argument("--mbps", type=_mbps, default=5.85)
     p.add_argument("--scheme", choices=SCHEMES + ["JPS-ratio"], default="JPS")
     p.add_argument(
@@ -158,12 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="all schemes side by side")
     p.add_argument("model", choices=sorted(MODELS))
-    p.add_argument("-n", "--jobs", type=int, default=100)
+    p.add_argument("-n", "--jobs", type=_positive_int, default=100)
     p.add_argument("--mbps", type=_mbps, default=5.85)
     p.add_argument("--json", action="store_true", help="emit all schedules as JSON")
 
     p = sub.add_parser("serve", help="run the multi-client offload gateway")
-    p.add_argument("--clients", type=int, default=3, help="number of Poisson clients")
+    p.add_argument(
+        "--clients", type=_positive_int, default=3, help="number of Poisson clients"
+    )
     p.add_argument("--rate", type=_positive, default=2.0, help="per-client req/s")
     p.add_argument("--horizon", type=_positive, default=60.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
@@ -184,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", action="append", choices=list(GATEWAY_SCHEMES), default=None,
         help="scheme(s) to serve under (repeatable; default JPS, LO, CO)",
     )
-    p.add_argument("--seed", type=int, default=None, help="workload seed")
-    p.add_argument("--queue-depth", type=int, default=64, help="per-client queue bound")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="workload seed")
+    p.add_argument(
+        "--queue-depth", type=_positive_int, default=64, help="per-client queue bound"
+    )
     p.add_argument(
         "--json", metavar="PATH",
         help="write the full metrics report as JSON ('-' for stdout)",
@@ -206,8 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("fleet", help="run an N-server fleet via run_system")
-    p.add_argument("--servers", type=int, default=4, help="number of fleet servers")
-    p.add_argument("--clients", type=int, default=32, help="number of Poisson clients")
+    p.add_argument(
+        "--servers", type=_positive_int, default=4, help="number of fleet servers"
+    )
+    p.add_argument(
+        "--clients", type=_positive_int, default=32, help="number of Poisson clients"
+    )
     p.add_argument("--rate", type=_positive, default=3.0, help="per-client req/s")
     p.add_argument("--horizon", type=_positive, default=12.0, help="arrival window (s)")
     p.add_argument("--model", choices=sorted(MODELS), default="alexnet")
@@ -221,8 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="client->server placement policy",
     )
     p.add_argument("--scheme", choices=list(GATEWAY_SCHEMES), default="JPS")
-    p.add_argument("--seed", type=int, default=None, help="workload seed")
-    p.add_argument("--queue-depth", type=int, default=64, help="per-client queue bound")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="workload seed")
+    p.add_argument(
+        "--queue-depth", type=_positive_int, default=64, help="per-client queue bound"
+    )
     p.add_argument(
         "--compare-single", action="store_true",
         help="also serve the identical stream on one server and report the "
@@ -233,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the SystemReport as JSON ('-' for stdout)",
     )
     p.add_argument(
-        "--cloud-gpus", type=int, default=0,
+        "--cloud-gpus", type=_non_negative_int, default=0,
         help="share K hold-and-batch cloud GPUs across the fleet "
              "(0 = per-server private cloud, the default)",
     )
     p.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_positive_int, default=8,
         help="GPU batch-size cap (with --cloud-gpus)",
     )
     p.add_argument(
@@ -309,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
              "('-' for stdout; serving and fleet targets)",
     )
     p.add_argument(
-        "--seed", type=int, default=None, help="workload seed (serving, fleet)"
+        "--seed", type=_non_negative_int, default=None,
+        help="workload seed (serving, fleet)",
     )
     p.add_argument(
         "--scenario", choices=list(SLO_SCENARIOS), default="blackout",

@@ -271,6 +271,9 @@ class PlanningEngine:
         self._frontier_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
         self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
         self._pricing: LRUCache[PricingKernel] = LRUCache(self.max_entries)
+        # raw pricing_kernel arguments (zoo name, structure, framing) that
+        # passed validation -> (content key, its traced build)
+        self._kernel_keys: dict[tuple, tuple] = {}
         self._dags: LRUCache[_CutStructure] = LRUCache(self.max_entries)
         self._dag_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
 
@@ -562,7 +565,20 @@ class PlanningEngine:
         with :class:`~repro.net.channel.Channel`'s rules, so no caller
         can price an upload as free (``protocol_overhead <= 0``) or at a
         negative or non-finite cost.
+
+        A zoo-name call without a predictor remembers the content key its
+        arguments resolved to and that key's build, so a repeat (the EFT
+        scorer's per-server lookups) goes straight to the cache: still one
+        counted lookup that refreshes recency, or rebuilds an evicted
+        kernel, without re-running the validation, structure resolution
+        and fingerprinting.
         """
+        raw = None
+        if predictor is None and predictor_key is None and isinstance(model, str):
+            raw = (model, structure, setup_latency, header_bytes, protocol_overhead)
+            known = self._kernel_keys.get(raw)
+            if known is not None:
+                return self._pricing.get_or_build(*known)
         require_finite(setup_latency, "setup_latency")
         require_non_negative(setup_latency, "setup_latency")
         require_finite(header_bytes, "header_bytes")
@@ -611,9 +627,12 @@ class PlanningEngine:
                 cuts=cuts,
             )
 
-        return self._pricing.get_or_build(
-            key, self._traced("pricing_kernel", network.name, build)
-        )
+        traced = self._traced("pricing_kernel", network.name, build)
+        if raw is not None:
+            if len(self._kernel_keys) >= self.max_entries:
+                self._kernel_keys.clear()  # bounded like the cache it keys into
+            self._kernel_keys[raw] = (key, traced)
+        return self._pricing.get_or_build(key, traced)
 
     def _resolve_structure(
         self, model: str | Network, structure: str | Structure
@@ -949,6 +968,7 @@ class PlanningEngine:
             self._pricing,
         ):
             cache.clear()
+        self._kernel_keys.clear()
         self._structures.clear()
         self._fingerprints.clear()
         self._networks.clear()

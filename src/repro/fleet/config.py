@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.cloud.config import CloudConfig
 from repro.cloud.model import CloudGpuModel
 from repro.faults.plan import Blackout, FaultPlan
@@ -44,6 +46,7 @@ from repro.faults.policy import ResiliencePolicy
 from repro.net.channel import DEFAULT_HEADER_BYTES, DEFAULT_SETUP_LATENCY
 from repro.obs.slo import SloConfig, default_slos
 from repro.net.timeline import BandwidthTimeline
+from repro.nn.zoo import MODELS
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
 from repro.utils.rng import DEFAULT_SEED
@@ -101,6 +104,22 @@ class WorkloadConfig:
             raise ValueError("need at least one client")
         require_positive(self.horizon, "horizon")
         require_finite(self.horizon, "horizon")  # an endless run never reports
+        # numpy's SeedSequence takes any non-negative int; a bool would run
+        # as 0 or 1, and anything else fails deep inside the generator
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise ValueError(
+                f"workload.seed must be a non-negative integer, got {self.seed!r}"
+            )
+        for index, client in enumerate(self.clients):
+            if client.model not in MODELS:
+                raise ValueError(
+                    f"workload.clients[{index}].model: unknown model "
+                    f"{client.model!r} (available: {', '.join(sorted(MODELS))})"
+                )
 
     def as_dict(self) -> dict:
         return {

@@ -29,6 +29,8 @@ audits exactly that, on top of every server's own conservation law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 
 from repro.cloud.server import BatchingServer, LeastQueuedRouter
 from repro.core.plans import json_safe
@@ -259,15 +261,13 @@ class FleetGateway:
             )
         self.servers[name].submit(request)
 
-    def _submitter(self, request: Request):
-        return lambda: self.submit(request)
-
     def run(self, requests: list[Request], until: float | None = None) -> FleetResult:
         """Serve a request stream; drains fully unless ``until`` is set."""
-        for request in sorted(requests, key=lambda r: (r.arrival, r.request_id)):
-            self.engine.schedule(
-                request.arrival - self.engine.now, self._submitter(request)
-            )
+        submit = self.submit
+        schedule = self.engine.schedule
+        now = self.engine.now
+        for request in sorted(requests, key=attrgetter("arrival", "request_id")):
+            schedule(request.arrival - now, partial(submit, request))
         makespan = self.engine.run(until=until)
         # end-of-run SLO pass: publishes burn-rate gauges and leaves any
         # still-burning alert active (no forced clear)

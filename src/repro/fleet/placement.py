@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.fleet.config import PlacementConfig
+from repro.obs.metrics import Counter
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer
 from repro.serving.gateway import Gateway
@@ -90,6 +91,9 @@ class Placer:
         self._overloaded_since: dict[str, float | None] = {
             name: None for name in servers
         }
+        # ``placements{server}`` counter handles, made on a server's first
+        # placement so the registry snapshot gains no zero-valued series
+        self._placed: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # scorers
@@ -196,7 +200,12 @@ class Placer:
         if estimate is not None:
             self.last_decision["eft"] = estimate
         if self.metrics is not None:
-            self.metrics.counter("placements", server=name).increment()
+            placed = self._placed.get(name)
+            if placed is None:
+                placed = self._placed[name] = self.metrics.counter(
+                    "placements", server=name
+                )
+            placed.increment()
         if self.telemetry.enabled:
             self.telemetry.record("placements", now, server=name)
         if self.events and self.tracer.enabled:

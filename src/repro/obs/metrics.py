@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.utils.validation import require_non_negative
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -39,6 +37,17 @@ SNAPSHOT_QUANTILES = (0.50, 0.95, 0.99)
 
 #: Label pairs as stored on metrics: sorted, hashable.
 Labels = tuple[tuple[str, str], ...]
+
+
+def _require_sample(value: float) -> float:
+    """Validate a histogram sample: finite and >= 0 (NaN is neither).
+
+    A sketch has no bucket for NaN, infinity or a negative value, so
+    every observe path checks this before it touches any state.
+    """
+    if not 0 <= value < math.inf:
+        raise ValueError(f"histogram samples must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _label_key(labels: dict[str, str]) -> Labels:
@@ -112,7 +121,7 @@ class StreamingHistogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        require_non_negative(value, "value")
+        _require_sample(value)
         self.count += 1
         self.total += value
         self.min = min(self.min, value)
@@ -200,22 +209,27 @@ class MetricsRegistry:
     _gauges: dict[tuple[str, Labels], Gauge] = field(default_factory=dict)
     _histograms: dict[str, StreamingHistogram] = field(default_factory=dict)
 
+    # hot path: one dict probe per call; an unlabeled call never sorts
+    # its (empty) label dict
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
-        if key not in self._counters:
-            self._counters[key] = Counter(name, labels=key[1])
-        return self._counters[key]
+        key = (name, _label_key(labels) if labels else ())
+        metric = self._counters.get(key)
+        if metric is None:
+            metric = self._counters[key] = Counter(name, labels=key[1])
+        return metric
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
-        if key not in self._gauges:
-            self._gauges[key] = Gauge(name, labels=key[1])
-        return self._gauges[key]
+        key = (name, _label_key(labels) if labels else ())
+        metric = self._gauges.get(key)
+        if metric is None:
+            metric = self._gauges[key] = Gauge(name, labels=key[1])
+        return metric
 
     def histogram(self, name: str) -> StreamingHistogram:
-        if name not in self._histograms:
-            self._histograms[name] = StreamingHistogram(self.relative_accuracy)
-        return self._histograms[name]
+        metric = self._histograms.get(name)
+        if metric is None:
+            metric = self._histograms[name] = StreamingHistogram(self.relative_accuracy)
+        return metric
 
     def snapshot(self) -> dict[str, dict]:
         """Plain-dict view of every metric, stable key order."""

@@ -39,6 +39,7 @@ from repro.obs.metrics import (
     StreamingHistogram,
     _label_key,
     _render_key,
+    _require_sample,
 )
 from repro.utils.validation import require_positive
 
@@ -128,6 +129,8 @@ class TimeSeries:
 
     def observe(self, t: float, value: float = 1.0) -> None:
         """Record one sample at virtual time ``t``."""
+        if self.kind == "histogram":
+            _require_sample(value)  # before the run totals move
         index = self._bucket_index(t)
         if self._newest is not None and index <= self._newest - self.capacity:
             # older than the whole ring: nothing in-window can see it
@@ -339,6 +342,7 @@ class TelemetryHub:
 
     def observe(self, name: str, t: float, value: float, /, **labels: str) -> None:
         """Observe a distribution value (histogram-kind series)."""
+        _require_sample(value)  # a rejected first sample creates no series
         self.series(name, "histogram", **labels).observe(t, value)
 
     def timeline(self) -> dict[str, Any]:

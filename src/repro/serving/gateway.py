@@ -28,6 +28,7 @@ single gateway as a one-server :class:`~repro.fleet.SystemConfig`.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -65,24 +66,43 @@ GATEWAY_SCHEMES = ("JPS", "LO", "CO", "PO")
 MAX_BARE_RETRANSMITS = 100
 
 
+#: What admission reads of one cut position: (f, g, cloud rest, label,
+#: upload payload bytes, local tail) — the planned stages, the cut's
+#: label, what crosses the uplink, and the mobile time of the layers past
+#: the cut (what a local fallback must still execute).
+_PositionCosts = tuple[float, float, float, str, float, float]
+
+
 @dataclass
 class _ModelState:
     """Per-model planning state, rebuilt on every re-plan."""
 
     table: CostTable
-    payloads: tuple[float, ...]       # upload bytes per cut position
+    costs: tuple[_PositionCosts, ...]  # one entry per cut position
     mix: tuple[int, ...]              # JPS round-robin cut sequence
     assigned: int = 0                 # monotone round-robin pointer
 
 
-@dataclass
+@dataclass(slots=True)
 class _Ticket:
-    """One admitted request moving through the pipeline."""
+    """One admitted request moving through the pipeline.
+
+    Admission copies the chosen position's costs in; the :class:`JobPlan`
+    is built by ``_start``, so only requests that run pay for one.
+    """
 
     request: Request
-    plan: JobPlan
+    position: int
+    f: float                          # planned mobile stage
+    g: float                          # planned upload stage
+    cloud_time: float                 # planned cloud stage
+    cut_label: str
     payload_bytes: float
+    local_tail: float                 # mobile time of the layers past the cut
+    expiry: float                     # request.expiry, read on every index push
     admitted_at: float
+    degraded: bool = False            # completed (or will complete) locally
+    plan: JobPlan | None = None
     started: float | None = None
     completed: float | None = None
     # stage windows in virtual time, recorded as tracer spans at finish
@@ -93,8 +113,6 @@ class _Ticket:
     # fault/resilience bookkeeping (inert on the fault-free path)
     attempts: int = 0                 # transfer attempts so far
     timed_out: bool = False           # last attempt hit the per-attempt timeout
-    degraded: bool = False            # completed (or will complete) locally
-    local_tail: float = 0.0           # mobile time of the layers past the cut
     # which GPU batch served the cloud stage (shared batching cloud only)
     batch_info: dict | None = None
 
@@ -102,12 +120,13 @@ class _Ticket:
 class _HeadIndex:
     """Incremental Johnson/FIFO/expiry index over the queue heads.
 
-    Four lazy-deletion heaps replace the per-event rebuild of the
-    ``heads`` list: S1 (communication-heavy heads by ascending ``f``)
-    and S2 (computation-heavy by descending ``g``) realize Johnson's
-    rule as two peeks, ``fifo`` orders heads by arrival for the
-    baselines, and ``expiry`` surfaces the earliest deadline so a burst
-    of expiries drains in O(drops · log clients) instead of
+    Lazy-deletion heaps replace the per-event rebuild of the ``heads``
+    list. A JPS gateway keeps S1 (communication-heavy heads by ascending
+    ``f``) and S2 (computation-heavy by descending ``g``), realizing
+    Johnson's rule as two peeks; the baselines keep ``fifo`` instead,
+    heads by arrival — each gateway fills only the heaps its scheme's
+    order reads. ``expiry`` surfaces the earliest deadline so a burst of
+    expiries drains in O(drops · log clients) instead of
     O(drops × clients). Entries are pushed once — when a ticket becomes
     its queue's head — and go stale when it stops being the head; stale
     entries are detected against the live queues on peek and popped
@@ -117,10 +136,14 @@ class _HeadIndex:
     """
 
     def __init__(
-        self, queues: dict[str, deque[_Ticket]], client_pos: dict[str, int]
+        self,
+        queues: dict[str, deque[_Ticket]],
+        client_pos: dict[str, int],
+        johnson: bool,
     ) -> None:
         self._queues = queues
         self._client_pos = client_pos
+        self._johnson = johnson
         self._seq = 0
         self._s1: list[tuple[float, int, int, _Ticket]] = []
         self._s2: list[tuple[float, int, int, _Ticket]] = []
@@ -131,18 +154,20 @@ class _HeadIndex:
         """Index a ticket that just became its queue's head."""
         self._seq += 1
         seq = self._seq
-        pos = self._client_pos[ticket.request.client_id]
-        f, g = ticket.plan.stages
-        if f < g:
-            heapq.heappush(self._s1, (f, pos, seq, ticket))
+        request = ticket.request
+        if self._johnson:
+            f, g = ticket.f, ticket.g
+            pos = self._client_pos[request.client_id]
+            if f < g:
+                heapq.heappush(self._s1, (f, pos, seq, ticket))
+            else:
+                heapq.heappush(self._s2, (-g, pos, seq, ticket))
         else:
-            heapq.heappush(self._s2, (-g, pos, seq, ticket))
-        heapq.heappush(
-            self._fifo,
-            (ticket.request.arrival, ticket.request.request_id, seq, ticket),
-        )
-        if ticket.request.expiry != float("inf"):
-            heapq.heappush(self._expiry, (ticket.request.expiry, seq, ticket))
+            heapq.heappush(
+                self._fifo, (request.arrival, request.request_id, seq, ticket)
+            )
+        if ticket.expiry != math.inf:
+            heapq.heappush(self._expiry, (ticket.expiry, seq, ticket))
 
     def _is_head(self, ticket: _Ticket) -> bool:
         queue = self._queues.get(ticket.request.client_id)
@@ -153,18 +178,18 @@ class _HeadIndex:
             heapq.heappop(heap)
         return heap[0][-1] if heap else None
 
-    def johnson_head(self) -> _Ticket | None:
-        """The head Johnson's rule runs next: S1 by (f, client), else S2."""
+    def next_head(self) -> _Ticket | None:
+        """The head the scheme runs next: Johnson's rule (S1 by (f,
+        client), else S2) under JPS, the earliest arrival otherwise."""
+        if not self._johnson:
+            return self._peek(self._fifo)
         head = self._peek(self._s1)
         return head if head is not None else self._peek(self._s2)
-
-    def fifo_head(self) -> _Ticket | None:
-        return self._peek(self._fifo)
 
     def expired_head(self, now: float) -> _Ticket | None:
         """The earliest-deadline head, if it has already expired."""
         head = self._peek(self._expiry)
-        if head is not None and head.request.expiry < now:
+        if head is not None and head.expiry < now:
             return head
         return None
 
@@ -227,7 +252,9 @@ class Gateway:
         self._queues: dict[str, deque[_Ticket]] = {}
         self._client_order: list[str] = []
         self._client_pos: dict[str, int] = {}
-        self._index = _HeadIndex(self._queues, self._client_pos)
+        self._index = _HeadIndex(
+            self._queues, self._client_pos, johnson=scheme == "JPS"
+        )
         #: terminal outcome of every request this server was handed
         self.records: list[ServedRecord] = []
         # a name gives per-server trace lanes; an unnamed gateway keeps
@@ -298,14 +325,15 @@ class Gateway:
         now = self._engine.now
         self.metrics.counter("dropped").increment()
         self.metrics.counter(f"dropped_{reason}").increment()
-        self.tracer.instant(
-            "gateway/drop",
-            timestamp=now,
-            lane=self._events_lane,
-            request_id=request.request_id,
-            client=request.client_id,
-            reason=reason,
-        )
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "gateway/drop",
+                timestamp=now,
+                lane=self._events_lane,
+                request_id=request.request_id,
+                client=request.client_id,
+                reason=reason,
+            )
         self.records.append(
             ServedRecord(request.request_id, request.client_id, outcome, None)
         )
@@ -329,21 +357,36 @@ class Gateway:
             header_bytes=self.estimator.header_bytes,
             protocol_overhead=self.estimator.protocol_overhead,
         )
-        mix = OnlineJpsScheduler(priced.table, nominal_burst=self.nominal_burst).cut_mix
-        return _ModelState(table=priced.table, payloads=priced.payloads, mix=mix)
+        table = priced.table
+        mix = OnlineJpsScheduler(table, nominal_burst=self.nominal_burst).cut_mix
+        # the accessors' floats (stage_lengths, cloud_rest,
+        # local_only_time), read once per re-plan instead of per admission
+        local = table.local_only_time
+        costs = tuple(
+            (f, g, rest, label, payload, max(0.0, local - f))
+            for f, g, rest, label, payload in zip(
+                table.f.tolist(),
+                table.g.tolist(),
+                (table.cloud[-1] - table.cloud).tolist(),
+                table.positions,
+                priced.payloads,
+            )
+        )
+        return _ModelState(table=table, costs=costs, mix=mix)
 
     def _state_of(self, model: str) -> _ModelState:
-        if model not in self._models:
-            self._models[model] = self._build_model_state(model)
-        return self._models[model]
+        state = self._models.get(model)
+        if state is None:
+            state = self._models[model] = self._build_model_state(model)
+        return state
 
     def _next_position(self, state: _ModelState) -> int:
         if self._degraded:
             # degraded mode: everything runs on the device until a
             # recovery probe brings the uplink back
-            return state.table.k - 1
+            return len(state.costs) - 1
         if self.scheme == "LO":
-            return state.table.k - 1
+            return len(state.costs) - 1
         if self.scheme == "CO":
             return 0
         if self.scheme == "PO":
@@ -415,35 +458,23 @@ class Gateway:
             # reaches admission (it is not queued, so it cannot expire)
             self._drop(request, "disconnected", "failed")
             return
-        if request.client_id not in self._queues:
-            self._queues[request.client_id] = deque()
+        queue = self._queues.get(request.client_id)
+        if queue is None:
+            queue = self._queues[request.client_id] = deque()
             self._client_pos[request.client_id] = len(self._client_order)
             self._client_order.append(request.client_id)
-        queue = self._queues[request.client_id]
         if len(queue) >= self.max_queue_depth:
             self._drop(request, "queue_full", "rejected")
             return
         state = self._state_of(request.model)
         position = self._next_position(state)
-        f, g = state.table.stage_lengths(position)
-        plan = JobPlan(
-            job_id=request.request_id,
-            model=request.model,
-            cut_position=position,
-            compute_time=f,
-            comm_time=g,
-            cloud_time=state.table.cloud_rest(position),
-            cut_label=state.table.positions[position],
-        )
         ticket = _Ticket(
-            request=request,
-            plan=plan,
-            payload_bytes=state.payloads[position],
-            admitted_at=self._engine.now,
-            # mobile time of the layers past the cut — what a local
-            # fallback must still execute after the transfer is abandoned
-            local_tail=max(0.0, state.table.local_only_time - f),
-            degraded=self._degraded,
+            request,
+            position,
+            *state.costs[position],
+            request.expiry,
+            self._engine.now,
+            self._degraded,
         )
         queue.append(ticket)
         self._queued += 1
@@ -487,11 +518,7 @@ class Gateway:
                 break
             self._pop_head(expired)
             self._drop(expired.request, "deadline", "expired")
-        ticket = (
-            self._index.johnson_head()
-            if self.scheme == "JPS"
-            else self._index.fifo_head()
-        )
+        ticket = self._index.next_head()
         if ticket is None:
             return
         self._pop_head(ticket)
@@ -504,13 +531,23 @@ class Gateway:
         self.metrics.histogram("queue_wait").observe(
             self._engine.now - ticket.request.arrival
         )
-        rid = ticket.request.request_id
+        request = ticket.request
+        rid = request.request_id
+        ticket.plan = plan = JobPlan(
+            job_id=rid,
+            model=request.model,
+            cut_position=ticket.position,
+            compute_time=ticket.f,
+            comm_time=ticket.g,
+            cloud_time=ticket.cloud_time,
+            cut_label=ticket.cut_label,
+        )
         label = f"req{rid}"
         policy = self.resilience
         injector = self.faults
         # executed (not planned) costs: cost-model misestimation makes the
         # run diverge from the plan without the planner knowing
-        compute_time = ticket.plan.compute_time
+        compute_time = plan.compute_time
         wire_payload = ticket.payload_bytes
         if injector is not None:
             compute_time = compute_time * injector.compute_factor(rid)
@@ -615,18 +652,16 @@ class Gateway:
             self._drop(ticket.request, "transfer_failed", "failed")
 
         def enter_cloud() -> None:
-            if self.include_cloud and ticket.plan.cloud_time > 0:
+            if self.include_cloud and plan.cloud_time > 0:
                 if self._cloud_server is not None:
                     self._cloud_server.submit(
                         f"{label}/cloud",
-                        ticket.plan.cloud_time,
+                        plan.cloud_time,
                         after_cloud,
-                        slack=ticket.request.expiry - self._engine.now,
+                        slack=ticket.expiry - self._engine.now,
                     )
                 else:
-                    self._cloud.acquire(
-                        f"{label}/cloud", ticket.plan.cloud_time, after_cloud
-                    )
+                    self._cloud.acquire(f"{label}/cloud", plan.cloud_time, after_cloud)
             else:
                 finish()
 
@@ -656,7 +691,8 @@ class Gateway:
                 self.slo.outcome(
                     ticket.completed, deadline is None or latency <= deadline
                 )
-            self._record_spans(ticket, latency)
+            if self.tracer.enabled:
+                self._record_spans(ticket, latency)
             self.records.append(
                 ServedRecord(
                     rid,
@@ -676,6 +712,8 @@ class Gateway:
         wait, then one span per executed stage — is recorded at finish.
         Each request is its own lane process (``req <id>``) with one
         track per stage, mirroring :func:`repro.sim.trace.pipeline_spans`.
+        Called only under a live tracer: the disabled one would discard
+        every span.
         """
         rid = ticket.request.request_id
         process = f"{self._lane_prefix}req {rid}"

@@ -117,6 +117,41 @@ def test_bad_float_options_exit_2_with_one_line(capsys, command, option, value, 
     assert f"argument {option}: must be {expected}, got {value!r}" in message
 
 
+@pytest.mark.parametrize(
+    ("command", "option", "value", "expected"),
+    [
+        (["fleet"], "--seed", "-1", "an integer >= 0"),
+        (["serve"], "--seed", "-1", "an integer >= 0"),
+        (["trace", "fleet"], "--seed", "1.5", "an integer >= 0"),
+        (["fleet"], "--servers", "0", "an integer >= 1"),
+        (["fleet"], "--clients", "0", "an integer >= 1"),
+        (["serve"], "--clients", "two", "an integer >= 1"),
+        (["fleet"], "--queue-depth", "0", "an integer >= 1"),
+        (["serve"], "--queue-depth", "-3", "an integer >= 1"),
+        (["fleet"], "--max-batch", "0", "an integer >= 1"),
+        (["fleet"], "--cloud-gpus", "-1", "an integer >= 0"),
+        (["plan", "alexnet"], "-n", "0", "an integer >= 1"),
+        (["compare", "alexnet"], "--jobs", "-5", "an integer >= 1"),
+    ],
+)
+def test_bad_integer_options_exit_2_with_one_line(capsys, command, option, value, expected):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, option, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [message] = [line for line in err.splitlines() if "error:" in line]
+    assert f"must be {expected}, got {value!r}" in message
+
+
+def test_integer_options_keep_their_boundary_values():
+    args = build_parser().parse_args(
+        ["fleet", "--seed", "0", "--servers", "1", "--clients", "1", "--cloud-gpus", "0"]
+    )
+    assert (args.seed, args.servers, args.clients, args.cloud_gpus) == (0, 1, 1, 0)
+    assert build_parser().parse_args(["plan", "alexnet", "-n", "1"]).jobs == 1
+
+
 def test_fleet_deadline_at_or_below_zero_still_disables_deadlines():
     for value in ("0", "-1"):
         assert build_parser().parse_args(["fleet", "--deadline", value]).deadline <= 0

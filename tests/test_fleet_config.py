@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.faults.plan import (
@@ -183,6 +184,13 @@ INF, NAN = math.inf, math.nan
         ("workload.horizon", INF, "horizon must be finite"),
         ("workload.clients.0.rate", INF, "rate must be finite"),
         ("workload.clients.1.period", INF, "period must be finite"),
+        # seeds numpy would reject deep inside, or silently run as 1
+        ("workload.seed", -1, "workload.seed must be a non-negative integer, got -1"),
+        ("workload.seed", 1.5, "workload.seed must be a non-negative integer, got 1.5"),
+        ("workload.seed", True, "workload.seed must be a non-negative integer, got True"),
+        ("workload.seed", None, "workload.seed must be a non-negative integer, got None"),
+        # a model the planner cannot resolve failed with a KeyError mid-run
+        ("workload.clients.1.model", "alexnet-9000", r"workload.clients\[1\].model: unknown"),
         # uplink steps: finite, from 0, strictly increasing; rates finite and > 0
         ("servers.0.bandwidth_steps", [[0.0, 0.0]], r"\[0\] rate must be > 0"),
         ("servers.0.bandwidth_steps", [[0.0, -2.0]], r"\[0\] rate must be > 0"),
@@ -232,3 +240,9 @@ def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
     node[leaf] = value
     with pytest.raises(ValueError, match=message):
         SystemConfig.from_dict(data)
+
+
+def test_workload_accepts_any_non_negative_integer_seed():
+    clients = (ClientSpec(name="c"),)
+    for seed in (0, 7, np.int64(3), 2**40):
+        assert WorkloadConfig(clients=clients, seed=seed).seed == seed

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
+from repro.obs.timeseries import TelemetryHub, TimeSeries
 
 POSITIVE_SAMPLES = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -146,3 +147,44 @@ def test_unlabeled_snapshot_keeps_historical_wire_format():
     assert set(snapshot["histograms"]["latency"]) == {
         "count", "sum", "mean", "min", "max", "p50", "p95", "p99",
     }
+
+
+# ----------------------------------------------------------------------
+# rejected samples leave no trace
+# ----------------------------------------------------------------------
+
+BAD_SAMPLES = [math.inf, -math.inf, math.nan, -1.0, -1e-300]
+
+
+@pytest.mark.parametrize("value", BAD_SAMPLES)
+def test_histogram_rejects_a_bad_sample_before_touching_state(value):
+    registry = MetricsRegistry()
+    registry.histogram("latency").observe(0.5)
+    registry.counter("served").increment()
+    before = registry.snapshot()
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        registry.histogram("latency").observe(value)
+    assert registry.snapshot() == before
+
+
+@pytest.mark.parametrize("value", BAD_SAMPLES)
+def test_hub_rejects_a_bad_sample_before_touching_state(value):
+    hub = TelemetryHub()
+    hub.observe("latency", 0.5, 0.25, server="a")
+    before = hub.timeline()
+    # an existing series and a series the call would have created
+    for server in ("a", "s"):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hub.observe("latency", 0.5, value, server=server)
+    assert hub.timeline() == before
+    series = TimeSeries("direct", kind="histogram")
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        series.observe(0.5, value)
+    assert series.count == 0 and series.total == 0.0
+
+
+def test_counter_and_gauge_series_still_take_any_value():
+    hub = TelemetryHub()
+    hub.sample("queue_depth", 0.1, -2.0)
+    series = hub.timeline()["series"]["queue_depth"]
+    assert (series["count"], series["sum"]) == (1, -2.0)
