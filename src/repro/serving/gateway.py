@@ -66,10 +66,9 @@ GATEWAY_SCHEMES = ("JPS", "LO", "CO", "PO")
 MAX_BARE_RETRANSMITS = 100
 
 
-#: What admission reads of one cut position: (f, g, cloud rest, label,
-#: upload payload bytes, local tail) — the planned stages, the cut's
-#: label, what crosses the uplink, and the mobile time of the layers past
-#: the cut (what a local fallback must still execute).
+#: One cut position as admission reads it: (f, g, cloud rest, label,
+#: upload payload bytes, local tail); the local tail is the mobile time of
+#: the layers past the cut, which a local fallback must still execute.
 _PositionCosts = tuple[float, float, float, str, float, float]
 
 
