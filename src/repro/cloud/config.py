@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.model import CloudGpuModel
 from repro.cloud.server import BATCHING_POLICIES, GPU_ASSIGNMENTS
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_integer
 
 __all__ = ["CloudConfig"]
 
@@ -42,8 +42,8 @@ class CloudConfig:
     model: CloudGpuModel = field(default_factory=CloudGpuModel)
 
     def __post_init__(self) -> None:
-        require_positive(self.gpus, "gpus")
-        require_positive(self.max_batch, "max_batch")
+        require_positive_integer(self.gpus, "cloud.gpus")
+        require_positive_integer(self.max_batch, "cloud.max_batch")
         if self.max_wait < 0 or not math.isfinite(self.max_wait):
             raise ValueError(f"max_wait must be finite and >= 0, got {self.max_wait}")
         if self.policy not in BATCHING_POLICIES:

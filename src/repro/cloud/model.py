@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_positive
 
 __all__ = ["CloudGpuModel"]
 
@@ -60,6 +60,8 @@ class CloudGpuModel:
                 f"overhead_fraction must be in [0, 1), got {self.overhead_fraction}"
             )
         require_positive(self.speedup, "speedup")
+        # an infinite speedup would execute every cloud stage in 0 s
+        require_finite(self.speedup, "speedup")
 
     # ------------------------------------------------------------------
     # the latency decomposition

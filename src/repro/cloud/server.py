@@ -38,7 +38,7 @@ from repro.cloud.model import CloudGpuModel
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.engine import Engine, Resource
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_integer
 
 __all__ = ["BATCHING_POLICIES", "GPU_ASSIGNMENTS", "BatchingServer", "LeastQueuedRouter"]
 
@@ -68,7 +68,7 @@ class BatchingServer:
             raise ValueError(
                 f"unknown batching policy {policy!r} (use {BATCHING_POLICIES})"
             )
-        require_positive(max_batch, "max_batch")
+        require_positive_integer(max_batch, "max_batch")
         if max_wait < 0 or not math.isfinite(max_wait):
             raise ValueError(f"max_wait must be finite and >= 0, got {max_wait}")
         self.engine = engine
@@ -88,6 +88,9 @@ class BatchingServer:
         #: to its batch window and co-batched peers.
         self.current_batch: dict | None = None
         self._hold: list[tuple[str, float, Callable[[float, float], None]]] = []
+        # batch_latency of the hold, made by the first queue_delay() after
+        # the hold changes (the router scores every GPU per submit)
+        self._hold_latency: float | None = None
         self._hold_started: float | None = None
         self._pending_hold_window: float | None = None
         self._generation = 0          # stales pending max_wait timers
@@ -118,7 +121,11 @@ class BatchingServer:
         """
         delay = self._backlog
         if self._hold:
-            delay += self.model.batch_latency([u for _, u, _ in self._hold])
+            if self._hold_latency is None:
+                self._hold_latency = self.model.batch_latency(
+                    [u for _, u, _ in self._hold]
+                )
+            delay += self._hold_latency
         return delay
 
     # ------------------------------------------------------------------
@@ -150,6 +157,7 @@ class BatchingServer:
             self._launch(self._take_hold() + [item], reason="slack")
             return
         self._hold.append(item)
+        self._hold_latency = None
         if len(self._hold) == 1:
             self._hold_started = self.engine.now
         if len(self._hold) >= self.max_batch:
@@ -165,6 +173,7 @@ class BatchingServer:
 
     def _take_hold(self) -> list[tuple[str, float, Callable[[float, float], None]]]:
         items, self._hold = self._hold, []
+        self._hold_latency = None
         self._generation += 1
         # hand the hold window to the launch that consumes these items
         self._pending_hold_window = self._hold_started

@@ -50,7 +50,12 @@ from repro.nn.zoo import MODELS
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import require_finite, require_non_negative, require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+    require_positive_integer,
+)
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -212,8 +217,8 @@ class ServerSpec:
             require_positive(rate, f"{step} rate")
         require_positive(self.mobile_speedup, "mobile_speedup")
         require_positive(self.cloud_speedup, "cloud_speedup")
-        require_positive(self.max_queue_depth, "max_queue_depth")
-        require_positive(self.nominal_burst, "nominal_burst")
+        require_positive_integer(self.max_queue_depth, "max_queue_depth")
+        require_positive_integer(self.nominal_burst, "nominal_burst")
 
     def as_dict(self) -> dict:
         out: dict = {

@@ -249,11 +249,7 @@ class FleetGateway:
                 **self.placer.migrations[-1],
             )
         self.per_server_arrivals[name] += 1
-        if (
-            self.config.observability.fleet_events
-            and self.tracer.enabled
-            and self.placer.last_decision is not None
-        ):
+        if self.config.observability.fleet_events and self.tracer.enabled:
             # the placement decision joins the request's trace tree as a
             # child span when the request finishes on its server
             self.servers[name].note_placement(

@@ -78,9 +78,9 @@ class Placer:
         self.metrics = metrics
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.events = events
-        #: The most recent decision: {"server", "policy", "eft"(opt)} —
-        #: the fleet attaches it to the request's trace tree.
-        self.last_decision: dict | None = None
+        # the most recent decision as (server, policy, EFT estimate or
+        # None); read back as a dict by ``last_decision``
+        self._decision: tuple[str, str, float | None] | None = None
         self._order = list(servers)
         #: last (or sticky) server per client — the report's assignment map
         self.assignments: dict[str, str] = {}
@@ -94,6 +94,22 @@ class Placer:
         # ``placements{server}`` counter handles, made on a server's first
         # placement so the registry snapshot gains no zero-valued series
         self._placed: dict[str, Counter] = {}
+
+    @property
+    def last_decision(self) -> dict | None:
+        """The most recent decision: {"server", "policy", "eft"(opt)} —
+        the fleet attaches it to the request's trace tree.
+
+        Built on read: only a traced fleet asks for it, so an arrival
+        pays for a tuple, not a dict.
+        """
+        if self._decision is None:
+            return None
+        name, policy, estimate = self._decision
+        decision: dict = {"server": name, "policy": policy}
+        if estimate is not None:
+            decision["eft"] = estimate
+        return decision
 
     # ------------------------------------------------------------------
     # scorers
@@ -196,9 +212,7 @@ class Placer:
         else:  # affinity
             name = self._place_affinity(request, now)
         self.assignments[request.client_id] = name
-        self.last_decision = {"server": name, "policy": policy}
-        if estimate is not None:
-            self.last_decision["eft"] = estimate
+        self._decision = (name, policy, estimate)
         if self.metrics is not None:
             placed = self._placed.get(name)
             if placed is None:

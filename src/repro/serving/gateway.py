@@ -31,6 +31,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.baselines import single_job_optimal_cut
@@ -44,11 +45,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import NULL_BOARD
 from repro.obs.timeseries import NULL_HUB
 from repro.obs.tracer import NullTracer, Tracer
-from repro.profiling.latency import CostTable
 from repro.serving.estimator import AdaptiveChannelEstimator
 from repro.serving.workload import Request
 from repro.sim.engine import Engine, Resource
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_integer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cloud.server import BatchingServer
@@ -76,9 +76,8 @@ _PositionCosts = tuple[float, float, float, str, float, float]
 class _ModelState:
     """Per-model planning state, rebuilt on every re-plan."""
 
-    table: CostTable
     costs: tuple[_PositionCosts, ...]  # one entry per cut position
-    mix: tuple[int, ...]              # JPS round-robin cut sequence
+    mix: tuple[int, ...]              # the scheme's round-robin cut sequence
     assigned: int = 0                 # monotone round-robin pointer
 
 
@@ -86,8 +85,9 @@ class _ModelState:
 class _Ticket:
     """One admitted request moving through the pipeline.
 
-    Admission copies the chosen position's costs in; the :class:`JobPlan`
-    is built by ``_start``, so only requests that run pay for one.
+    Admission copies the chosen position's costs in; the :class:`JobPlan`,
+    the stage label and the executed upload size are set by ``_start``,
+    so only requests that run pay for them.
     """
 
     request: Request
@@ -102,6 +102,8 @@ class _Ticket:
     admitted_at: float
     degraded: bool = False            # completed (or will complete) locally
     plan: JobPlan | None = None
+    label: str = ""                   # "req{id}", the prefix of its stage labels
+    wire_payload: float = 0.0         # executed upload bytes (fault factor applied)
     started: float | None = None
     completed: float | None = None
     # stage windows in virtual time, recorded as tracer spans at finish
@@ -235,8 +237,8 @@ class Gateway:
     ) -> None:
         if scheme not in GATEWAY_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r} (use one of {GATEWAY_SCHEMES})")
-        require_positive(max_queue_depth, "max_queue_depth")
-        require_positive(nominal_burst, "nominal_burst")
+        require_positive_integer(max_queue_depth, "max_queue_depth")
+        require_positive_integer(nominal_burst, "nominal_burst")
         self.timeline = timeline
         self.planner = planner
         self.scheme = scheme
@@ -357,7 +359,14 @@ class Gateway:
             protocol_overhead=self.estimator.protocol_overhead,
         )
         table = priced.table
-        mix = OnlineJpsScheduler(table, nominal_burst=self.nominal_burst).cut_mix
+        # the cut sequence admission cycles through: the JPS mix, or the
+        # one cut a baseline uses for every job at this rate
+        if self.scheme == "JPS":
+            mix = OnlineJpsScheduler(table, nominal_burst=self.nominal_burst).cut_mix
+        elif self.scheme == "PO":
+            mix = (single_job_optimal_cut(table),)
+        else:
+            mix = (0,) if self.scheme == "CO" else (table.k - 1,)
         # the accessors' floats (stage_lengths, cloud_rest,
         # local_only_time), read once per re-plan instead of per admission
         local = table.local_only_time
@@ -371,7 +380,7 @@ class Gateway:
                 priced.payloads,
             )
         )
-        return _ModelState(table=table, costs=costs, mix=mix)
+        return _ModelState(costs=costs, mix=mix)
 
     def _state_of(self, model: str) -> _ModelState:
         state = self._models.get(model)
@@ -384,12 +393,6 @@ class Gateway:
             # degraded mode: everything runs on the device until a
             # recovery probe brings the uplink back
             return len(state.costs) - 1
-        if self.scheme == "LO":
-            return len(state.costs) - 1
-        if self.scheme == "CO":
-            return 0
-        if self.scheme == "PO":
-            return single_job_optimal_cut(state.table)
         position = state.mix[state.assigned % len(state.mix)]
         state.assigned += 1
         return position
@@ -523,6 +526,13 @@ class Gateway:
         self._pop_head(ticket)
         self._start(ticket)
 
+    # ------------------------------------------------------------------
+    # one request's lifecycle
+    # ------------------------------------------------------------------
+    # Each stage is a method bound to its ticket with ``partial`` as it is
+    # handed to a resource, the engine or the cloud, so a request's
+    # callbacks form no reference cycle: reference counting frees a
+    # finished request at once, and the cycle collector never sees it.
     def _start(self, ticket: _Ticket) -> None:
         self._cpu_claimed = True
         self._inflight += 1
@@ -532,7 +542,7 @@ class Gateway:
         )
         request = ticket.request
         rid = request.request_id
-        ticket.plan = plan = JobPlan(
+        ticket.plan = JobPlan(
             job_id=rid,
             model=request.model,
             cut_position=ticket.position,
@@ -541,167 +551,185 @@ class Gateway:
             cloud_time=ticket.cloud_time,
             cut_label=ticket.cut_label,
         )
-        label = f"req{rid}"
-        policy = self.resilience
+        ticket.label = label = f"req{rid}"
         injector = self.faults
         # executed (not planned) costs: cost-model misestimation makes the
         # run diverge from the plan without the planner knowing
-        compute_time = plan.compute_time
+        compute_time = ticket.f
         wire_payload = ticket.payload_bytes
         if injector is not None:
             compute_time = compute_time * injector.compute_factor(rid)
             wire_payload = wire_payload * injector.payload_factor(rid)
+        ticket.wire_payload = wire_payload
+        self._mobile.acquire(
+            f"{label}/compute", compute_time, partial(self._after_compute, ticket)
+        )
 
-        def comm_duration(start: float) -> float:
-            actual = self.timeline.transfer_end(start, wire_payload) - start
-            if (
-                policy is not None
-                and policy.transfer_timeout is not None
-                and actual > policy.transfer_timeout
-            ):
-                # abandon the attempt: release the uplink at the timeout
-                # instead of holding it for a (possibly unbounded) stall
-                ticket.timed_out = True
-                return policy.transfer_timeout
+    def _comm_duration(self, ticket: _Ticket, start: float) -> float:
+        actual = self.timeline.transfer_end(start, ticket.wire_payload) - start
+        policy = self.resilience
+        if (
+            policy is not None
+            and policy.transfer_timeout is not None
+            and actual > policy.transfer_timeout
+        ):
+            # abandon the attempt: release the uplink at the timeout
+            # instead of holding it for a (possibly unbounded) stall
+            ticket.timed_out = True
+            return policy.transfer_timeout
+        ticket.timed_out = False
+        return actual
+
+    def _send(self, ticket: _Ticket) -> None:
+        self._uplink.acquire(
+            f"{ticket.label}/comm",
+            partial(self._comm_duration, ticket),
+            partial(self._after_comm, ticket),
+        )
+
+    def _after_compute(self, ticket: _Ticket, start: float, end: float) -> None:
+        ticket.compute_window = (start, end)
+        # the CPU is free the instant the compute stage ends: hand it
+        # to the Johnson-next request before this one queues uplink
+        self._cpu_claimed = False
+        self._dispatch()
+        if ticket.payload_bytes > 0:
+            self._send(ticket)
+        else:
+            self._enter_cloud(ticket)
+
+    def _after_comm(self, ticket: _Ticket, start: float, end: float) -> None:
+        attempt = ticket.attempts
+        ticket.attempts += 1
+        if ticket.timed_out:
             ticket.timed_out = False
-            return actual
+            self._transfer_failed(ticket, "timeout")
+            return
+        injector = self.faults
+        if injector is not None and injector.corrupted(
+            ticket.request.request_id, attempt, start
+        ):
+            self._transfer_failed(ticket, "corrupt")
+            return
+        ticket.comm_window = (start, end)
+        self._consecutive_failures = 0
+        self.estimator.observe(ticket.payload_bytes, end - start)
+        if self.scheme == "JPS" and self.estimator.drifted():
+            self._replan()
+        self._enter_cloud(ticket)
 
-        def send() -> None:
-            self._uplink.acquire(f"{label}/comm", comm_duration, after_comm)
-
-        def after_compute(start: float, end: float) -> None:
-            ticket.compute_window = (start, end)
-            # the CPU is free the instant the compute stage ends: hand it
-            # to the Johnson-next request before this one queues uplink
-            self._cpu_claimed = False
-            self._dispatch()
-            if ticket.payload_bytes > 0:
-                send()
+    def _transfer_failed(self, ticket: _Ticket, reason: str) -> None:
+        self.metrics.counter("transfer_failures").increment()
+        self.metrics.counter(
+            "transfer_timeouts" if reason == "timeout" else "transfer_corruptions"
+        ).increment()
+        self._consecutive_failures += 1
+        self.tracer.instant(
+            "gateway/transfer_failure",
+            timestamp=self._engine.now,
+            lane=self._events_lane,
+            request_id=ticket.request.request_id,
+            reason=reason,
+            attempt=ticket.attempts - 1,
+        )
+        policy = self.resilience
+        if policy is None:
+            # bare link layer: immediate retransmit until the safety
+            # valve trips (models TCP with no application policy)
+            if ticket.attempts >= MAX_BARE_RETRANSMITS:
+                self._fail(ticket)
             else:
-                enter_cloud()
-
-        def after_comm(start: float, end: float) -> None:
-            attempt = ticket.attempts
-            ticket.attempts += 1
-            if ticket.timed_out:
-                ticket.timed_out = False
-                transfer_failed("timeout")
-                return
-            if injector is not None and injector.corrupted(rid, attempt, start):
-                transfer_failed("corrupt")
-                return
-            ticket.comm_window = (start, end)
-            self._consecutive_failures = 0
-            self.estimator.observe(ticket.payload_bytes, end - start)
-            if self.scheme == "JPS" and self.estimator.drifted():
-                self._replan()
-            enter_cloud()
-
-        def transfer_failed(reason: str) -> None:
-            self.metrics.counter("transfer_failures").increment()
-            self.metrics.counter(
-                "transfer_timeouts" if reason == "timeout" else "transfer_corruptions"
-            ).increment()
-            self._consecutive_failures += 1
-            self.tracer.instant(
-                "gateway/transfer_failure",
-                timestamp=self._engine.now,
-                lane=self._events_lane,
-                request_id=rid,
-                reason=reason,
-                attempt=ticket.attempts - 1,
+                self._send(ticket)
+            return
+        if (
+            not self._degraded
+            and self._consecutive_failures >= policy.degrade_after_failures
+        ):
+            self._enter_degraded()
+        if ticket.attempts <= policy.max_retries:
+            self.metrics.counter("transfer_retries").increment()
+            self._engine.schedule(
+                policy.backoff(ticket.attempts - 1), partial(self._send, ticket)
             )
-            if policy is None:
-                # bare link layer: immediate retransmit until the safety
-                # valve trips (models TCP with no application policy)
-                if ticket.attempts >= MAX_BARE_RETRANSMITS:
-                    fail()
-                else:
-                    send()
-                return
-            if (
-                not self._degraded
-                and self._consecutive_failures >= policy.degrade_after_failures
-            ):
-                self._enter_degraded()
-            if ticket.attempts <= policy.max_retries:
-                self.metrics.counter("transfer_retries").increment()
-                self._engine.schedule(policy.backoff(ticket.attempts - 1), send)
-            elif policy.local_fallback:
-                local_fallback()
-            else:
-                fail()
+        elif policy.local_fallback:
+            self._local_fallback(ticket)
+        else:
+            self._fail(ticket)
 
-        def local_fallback() -> None:
-            # retries exhausted: run the remaining layers on the device
-            # instead of dropping the request
-            self.metrics.counter("local_fallbacks").increment()
-            ticket.degraded = True
-            if ticket.local_tail > 0:
-                self._mobile.acquire(f"{label}/fallback", ticket.local_tail, after_fallback)
-            else:
-                finish()
+    def _local_fallback(self, ticket: _Ticket) -> None:
+        # retries exhausted: run the remaining layers on the device
+        # instead of dropping the request
+        self.metrics.counter("local_fallbacks").increment()
+        ticket.degraded = True
+        if ticket.local_tail > 0:
+            self._mobile.acquire(
+                f"{ticket.label}/fallback",
+                ticket.local_tail,
+                partial(self._after_fallback, ticket),
+            )
+        else:
+            self._finish(ticket)
 
-        def after_fallback(start: float, end: float) -> None:
-            ticket.fallback_window = (start, end)
-            finish()
+    def _after_fallback(self, ticket: _Ticket, start: float, end: float) -> None:
+        ticket.fallback_window = (start, end)
+        self._finish(ticket)
 
-        def fail() -> None:
-            self._inflight -= 1
-            self._drop(ticket.request, "transfer_failed", "failed")
+    def _fail(self, ticket: _Ticket) -> None:
+        self._inflight -= 1
+        self._drop(ticket.request, "transfer_failed", "failed")
 
-        def enter_cloud() -> None:
-            if self.include_cloud and plan.cloud_time > 0:
-                if self._cloud_server is not None:
-                    self._cloud_server.submit(
-                        f"{label}/cloud",
-                        plan.cloud_time,
-                        after_cloud,
-                        slack=ticket.expiry - self._engine.now,
-                    )
-                else:
-                    self._cloud.acquire(f"{label}/cloud", plan.cloud_time, after_cloud)
-            else:
-                finish()
-
-        def after_cloud(start: float, end: float) -> None:
-            ticket.cloud_window = (start, end)
-            if self._cloud_server is not None:
-                # the batch that just completed is still current: link
-                # this request to its co-batched peers in the trace tree
-                ticket.batch_info = self._cloud_server.current_batch
-            finish()
-
-        def finish() -> None:
-            ticket.completed = self._engine.now
-            self._inflight -= 1
-            latency = ticket.completed - ticket.request.arrival
-            outcome = "degraded" if ticket.degraded else "served"
-            self.metrics.counter(outcome).increment()
-            self.metrics.histogram("latency").observe(latency)
-            if self.telemetry.enabled:
-                now = ticket.completed
-                self.telemetry.record(outcome, now, server=self._obs_name)
-                self.telemetry.observe(
-                    "latency", now, latency, server=self._obs_name
-                )
-            if self.slo.enabled:
-                deadline = ticket.request.deadline
-                self.slo.outcome(
-                    ticket.completed, deadline is None or latency <= deadline
-                )
-            if self.tracer.enabled:
-                self._record_spans(ticket, latency)
-            self.records.append(
-                ServedRecord(
-                    rid,
-                    ticket.request.client_id,
-                    outcome,
-                    latency,
-                )
+    def _enter_cloud(self, ticket: _Ticket) -> None:
+        cloud_time = ticket.cloud_time
+        if not (self.include_cloud and cloud_time > 0):
+            self._finish(ticket)
+        elif self._cloud_server is not None:
+            self._cloud_server.submit(
+                f"{ticket.label}/cloud",
+                cloud_time,
+                partial(self._after_cloud, ticket),
+                slack=ticket.expiry - self._engine.now,
+            )
+        else:
+            self._cloud.acquire(
+                f"{ticket.label}/cloud", cloud_time, partial(self._after_cloud, ticket)
             )
 
-        self._mobile.acquire(f"{label}/compute", compute_time, after_compute)
+    def _after_cloud(self, ticket: _Ticket, start: float, end: float) -> None:
+        ticket.cloud_window = (start, end)
+        if self._cloud_server is not None:
+            # the batch that just completed is still current: link
+            # this request to its co-batched peers in the trace tree
+            ticket.batch_info = self._cloud_server.current_batch
+        self._finish(ticket)
+
+    def _finish(self, ticket: _Ticket) -> None:
+        ticket.completed = self._engine.now
+        self._inflight -= 1
+        latency = ticket.completed - ticket.request.arrival
+        outcome = "degraded" if ticket.degraded else "served"
+        self.metrics.counter(outcome).increment()
+        self.metrics.histogram("latency").observe(latency)
+        if self.telemetry.enabled:
+            now = ticket.completed
+            self.telemetry.record(outcome, now, server=self._obs_name)
+            self.telemetry.observe(
+                "latency", now, latency, server=self._obs_name
+            )
+        if self.slo.enabled:
+            deadline = ticket.request.deadline
+            self.slo.outcome(
+                ticket.completed, deadline is None or latency <= deadline
+            )
+        if self.tracer.enabled:
+            self._record_spans(ticket, latency)
+        self.records.append(
+            ServedRecord(
+                ticket.request.request_id,
+                ticket.request.client_id,
+                outcome,
+                latency,
+            )
+        )
 
     def _record_spans(self, ticket: _Ticket, latency: float) -> None:
         """Retro-record one served request's lifecycle as tracer spans.

@@ -14,7 +14,9 @@ before optimizing):
   request; when the resource frees up the request holds it for its
   duration and then fires its completion callback. The one in-flight
   grant lives in slots on the resource and completes through a bound
-  method cached at construction, so a grant allocates no closure.
+  method made at grant time: one short-lived object per grant, and no
+  reference from the resource to itself, so a finished simulation is
+  freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ class Resource:
         "_label",
         "_start",
         "_on_done",
-        "_complete",
     )
 
     def __init__(self, engine: Engine, name: str) -> None:
@@ -129,7 +130,6 @@ class Resource:
         self._label = ""
         self._start = 0.0
         self._on_done: Callable[[float, float], None] | None = None
-        self._complete = self._finish
 
     def acquire(
         self,
@@ -158,7 +158,7 @@ class Resource:
         self._label = label
         self._start = start
         self._on_done = on_done
-        self.engine.schedule(duration, self._complete)
+        self.engine.schedule(duration, self._finish)
 
     def _finish(self) -> None:
         end = self.engine.now

@@ -33,6 +33,23 @@ def require_integer(value: object, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def require_positive_integer(value: object, name: str) -> int:
+    """Validate that ``value`` is an integer >= 1 (NumPy's too) and return it.
+
+    A bool is rejected: ``operator.index(True)`` is 1, so ``True`` would
+    otherwise pass as a count.
+    """
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count > 0:
+                return count
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def require_finite(value: float, name: str) -> float:
     """Validate that ``value`` is neither NaN nor infinite and return it."""
     if not math.isfinite(value):

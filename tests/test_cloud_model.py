@@ -10,6 +10,7 @@ round-trip / calibration contracts.
 """
 
 import json
+import math
 
 import pytest
 
@@ -89,6 +90,9 @@ def test_calibrate_from_profiles():
         {"overhead_fraction": 1.5},
         {"speedup": 0.0},
         {"speedup": -1.0},
+        # an infinite GPU ran every executed cloud stage in 0 s
+        {"speedup": math.inf},
+        {"speedup": math.nan},
     ],
 )
 def test_validation_rejects_bad_parameters(kwargs):

@@ -2,7 +2,8 @@
 
 ``Engine.run`` drains the heap through cached locals, and ``Resource``
 keeps its one in-flight grant in slots and completes it through a bound
-method cached at construction, so a grant allocates no closure. These
+method made at grant time, so a resource holds no reference to itself
+and a finished simulation is freed without the cycle collector. These
 tests pin the orderings those fast paths must keep when handlers
 re-enter the engine mid-drain — scheduling, failing or acquiring from
 inside a callback — which the up-front cases in ``test_sim.py`` do not
@@ -81,8 +82,8 @@ def test_fast_engine_run_until_and_pending_events():
 
 
 # ----------------------------------------------------------------------
-# closure-free grants: one in-flight slot, completion through a cached
-# bound method
+# closure-free grants: one in-flight slot, completion through a bound
+# method made at grant time
 # ----------------------------------------------------------------------
 
 def test_fast_resource_fifo_and_busy_log():

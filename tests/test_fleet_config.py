@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cloud import CloudConfig
 from repro.faults.plan import (
     Blackout,
     ClientOutage,
@@ -233,6 +234,39 @@ def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
     # every block a case can name is present: faults and SLO telemetry too
     config = with_slo_telemetry(default_fleet(servers=2, clients=2))
     data = replace(config, faults=FaultsConfig(resilience=ResiliencePolicy())).as_dict()
+    *parents, leaf = [int(key) if key.isdigit() else key for key in path.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    with pytest.raises(ValueError, match=message):
+        SystemConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # range() of a float pool size failed deep inside the fleet build
+        ("cloud.gpus", 1.5, r"cloud.gpus must be a positive integer, got 1.5"),
+        ("cloud.gpus", True, r"cloud.gpus must be a positive integer, got True"),
+        # fractional or boolean batch caps ran, flushing at ceil(2.5) or 1
+        ("cloud.max_batch", 2.5, r"cloud.max_batch must be a positive integer, got 2.5"),
+        ("cloud.max_batch", True, r"cloud.max_batch must be a positive integer, got True"),
+        ("cloud.max_batch", 0, r"cloud.max_batch must be a positive integer, got 0"),
+        ("servers.0.max_queue_depth", 2.5, "max_queue_depth must be a positive integer"),
+        ("servers.1.max_queue_depth", True, "max_queue_depth must be a positive integer"),
+        ("servers.0.nominal_burst", 1.5, "nominal_burst must be a positive integer"),
+        ("servers.0.nominal_burst", False, "nominal_burst must be a positive integer"),
+        # an infinitely fast GPU ran every executed cloud stage in 0 s
+        ("cloud.model.speedup", INF, "speedup must be finite"),
+    ],
+)
+def test_from_dict_rejects_non_integer_counts_and_an_infinite_gpu(path, value, message):
+    """Counts are positive integers (never bools) and the GPU speedup is
+    finite, or the config is rejected at construction naming the field."""
+    data = replace(
+        default_fleet(servers=2, clients=2), cloud=CloudConfig(gpus=2)
+    ).as_dict()
     *parents, leaf = [int(key) if key.isdigit() else key for key in path.split(".")]
     node = data
     for key in parents:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.utils import validation as v
@@ -17,6 +18,14 @@ def test_require_positive():
     assert v.require_positive(0.5, "x") == 0.5
     with pytest.raises(ValueError, match="x must be > 0"):
         v.require_positive(0, "x")
+
+
+def test_require_positive_integer():
+    assert v.require_positive_integer(3, "n") == 3
+    assert v.require_positive_integer(np.int64(2), "n") == 2
+    for bad in (0, -1, 2.5, 2.0, True, False, None, "3"):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {bad!r}"):
+            v.require_positive_integer(bad, "n")
 
 
 def test_require_non_negative():
