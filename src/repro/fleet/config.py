@@ -215,8 +215,10 @@ class ServerSpec:
                 raise ValueError(f"{step} time must be > the previous step's, got {time!r}")
             require_finite(rate, f"{step} rate")
             require_positive(rate, f"{step} rate")
-        require_positive(self.mobile_speedup, "mobile_speedup")
-        require_positive(self.cloud_speedup, "cloud_speedup")
+        for name in ("mobile_speedup", "cloud_speedup"):
+            # an infinite speedup prices and runs every stage on it in 0 s
+            require_finite(getattr(self, name), name)
+            require_positive(getattr(self, name), name)
         require_positive_integer(self.max_queue_depth, "max_queue_depth")
         require_positive_integer(self.nominal_burst, "nominal_burst")
 

@@ -257,13 +257,16 @@ def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
         ("servers.1.max_queue_depth", True, "max_queue_depth must be a positive integer"),
         ("servers.0.nominal_burst", 1.5, "nominal_burst must be a positive integer"),
         ("servers.0.nominal_burst", False, "nominal_burst must be a positive integer"),
-        # an infinitely fast GPU ran every executed cloud stage in 0 s
+        # an infinitely fast device ran every stage on it in 0 s
         ("cloud.model.speedup", INF, "speedup must be finite"),
+        ("servers.0.mobile_speedup", INF, "mobile_speedup must be finite"),
+        ("servers.1.cloud_speedup", INF, "cloud_speedup must be finite"),
+        ("servers.0.mobile_speedup", NAN, "mobile_speedup must be finite"),
     ],
 )
-def test_from_dict_rejects_non_integer_counts_and_an_infinite_gpu(path, value, message):
-    """Counts are positive integers (never bools) and the GPU speedup is
-    finite, or the config is rejected at construction naming the field."""
+def test_from_dict_rejects_non_integer_counts_and_infinite_speedups(path, value, message):
+    """Counts are positive integers (never bools) and speedups are finite,
+    or the config is rejected at construction naming the field."""
     data = replace(
         default_fleet(servers=2, clients=2), cloud=CloudConfig(gpus=2)
     ).as_dict()
