@@ -28,21 +28,19 @@ from repro.cloud import BATCHING_POLICIES, BatchingServer, CloudGpuModel, LeastQ
 from repro.sim.engine import Engine
 
 
-class RecomputingServer(BatchingServer):
-    """The reference: ``batch_latency`` over the whole hold on every call."""
-
-    def queue_delay(self) -> float:
-        delay = self.backlog_seconds
-        if self._hold:
-            delay += self.model.batch_latency([unit for _, unit, _ in self._hold])
-        return delay
-
-
 def recomputed_delay(gpu: BatchingServer) -> float:
+    """Backlog plus ``batch_latency`` of the current hold, from scratch."""
     delay = gpu.backlog_seconds
     if gpu._hold:
         delay += gpu.model.batch_latency([unit for _, unit, _ in gpu._hold])
     return delay
+
+
+class RecomputingServer(BatchingServer):
+    """The reference: ``batch_latency`` over the whole hold on every call."""
+
+    def queue_delay(self) -> float:
+        return recomputed_delay(self)
 
 
 @st.composite
