@@ -39,7 +39,7 @@ fault injection, gateway resilience policies, and the differential
 oracle — see ``docs/robustness.md``).
 """
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 #: Facade names re-exported lazily from :mod:`repro.api` (PEP 562), so
 #: ``import repro`` stays light and experiment modules that import

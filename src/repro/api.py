@@ -275,8 +275,10 @@ def plan(
     ``model`` is a zoo name (see :func:`list_models`) or a
     :class:`Network`; ``bandwidth`` a :class:`Channel`, a preset, or an
     uplink rate in Mbps. ``scheme`` is ``"JPS"`` or a baseline
-    (``"LO"``, ``"CO"``, ``"PO"``); ``structure`` and ``split`` select
-    the JPS variant (:class:`Structure`, :class:`SplitMode`).
+    (``"LO"``, ``"CO"``, ``"PO"``). ``structure`` (:class:`Structure`)
+    is the table every scheme plans on, ``auto`` by default; ``"paths"``
+    is Alg. 3, which only JPS plans. ``split`` (:class:`SplitMode`) is
+    JPS's two-type split rule.
     """
     chosen = engine or default_engine()
     return chosen.plan(

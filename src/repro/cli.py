@@ -161,12 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=sorted(MODELS))
     p.add_argument("-n", "--jobs", type=_positive_int, default=100)
     p.add_argument("--mbps", type=_mbps, default=5.85)
-    p.add_argument("--scheme", choices=SCHEMES + ["JPS-ratio"], default="JPS")
+    p.add_argument("--scheme", choices=SCHEMES, default="JPS")
     p.add_argument(
         "--structure",
         choices=Structure.values(),
         default=Structure.AUTO.value,
-        help="graph treatment for JPS (auto picks line vs frontier)",
+        help="the table every scheme plans on (auto picks line, frontier or dag); "
+        "paths is Alg. 3, for JPS only",
     )
     p.add_argument(
         "--split",
@@ -431,18 +432,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan":
         from repro import api
 
-        scheme = args.scheme
-        split = args.split
-        if scheme == "JPS-ratio":        # legacy spelling of --scheme JPS --split ratio
-            scheme, split = "JPS", SplitMode.RATIO.value
-        schedule = api.plan(
-            args.model,
-            n=args.jobs,
-            bandwidth=args.mbps,
-            scheme=scheme,
-            structure=args.structure,
-            split=split,
-        )
+        try:
+            schedule = api.plan(
+                args.model,
+                n=args.jobs,
+                bandwidth=args.mbps,
+                scheme=args.scheme,
+                structure=args.structure,
+                split=args.split,
+            )
+        except ValueError as error:  # a baseline given --structure paths
+            print(f"repro plan: {error}", file=sys.stderr)
+            return 2
         if args.json:
             print(json.dumps(schedule.to_dict(), indent=2, sort_keys=True))
             return 0

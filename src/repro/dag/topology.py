@@ -77,37 +77,38 @@ def enumerate_paths(dag: Dag, max_paths: int | None = None) -> list[list[str]]:
             f"{dag.name!r} has {total} source→sink paths, exceeding cap {max_paths}"
         )
     source, sink = _single_endpoints(dag)
-    paths: list[list[str]] = []
-    stack: list[str] = [source]
-
-    def _walk(v: str) -> None:
-        if v == sink:
-            paths.append(list(stack))
-            return
-        for w in dag.successors(v):
-            stack.append(w)
-            _walk(w)
-            stack.pop()
-
-    _walk(source)
-    return paths
+    return list(_paths(dag, source, sink))
 
 
 def iter_paths(dag: Dag) -> Iterator[list[str]]:
     """Lazily yield source→sink paths (no cap; caller controls consumption)."""
     source, sink = _single_endpoints(dag)
-    stack: list[str] = [source]
+    yield from _paths(dag, source, sink)
 
-    def _walk(v: str) -> Iterator[list[str]]:
-        if v == sink:
-            yield list(stack)
-            return
-        for w in dag.successors(v):
-            stack.append(w)
-            yield from _walk(w)
-            stack.pop()
 
-    yield from _walk(source)
+def _paths(dag: Dag, start: str, stop: str) -> Iterator[list[str]]:
+    """Every ``start``→``stop`` path, depth first in successor order.
+
+    Each path is a fresh list of node ids from ``start`` to ``stop``.
+    A stack of successor iterators stands in for recursion, so a deep
+    graph never meets the interpreter's recursion limit and no
+    self-referencing closure is left for the cycle collector.
+    """
+    path = [start]
+    if start == stop:
+        yield path
+        return
+    pending = [iter(dag.successors(start))]
+    while pending:
+        node = next(pending[-1], None)
+        if node is None:
+            pending.pop()
+            path.pop()
+        elif node == stop:
+            yield path + [node]
+        else:
+            path.append(node)
+            pending.append(iter(dag.successors(node)))
 
 
 def separators(dag: Dag) -> list[str]:
@@ -176,28 +177,15 @@ def parallel_blocks(dag: Dag, max_paths_per_block: int = 4096) -> list[ParallelB
     seps = separators(dag)
     blocks: list[ParallelBlock] = []
     for entry, exit_ in zip(seps, seps[1:]):
+        # every path from entry to exit_ crosses no other separator (there
+        # is none strictly between consecutive separators)
         branches: list[tuple[str, ...]] = []
-        # Walk every path from entry to exit_ without crossing another
-        # separator (there is none strictly between consecutive separators).
-        stack: list[str] = []
-
-        def _walk(v: str) -> None:
-            if v == exit_:
-                branches.append(tuple(stack[:-1]))  # exclude the exit separator
-                return
+        for path in _paths(dag, entry, exit_):
+            branches.append(tuple(path[1:-1]))  # the endpoints are separators
             if len(branches) > max_paths_per_block:
                 raise PathExplosionError(
                     f"block {entry!r}->{exit_!r} exceeds {max_paths_per_block} branches"
                 )
-            for w in dag.successors(v):
-                stack.append(w)
-                _walk(w)
-                stack.pop()
-
-        for w in dag.successors(entry):
-            stack.append(w)
-            _walk(w)
-            stack.pop()
         blocks.append(ParallelBlock(entry=entry, exit=exit_, branches=tuple(branches)))
     return blocks
 

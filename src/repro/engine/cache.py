@@ -62,6 +62,18 @@ class LRUCache(Generic[V]):
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
+    def get(self, key: Hashable) -> V | None:
+        """The cached value for ``key`` as a counted hit, or None.
+
+        An absent key counts nothing: the caller then builds the value
+        through :meth:`get_or_build`, which counts the miss.
+        """
+        if key not in self._data:
+            return None
+        self.stats.hits += 1
+        self._data[key] = value = self._data.pop(key)  # refresh recency
+        return value
+
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> V:
         """Return the cached value for ``key``, building it on a miss."""
         if key in self._data:

@@ -12,17 +12,27 @@ dozens of bandwidths and job counts in every experiment sweep.
 :class:`PlanningEngine` memoizes three levels of intermediates behind
 content-addressed keys (:mod:`repro.engine.keys`):
 
-* **bandwidth-independent structure** — the linearized line order with
-  cumulative ``f``/``cloud`` and edge volumes, or a Pareto cut set with
-  per-cut compute/bytes/cloud-rest. Frontier and DAG cut sets are the
-  same downward-closed node sets from one builder; they differ only in
-  their labels. Dominance is decided on (compute time, transfer bytes),
-  both bandwidth-invariant, so one enumeration serves every channel.
-* **per-channel cost tables** — the structure priced through a concrete
-  channel's ``uplink_time``; an LRU bound keeps sweep-heavy workloads
-  from growing without limit.
+* **bandwidth-independent structure** — one record per cut kind: the
+  cut positions in increasing-``f`` order with their mobile compute,
+  upload payload and cloud columns. A chain's downward-closed node sets
+  are its prefixes, so the ``line`` kind holds the clustered line
+  graph's prefixes; the ``frontier`` and ``dag`` kinds hold the Pareto
+  set of the original graph's downward-closed node sets from one
+  builder, and differ only in their labels. Dominance is decided on
+  (compute time, transfer bytes), both bandwidth-invariant, so one
+  enumeration serves every channel.
+* **per-channel cost tables** — any record priced through a concrete
+  channel's ``uplink_time`` by one builder; an LRU bound keeps
+  sweep-heavy workloads from growing without limit.
 * **Alg. 3 path plans** — per-(channel) path cuts, replayed through the
   deduplicated flow-shop recurrence for any job count.
+
+Every planning request ends in one dispatch: the ``structure`` picks the
+table each scheme plans on (the ``auto`` table unless the caller names
+another, baselines included), and the ``scheme`` picks the schedule.
+:meth:`~PlanningEngine.plan` prices that table through a channel,
+:meth:`~PlanningEngine.plan_batch` through a pricing kernel per rate,
+bit for bit alike.
 
 A warm ``plan()`` therefore costs only the search: one
 ``np.searchsorted`` crossing, the exact split (the one or two rows of
@@ -30,7 +40,7 @@ its stage matrix that can win), and at most two prototype jobs (the
 run-length :class:`~repro.core.plans.RunLengthJobs` builds per-job
 plans only when read) — the cost the paper's Fig. 12(d) says the deployed scheduler
 pays per decision. The engine is the one network planner: it serves
-the ``repro.api`` facade, the serving stack and
+the ``repro.api`` facade, the serving stack, the on-device scheduler and
 :class:`~repro.experiments.runner.ExperimentEnv` (every figure harness).
 Nothing else plans a network, so its checks do not share its caches:
 the tests compare a warm engine with a fresh one, line plans with
@@ -95,38 +105,45 @@ __all__ = ["PlanningEngine", "PricedModel", "PricingKernel"]
 #: Baseline schemes the engine plans besides JPS.
 BASELINES = {"LO": local_only, "CO": cloud_only, "PO": partition_only}
 
+#: The engine's cache layers, in the order ``stats()`` reports them. Each
+#: cut kind has a ``<kind>_structure`` and a ``<kind>_tables`` layer.
+CACHE_LAYERS = (
+    "line_structure",
+    "frontier_structure",
+    "dag_structure",
+    "line_tables",
+    "frontier_tables",
+    "dag_tables",
+    "alg3_plans",
+    "pricing_kernels",
+)
+
 
 @dataclass(frozen=True)
-class _LineStructure:
-    """Bandwidth-independent facts of a linearized model."""
+class _CutSpace:
+    """Bandwidth-independent facts of a model under one cut kind.
 
-    graph: Dag                      # the clustered line graph (for mobile sets)
-    order: tuple[str, ...]
-    f: np.ndarray                   # cumulative mobile compute
-    cloud: np.ndarray               # cumulative cloud compute
-    volumes: np.ndarray             # inter-position tensor bytes, 0 at the end
-
-
-@dataclass(frozen=True)
-class _CutStructure:
-    """Bandwidth-independent Pareto cut data of a non-line model.
-
-    Both kinds hold the Pareto set of the original graph's whole cut
-    space (its downward-closed node sets), built by
+    Position ``i`` is a cut, in increasing-``f`` order. For the ``line``
+    kind it is the ``i``-th prefix of the clustered line ``graph``. For
+    ``frontier`` and ``dag`` it is ``cuts[i]``: both kinds hold the
+    Pareto set of the original graph's whole cut space (its
+    downward-closed node sets), built by
     :func:`repro.dag.cuts.frontier_pareto_cuts` and priced on the same
     columns. The kind only picks the labels: block labels
-    (``inside:entry->exit``) for ``frontier``, ``make_cut``'s
-    frontier labels made unique for ``dag``, whose
+    (``inside:entry->exit``) for ``frontier``, ``make_cut``'s frontier
+    labels made unique for ``dag``, whose
     :func:`repro.dag.partition.dag_pareto_cuts` also takes the graphs
     the builder cannot. On a non-series-parallel graph the builder
     cannot take, ``frontier`` gets the ``dag`` kind's cuts and labels.
     """
 
-    cuts: tuple[Cut, ...]
-    labels: tuple[str, ...]
-    f: np.ndarray                   # mobile compute of each cut
-    payloads: np.ndarray            # upload bytes, 0 for the full (all-local) cut
-    cloud: np.ndarray               # running-max cloud time of the mobile part
+    model_name: str                 # the priced tables' model name
+    positions: tuple[str, ...]
+    f: np.ndarray                   # mobile compute up to each cut
+    payloads: np.ndarray            # upload bytes, 0 where nothing crosses
+    cloud: np.ndarray               # cloud compute of the mobile part, non-decreasing
+    graph: Dag | None               # the clustered line graph (line kind)
+    cuts: tuple[Cut, ...] | None    # the graph cuts (frontier and dag kinds)
 
 
 @dataclass(frozen=True)
@@ -217,12 +234,13 @@ class PricingKernel:
 
 @dataclass(frozen=True)
 class PricedModel:
-    """A cost table priced at one uplink rate, plus execution metadata.
+    """A cost table priced through one channel, plus execution metadata.
 
     ``payloads[i]`` is the upload payload (bytes) behind position ``i``
-    and, for frontier models, ``cuts[i]`` the concrete graph cut — what
-    the serving gateway needs to simulate transfers without re-deriving
-    structure per replan.
+    and, for frontier and DAG models, ``cuts[i]`` the concrete graph cut
+    — what the serving gateway needs to simulate transfers without
+    re-deriving structure per replan. The engine's per-channel table
+    layers hold one per (model, kind, channel).
     """
 
     table: CostTable
@@ -265,17 +283,12 @@ class PlanningEngine:
             device_fingerprint(self.mobile),
             device_fingerprint(self.cloud),
         )
-        self._lines: LRUCache[_LineStructure] = LRUCache(self.max_entries)
-        self._frontiers: LRUCache[_CutStructure] = LRUCache(self.max_entries)
-        self._tables: LRUCache[CostTable] = LRUCache(self.max_entries)
-        self._frontier_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
-        self._alg3: LRUCache[tuple] = LRUCache(self.max_entries)
-        self._pricing: LRUCache[PricingKernel] = LRUCache(self.max_entries)
+        self._caches: dict[str, LRUCache] = {
+            layer: LRUCache(self.max_entries) for layer in CACHE_LAYERS
+        }
         # raw pricing_kernel arguments (zoo name, structure, framing) that
-        # passed validation -> (content key, its traced build)
+        # passed validation -> the content key they resolved to
         self._kernel_keys: dict[tuple, tuple] = {}
-        self._dags: LRUCache[_CutStructure] = LRUCache(self.max_entries)
-        self._dag_tables: LRUCache[DagCutTable] = LRUCache(self.max_entries)
 
     # ------------------------------------------------------------------
     # keys and resolution
@@ -323,6 +336,31 @@ class PlanningEngine:
                 self._structures[key] = Structure.DAG
         return self._structures[key]
 
+    def _table_kind(self, model: str | Network, structure: str | Structure) -> Structure:
+        """The cut kind whose table ``structure`` names (``auto`` resolved)."""
+        chosen = Structure.coerce(structure)
+        if chosen is Structure.AUTO:
+            return self.structure_of(model)
+        if chosen is Structure.PATHS:
+            raise ValueError(
+                "Alg. 3 plans per-path tables; only JPS plans them, "
+                "with plan(structure='paths')"
+            )
+        return chosen
+
+    def _planned_structure(
+        self, network: Network, scheme: str, structure: str | Structure
+    ) -> Structure:
+        """What a ``scheme`` plan runs on: the table ``structure`` names,
+        or Alg. 3's paths, which only JPS plans."""
+        if scheme != "JPS" and scheme not in BASELINES:
+            raise ValueError(
+                f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
+            )
+        if scheme == "JPS" and structure == Structure.PATHS:
+            return Structure.PATHS
+        return self._table_kind(network, structure)
+
     def _traced(self, kind: str, model: str, build):
         """Wrap a cache build closure in an ``engine/build`` span.
 
@@ -340,87 +378,123 @@ class PlanningEngine:
         return wrapped
 
     # ------------------------------------------------------------------
-    # memoized structure builders
+    # the structure record and the per-channel table builder
     # ------------------------------------------------------------------
-    def _line_structure(
-        self, network: Network, predictor: LayerPredictor | None, predictor_key
-    ) -> _LineStructure:
-        key = ("line",) + self._base_key(network, predictor, predictor_key)
-
-        def build() -> _LineStructure:
-            graph = linearize(network.graph)
-            order = graph.line_order()
-            f_steps = [
-                node_mobile_time(graph.payload(v), self.mobile, predictor)
-                for v in order
-            ]
-            cloud_steps = [
-                node_mobile_time(graph.payload(v), self.cloud) for v in order
-            ]
-            volumes = [graph.volume(a, b) for a, b in zip(order, order[1:])] + [0.0]
-            return _LineStructure(
-                graph=graph,
-                order=tuple(order),
-                f=np.cumsum(f_steps),
-                cloud=np.cumsum(cloud_steps),
-                volumes=np.asarray(volumes),
-            )
-
-        return self._lines.get_or_build(
-            key, self._traced("line_structure", network.name, build)
-        )
-
-    def _cut_structure(
+    def _cut_space(
         self,
-        kind: str,
+        kind: Structure,
         network: Network,
         predictor: LayerPredictor | None,
         predictor_key,
-    ) -> _CutStructure:
+    ) -> _CutSpace:
+        """The ``kind`` record of ``network``, built once per (network,
+        devices, predictor) and served to every channel and framing."""
+        key = (kind.value,) + self._base_key(network, predictor, predictor_key)
+        layer = kind + "_structure"
+
+        def build() -> _CutSpace:
+            if kind is Structure.LINE:
+                return self._line_space(network, predictor)
+            return self._graph_space(kind, network, predictor)
+
+        return self._caches[layer].get_or_build(
+            key, self._traced(layer, network.name, build)
+        )
+
+    def _line_space(
+        self, network: Network, predictor: LayerPredictor | None
+    ) -> _CutSpace:
+        graph = linearize(network.graph)
+        order = graph.line_order()
+        f_steps = [
+            node_mobile_time(graph.payload(v), self.mobile, predictor) for v in order
+        ]
+        cloud_steps = [node_mobile_time(graph.payload(v), self.cloud) for v in order]
+        volumes = [graph.volume(a, b) for a, b in zip(order, order[1:])] + [0.0]
+        return _CutSpace(
+            model_name=network.name,
+            positions=tuple(order),
+            f=np.cumsum(f_steps),
+            payloads=np.asarray(volumes, dtype=float),
+            cloud=np.cumsum(cloud_steps),
+            graph=graph,
+            cuts=None,
+        )
+
+    def _graph_space(
+        self, kind: Structure, network: Network, predictor: LayerPredictor | None
+    ) -> _CutSpace:
         """The ``frontier`` or ``dag`` cut space, pruned and priced once.
 
-        Dominance compares (compute time, transfer bytes), both
-        independent of the channel, so one structure serves every
-        bandwidth. A ``frontier`` build of a graph that ``auto`` sends
-        to ``dag`` and whose blocks the row builder turns away (a huge
-        branch product over few cuts) takes the ``dag`` kind's cut
-        space and labels instead of walking every row.
+        A ``frontier`` build of a graph that ``auto`` sends to ``dag``
+        and whose blocks the row builder turns away (a huge branch
+        product over few cuts) takes the ``dag`` kind's cut space and
+        labels instead of walking every row.
         """
-        key = (kind,) + self._base_key(network, predictor, predictor_key)
+        graph = network.graph
+        mobile_time = {
+            v: node_mobile_time(graph.payload(v), self.mobile, predictor)
+            for v in graph.node_ids
+        }
+        cloud_time = {v: node_mobile_time(graph.payload(v), self.cloud) for v in graph.node_ids}
+        if kind is Structure.DAG or (
+            self.structure_of(network) is Structure.DAG and not _fits_block_rows(graph)
+        ):
+            cuts = dag_pareto_cuts(graph, mobile_time.__getitem__)
+            labels = unique_cut_labels(cuts)
+        else:
+            cuts = frontier_pareto_cuts(graph, mobile_time.__getitem__)
+            labels = tuple(c.label for c in cuts)
+        f, payloads, cloud = cut_columns(
+            graph, cuts, mobile_time.__getitem__, cloud_time.__getitem__
+        )
+        return _CutSpace(
+            model_name=f"{network.name}/{kind.value}",
+            positions=labels,
+            f=f,
+            payloads=payloads,
+            cloud=cloud,
+            graph=None,
+            cuts=tuple(cuts),
+        )
 
-        def build() -> _CutStructure:
-            graph = network.graph
-            mobile_time = {
-                v: node_mobile_time(graph.payload(v), self.mobile, predictor)
-                for v in graph.node_ids
-            }
-            cloud_time = {
-                v: node_mobile_time(graph.payload(v), self.cloud)
-                for v in graph.node_ids
-            }
-            if kind == "dag" or (
-                self.structure_of(network) is Structure.DAG
-                and not _fits_block_rows(graph)
-            ):
-                cuts = dag_pareto_cuts(graph, mobile_time.__getitem__)
-                labels = unique_cut_labels(cuts)
-            else:
-                cuts = frontier_pareto_cuts(graph, mobile_time.__getitem__)
-                labels = tuple(c.label for c in cuts)
-            f, payloads, cloud = cut_columns(
-                graph, cuts, mobile_time.__getitem__, cloud_time.__getitem__
+    def _table(
+        self,
+        kind: Structure,
+        network: Network,
+        channel: Channel,
+        predictor: LayerPredictor | None,
+        predictor_key,
+    ) -> PricedModel:
+        """The ``kind`` record priced through ``channel``, memoized per
+        channel. Nothing crosses the network at a zero payload, so its
+        ``g`` is 0 without asking the channel."""
+        # a Structure is a str: concatenating skips the Enum.value
+        # descriptor on every warm lookup
+        key = (
+            ("table-" + kind,)
+            + self._base_key(network, predictor, predictor_key)
+            + (channel_fingerprint(channel),)
+        )
+
+        def build() -> PricedModel:
+            space = self._cut_space(kind, network, predictor, predictor_key)
+            table = CostTable(
+                model_name=space.model_name,
+                positions=space.positions,
+                f=space.f.copy(),
+                g=np.array(
+                    [channel.uplink_time(b) if b > 0 else 0.0 for b in space.payloads]
+                ),
+                cloud=space.cloud.copy(),
+                graph=space.graph,
             )
-            return _CutStructure(
-                cuts=tuple(cuts),
-                labels=labels,
-                f=f,
-                payloads=payloads,
-                cloud=cloud,
+            return PricedModel(
+                table=table, payloads=tuple(space.payloads.tolist()), cuts=space.cuts
             )
 
-        cache = self._dags if kind == "dag" else self._frontiers
-        return cache.get_or_build(
-            key, self._traced(f"{kind}_structure", network.name, build)
+        return self._caches[kind + "_tables"].get_or_build(
+            key, self._traced(kind + "_table", network.name, build)
         )
 
     # ------------------------------------------------------------------
@@ -435,27 +509,7 @@ class PlanningEngine:
     ) -> CostTable:
         """The linearized (f, g, cloud) table, priced through ``channel``."""
         network = self.resolve(model)
-        key = (
-            ("table-line",)
-            + self._base_key(network, predictor, predictor_key)
-            + (channel_fingerprint(channel),)
-        )
-
-        def build() -> CostTable:
-            structure = self._line_structure(network, predictor, predictor_key)
-            g = np.asarray([channel.uplink_time(v) for v in structure.volumes])
-            return CostTable(
-                model_name=network.name,
-                positions=structure.order,
-                f=structure.f.copy(),
-                g=g,
-                cloud=structure.cloud.copy(),
-                graph=structure.graph,
-            )
-
-        return self._tables.get_or_build(
-            key, self._traced("line_table", network.name, build)
-        )
+        return self._table(Structure.LINE, network, channel, predictor, predictor_key).table
 
     def frontier_table(
         self,
@@ -472,7 +526,9 @@ class PlanningEngine:
         dominance pruning are paid once per (network, devices,
         predictor), not per channel.
         """
-        return self._cut_table("frontier", model, channel, predictor, predictor_key)
+        network = self.resolve(model)
+        priced = self._table(Structure.FRONTIER, network, channel, predictor, predictor_key)
+        return DagCutTable(table=priced.table, cuts=priced.cuts)
 
     def dag_table(
         self,
@@ -488,41 +544,9 @@ class PlanningEngine:
         tail, full cut uploads nothing, cloud column in running-max
         form. See ``docs/dag.md``.
         """
-        return self._cut_table("dag", model, channel, predictor, predictor_key)
-
-    def _cut_table(
-        self,
-        kind: str,
-        model: str | Network,
-        channel: Channel,
-        predictor: LayerPredictor | None,
-        predictor_key,
-    ) -> DagCutTable:
         network = self.resolve(model)
-        key = (
-            (f"table-{kind}",)
-            + self._base_key(network, predictor, predictor_key)
-            + (channel_fingerprint(channel),)
-        )
-
-        def build() -> DagCutTable:
-            structure = self._cut_structure(kind, network, predictor, predictor_key)
-            table = CostTable(
-                model_name=f"{network.name}/{kind}",
-                positions=structure.labels,
-                f=structure.f.copy(),
-                g=np.array(
-                    [channel.uplink_time(b) if b > 0 else 0.0 for b in structure.payloads]
-                ),
-                cloud=structure.cloud.copy(),
-                graph=None,
-            )
-            return DagCutTable(table=table, cuts=structure.cuts)
-
-        cache = self._dag_tables if kind == "dag" else self._frontier_tables
-        return cache.get_or_build(
-            key, self._traced(f"{kind}_table", network.name, build)
-        )
+        priced = self._table(Structure.DAG, network, channel, predictor, predictor_key)
+        return DagCutTable(table=priced.table, cuts=priced.cuts)
 
     def cost_table(
         self,
@@ -533,14 +557,9 @@ class PlanningEngine:
         predictor_key=None,
     ) -> CostTable:
         """The model's planning table under ``structure`` resolution."""
-        chosen = self._resolve_structure(model, structure)
-        if chosen is Structure.LINE:
-            return self.line_table(model, channel, predictor, predictor_key)
-        if chosen is Structure.PATHS:
-            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
-        return self._cut_table(
-            chosen.value, model, channel, predictor, predictor_key
-        ).table
+        network = self.resolve(model)
+        kind = self._table_kind(network, structure)
+        return self._table(kind, network, channel, predictor, predictor_key).table
 
     # ------------------------------------------------------------------
     # bandwidth-vectorized pricing
@@ -567,80 +586,58 @@ class PlanningEngine:
         negative or non-finite cost.
 
         A zoo-name call without a predictor remembers the content key its
-        arguments resolved to and that key's build, so a repeat (the EFT
-        scorer's per-server lookups) goes straight to the cache: still one
-        counted lookup that refreshes recency, or rebuilds an evicted
-        kernel, without re-running the validation, structure resolution
-        and fingerprinting.
+        arguments resolved to, so a repeat (the EFT scorer's per-server
+        lookups) goes straight to the cache: one counted hit that
+        refreshes recency, without re-running the validation, structure
+        resolution and fingerprinting. A repeat whose kernel was evicted
+        takes the full path, which counts the miss and rebuilds it.
         """
         raw = None
         if predictor is None and predictor_key is None and isinstance(model, str):
             raw = (model, structure, setup_latency, header_bytes, protocol_overhead)
-            known = self._kernel_keys.get(raw)
-            if known is not None:
-                return self._pricing.get_or_build(*known)
+            kernel = self._caches["pricing_kernels"].get(self._kernel_keys.get(raw))
+            if kernel is not None:
+                return kernel
         require_finite(setup_latency, "setup_latency")
         require_non_negative(setup_latency, "setup_latency")
         require_finite(header_bytes, "header_bytes")
         require_non_negative(header_bytes, "header_bytes")
         require_positive(protocol_overhead, "protocol_overhead")
         network = self.resolve(model)
-        chosen = self._resolve_structure(network, structure)
-        if chosen is Structure.PATHS:
-            raise ValueError("Alg. 3 plans per-path tables; use plan(structure='paths')")
+        kind = self._table_kind(network, structure)
         key = (
-            ("pricing", chosen.value)
+            ("pricing", kind.value)
             + self._base_key(network, predictor, predictor_key)
             + (setup_latency, header_bytes, protocol_overhead)
         )
 
         def build() -> PricingKernel:
-            if chosen is Structure.LINE:
-                line = self._line_structure(network, predictor, predictor_key)
-                model_name = network.name
-                positions, f, cloud = line.order, line.f, line.cloud
-                payloads = line.volumes.astype(float)
-                graph, cuts = line.graph, None
-            else:
-                space = self._cut_structure(
-                    chosen.value, network, predictor, predictor_key
-                )
-                model_name = f"{network.name}/{chosen.value}"
-                positions, f, cloud = space.labels, space.f, space.cloud
-                payloads = space.payloads
-                graph, cuts = None, space.cuts
+            space = self._cut_space(kind, network, predictor, predictor_key)
             # same operation order as Channel.uplink_time, element by element
             wire_bits = np.where(
-                payloads > 0,
-                ((payloads + header_bytes) * protocol_overhead) * BITS_PER_BYTE,
+                space.payloads > 0,
+                ((space.payloads + header_bytes) * protocol_overhead) * BITS_PER_BYTE,
                 0.0,
             )
             return PricingKernel(
-                model_name=model_name,
-                positions=positions,
-                f=f,
-                cloud=cloud,
-                payload_bytes=payloads,
+                model_name=space.model_name,
+                positions=space.positions,
+                f=space.f,
+                cloud=space.cloud,
+                payload_bytes=space.payloads,
                 wire_bits=wire_bits,
                 setup_latency=setup_latency,
-                graph=graph,
-                cuts=cuts,
+                graph=space.graph,
+                cuts=space.cuts,
             )
 
-        traced = self._traced("pricing_kernel", network.name, build)
         if raw is not None:
             if len(self._kernel_keys) >= self.max_entries:
                 self._kernel_keys.clear()  # bounded like the cache it keys into
-            self._kernel_keys[raw] = (key, traced)
-        return self._pricing.get_or_build(key, traced)
-
-    def _resolve_structure(
-        self, model: str | Network, structure: str | Structure
-    ) -> Structure:
-        chosen = Structure.coerce(structure)
-        if chosen is Structure.AUTO:
-            chosen = self.structure_of(model)
-        return chosen
+            self._kernel_keys[raw] = key
+        return self._caches["pricing_kernels"].get_or_build(
+            key, self._traced("pricing_kernel", network.name, build)
+        )
 
     def priced_table(
         self,
@@ -676,6 +673,42 @@ class PlanningEngine:
             cuts=kernel.cuts,
         )
 
+    # ------------------------------------------------------------------
+    # planning
+    # ------------------------------------------------------------------
+    def plan(
+        self,
+        model: str | Network,
+        n: int,
+        channel: Channel,
+        scheme: str = "JPS",
+        structure: str | Structure = Structure.AUTO,
+        split: str | SplitMode = SplitMode.EXACT,
+        predictor: LayerPredictor | None = None,
+        predictor_key=None,
+    ) -> Schedule:
+        """Plan ``n`` jobs of ``model`` over ``channel``.
+
+        ``scheme`` is ``"JPS"`` or a baseline (``"LO"``, ``"CO"``,
+        ``"PO"``) and ``structure`` the table every scheme plans on, so
+        a ``compare()`` sweep reuses one structure build across schemes.
+        Only JPS plans ``structure="paths"`` (Alg. 3's per-path tables);
+        a baseline given it raises ``ValueError``.
+        """
+        n = require_integer(n, "n")
+        network = self.resolve(model)
+        with self.tracer.span(
+            "engine/plan",
+            lane=("engine", "plans"),
+            model=network.name,
+            n=n,
+            scheme=scheme,
+        ):
+            chosen = self._planned_structure(network, scheme, structure)
+            return self._plan(
+                network, n, channel, scheme, chosen, split, predictor, predictor_key
+            )
+
     def plan_batch(
         self,
         model: str | Network,
@@ -694,11 +727,11 @@ class PlanningEngine:
 
         Since ``g`` scales affinely in ``1/B`` for a fixed table, one
         memoized pricing kernel serves the whole vector and each rate
-        pays only :func:`~repro.core.joint.jps_line`'s search. Output is
-        bit-identical to calling :meth:`plan` once per bandwidth with an
-        equivalently framed channel — the sweep harnesses and the
-        gateway go through here to amortize cache lookups to one
-        content-addressed key per model.
+        pays only the scheme's search. Output is bit-identical to
+        calling :meth:`plan` once per bandwidth with an equivalently
+        framed channel and the same ``scheme`` and ``structure`` — the
+        sweep harnesses and the gateway go through here to amortize
+        cache lookups to one content-addressed key per model.
         """
         n = require_integer(n, "n")
         network = self.resolve(model)
@@ -711,90 +744,82 @@ class PlanningEngine:
             scheme=scheme,
             cells=len(rates),
         ):
-            return self._plan_batch(
+            chosen = self._planned_structure(network, scheme, structure)
+            if chosen is Structure.PATHS:
+                # Alg. 3's path conversion is channel-coupled; no batched kernel
+                framing = {
+                    "setup_latency": setup_latency,
+                    "header_bytes": int(header_bytes),
+                    "protocol_overhead": protocol_overhead,
+                }
+                channels = [
+                    Channel(shaper=TrafficShaper(rate, 2 * rate), **framing) for rate in rates
+                ]
+                return [
+                    self._plan(network, n, c, scheme, chosen, split, predictor, predictor_key)
+                    for c in channels
+                ]
+            kernel = self.pricing_kernel(
                 network,
-                n,
-                rates,
-                scheme,
-                structure,
-                split,
-                predictor,
-                predictor_key,
-                setup_latency,
-                header_bytes,
-                protocol_overhead,
+                structure=chosen,
+                predictor=predictor,
+                predictor_key=predictor_key,
+                setup_latency=setup_latency,
+                header_bytes=header_bytes,
+                protocol_overhead=protocol_overhead,
             )
+            cuts = kernel.cuts
+            return [
+                self._schedule(network, n, chosen, kernel.table_at(rate), cuts, scheme, split)
+                for rate in rates
+            ]
 
-    def _plan_batch(
+    def _plan(
         self,
         network: Network,
         n: int,
-        rates: list[float],
+        channel: Channel,
         scheme: str,
-        structure: str | Structure,
+        chosen: Structure,
         split: str | SplitMode,
         predictor: LayerPredictor | None,
         predictor_key,
-        setup_latency: float,
-        header_bytes: float,
-        protocol_overhead: float,
-    ) -> list[Schedule]:
-        chosen = self._resolve_structure(network, structure)
+    ) -> Schedule:
         if chosen is Structure.PATHS:
-            # Alg. 3's path conversion is channel-coupled; no batched kernel
-            return [
-                self._plan(
-                    network,
-                    n,
-                    Channel(
-                        shaper=TrafficShaper(uplink_bps=rate, downlink_bps=2 * rate),
-                        setup_latency=setup_latency,
-                        header_bytes=int(header_bytes),
-                        protocol_overhead=protocol_overhead,
-                    ),
-                    scheme,
-                    chosen,
-                    split,
-                    predictor,
-                    predictor_key,
-                )
-                for rate in rates
-            ]
-        if scheme not in BASELINES and scheme != "JPS":
-            raise ValueError(
-                f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
-            )
-        kernel = self.pricing_kernel(
-            network,
-            structure=chosen,
-            predictor=predictor,
-            predictor_key=predictor_key,
-            setup_latency=setup_latency,
-            header_bytes=header_bytes,
-            protocol_overhead=protocol_overhead,
-        )
-        schedules: list[Schedule] = []
-        for rate in rates:
-            table = kernel.table_at(rate)
-            if scheme in BASELINES:
-                schedules.append(BASELINES[scheme](table, n))
-                continue
-            if chosen is Structure.DAG:
-                assert kernel.cuts is not None
-                schedules.append(
-                    dag_schedule_from_table(table, kernel.cuts, n, model=network.name)
-                )
-                continue
-            schedule = jps_line(table, n, split=split)
-            if chosen is Structure.FRONTIER:
-                assert kernel.cuts is not None
-                schedule = attach_frontier_cuts(network.name, schedule, kernel.cuts)
-            schedules.append(schedule)
-        return schedules
+            from repro.core.general import alg3_schedule_from_plans
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
+            path_plans, info = self._alg3_plans(network, channel, predictor, predictor_key)
+            return alg3_schedule_from_plans(
+                network, self.mobile, path_plans, info, n, predictor
+            )
+        priced = self._table(chosen, network, channel, predictor, predictor_key)
+        return self._schedule(network, n, chosen, priced.table, priced.cuts, scheme, split)
+
+    @staticmethod
+    def _schedule(
+        network: Network,
+        n: int,
+        chosen: Structure,
+        table: CostTable,
+        cuts: tuple[Cut, ...] | None,
+        scheme: str,
+        split: str | SplitMode,
+    ) -> Schedule:
+        """The one dispatch from a priced table to a schedule.
+
+        ``scheme`` picks the schedule: a baseline's, JPS on the table
+        (with the frontier cuts attached), or the exact multiset optimum
+        on a DAG table.
+        """
+        if scheme in BASELINES:
+            return BASELINES[scheme](table, n)
+        if chosen is Structure.DAG:
+            return dag_schedule_from_table(table, cuts, n, model=network.name)
+        schedule = jps_line(table, n, split=split)
+        if cuts is None:
+            return schedule
+        return attach_frontier_cuts(network.name, schedule, cuts)
+
     def _alg3_plans(
         self,
         network: Network,
@@ -809,7 +834,7 @@ class PlanningEngine:
             + self._base_key(network, predictor, predictor_key)
             + (channel_fingerprint(channel),)
         )
-        return self._alg3.get_or_build(
+        return self._caches["alg3_plans"].get_or_build(
             key,
             self._traced(
                 "alg3_plans",
@@ -818,75 +843,6 @@ class PlanningEngine:
                     network, self.mobile, self.cloud, channel, predictor
                 ),
             ),
-        )
-
-    def plan(
-        self,
-        model: str | Network,
-        n: int,
-        channel: Channel,
-        scheme: str = "JPS",
-        structure: str | Structure = Structure.AUTO,
-        split: str | SplitMode = SplitMode.EXACT,
-        predictor: LayerPredictor | None = None,
-        predictor_key=None,
-    ) -> Schedule:
-        """Plan ``n`` jobs of ``model`` over ``channel``.
-
-        ``scheme`` is ``"JPS"`` or a baseline (``"LO"``, ``"CO"``,
-        ``"PO"``). Baselines plan on the same memoized table, so a
-        ``compare()`` sweep reuses one structure build across schemes.
-        """
-        n = require_integer(n, "n")
-        network = self.resolve(model)
-        with self.tracer.span(
-            "engine/plan",
-            lane=("engine", "plans"),
-            model=network.name,
-            n=n,
-            scheme=scheme,
-        ):
-            return self._plan(
-                network, n, channel, scheme, structure, split, predictor, predictor_key
-            )
-
-    def _plan(
-        self,
-        network: Network,
-        n: int,
-        channel: Channel,
-        scheme: str,
-        structure: str | Structure,
-        split: str | SplitMode,
-        predictor: LayerPredictor | None,
-        predictor_key,
-    ) -> Schedule:
-        if scheme in BASELINES:
-            table = self.cost_table(
-                network, channel, Structure.AUTO, predictor, predictor_key
-            )
-            return BASELINES[scheme](table, n)
-        if scheme != "JPS":
-            raise ValueError(
-                f"unknown scheme {scheme!r} (use 'JPS', 'LO', 'CO' or 'PO')"
-            )
-
-        chosen = self._resolve_structure(network, structure)
-        if chosen is Structure.LINE:
-            table = self.line_table(network, channel, predictor, predictor_key)
-            return jps_line(table, n, split=split)
-        if chosen is Structure.FRONTIER:
-            frontier = self.frontier_table(network, channel, predictor, predictor_key)
-            schedule = jps_line(frontier.table, n, split=split)
-            return attach_frontier_cuts(network.name, schedule, frontier.cuts)
-        if chosen is Structure.DAG:
-            dct = self.dag_table(network, channel, predictor, predictor_key)
-            return dag_schedule_from_table(dct.table, dct.cuts, n, model=network.name)
-        from repro.core.general import alg3_schedule_from_plans
-
-        path_plans, info = self._alg3_plans(network, channel, predictor, predictor_key)
-        return alg3_schedule_from_plans(
-            network, self.mobile, path_plans, info, n, predictor
         )
 
     def compare(
@@ -905,19 +861,9 @@ class PlanningEngine:
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, dict[str, float]]:
         """Hit/miss/eviction counters and sizes of every cache layer."""
-        caches = {
-            "line_structure": self._lines,
-            "frontier_structure": self._frontiers,
-            "dag_structure": self._dags,
-            "line_tables": self._tables,
-            "frontier_tables": self._frontier_tables,
-            "dag_tables": self._dag_tables,
-            "alg3_plans": self._alg3,
-            "pricing_kernels": self._pricing,
-        }
         return {
-            name: {**cache.stats.as_dict(), "entries": len(cache)}
-            for name, cache in caches.items()
+            layer: {**cache.stats.as_dict(), "entries": len(cache)}
+            for layer, cache in self._caches.items()
         }
 
     def stats_snapshot(self) -> dict:
@@ -957,16 +903,7 @@ class PlanningEngine:
 
     def clear(self) -> None:
         """Drop all memoized state (statistics keep accumulating)."""
-        for cache in (
-            self._lines,
-            self._frontiers,
-            self._dags,
-            self._tables,
-            self._frontier_tables,
-            self._dag_tables,
-            self._alg3,
-            self._pricing,
-        ):
+        for cache in self._caches.values():
             cache.clear()
         self._kernel_keys.clear()
         self._structures.clear()

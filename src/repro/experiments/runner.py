@@ -125,14 +125,8 @@ class ExperimentEnv:
         n: int,
         scheme: str,
     ) -> list[Schedule]:
-        split = "ratio" if scheme == "JPS-ratio" else "exact"
-        chosen = "JPS" if scheme == "JPS-ratio" else scheme
         return self.engine.plan_batch(
-            name,
-            n,
-            [self.channel(b).uplink_bps for b in bandwidths],
-            scheme=chosen,
-            split=split,
+            name, n, [self.channel(b).uplink_bps for b in bandwidths], scheme=scheme
         )
 
     def scheme_grid(

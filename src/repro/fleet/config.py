@@ -83,6 +83,21 @@ __all__ = [
 PLACEMENT_POLICIES = ("least_loaded", "affinity", "eft")
 
 
+def _required(data: dict, key: str, path: str | None = None):
+    """``data[key]``; a missing key raises ``ValueError`` naming its path."""
+    if key not in data:
+        raise ValueError(f"{path or key} is required")
+    return data[key]
+
+
+def _prefixed(prefix: str, build, data):
+    """``build(data)``, with ``prefix`` (a path) in front of its ``ValueError``."""
+    try:
+        return build(data)
+    except ValueError as error:
+        raise ValueError(f"{prefix}{error}") from None
+
+
 def _client_as_dict(client: ClientSpec) -> dict:
     return {
         "name": client.name,
@@ -136,7 +151,9 @@ class WorkloadConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
         return cls(
-            clients=tuple(ClientSpec(**c) for c in data["clients"]),
+            clients=tuple(
+                ClientSpec(**c) for c in _required(data, "clients", "workload.clients")
+            ),
             horizon=data.get("horizon", 60.0),
             seed=data.get("seed", DEFAULT_SEED),
         )
@@ -199,13 +216,19 @@ class ServerSpec:
     resilience: ResiliencePolicy | None = None
 
     def __post_init__(self) -> None:
+        # every message starts with its field, so SystemConfig.from_dict
+        # can name the server's path in front of it
         if not self.name:
-            raise ValueError("server name must be non-empty")
-        object.__setattr__(
-            self, "bandwidth_steps", tuple(tuple(s) for s in self.bandwidth_steps)
-        )
-        if not self.bandwidth_steps:
-            raise ValueError("need at least one bandwidth step")
+            raise ValueError("name must be non-empty")
+        steps = tuple(self.bandwidth_steps)
+        if not steps:
+            raise ValueError("bandwidth_steps must hold at least one step")
+        for index, pair in enumerate(steps):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(
+                    f"bandwidth_steps[{index}] must be a (time, Mbps) pair, got {pair!r}"
+                )
+        object.__setattr__(self, "bandwidth_steps", tuple(tuple(s) for s in steps))
         for index, (time, rate) in enumerate(self.bandwidth_steps):
             step = f"bandwidth_steps[{index}]"
             require_finite(time, f"{step} time")
@@ -243,15 +266,21 @@ class ServerSpec:
         plan = data.get("fault_plan")
         policy = data.get("resilience")
         return cls(
-            name=data["name"],
-            bandwidth_steps=tuple(tuple(s) for s in data["bandwidth_steps"]),
+            name=_required(data, "name"),
+            bandwidth_steps=_required(data, "bandwidth_steps"),
             mobile_speedup=data.get("mobile_speedup", 1.0),
             cloud_speedup=data.get("cloud_speedup", 1.0),
             max_queue_depth=data.get("max_queue_depth", 64),
             nominal_burst=data.get("nominal_burst", 8),
             include_cloud=data.get("include_cloud", True),
-            fault_plan=None if plan is None else FaultPlan.from_dict(plan),
-            resilience=None if policy is None else ResiliencePolicy.from_dict(policy),
+            fault_plan=(
+                None if plan is None else _prefixed("fault_plan: ", FaultPlan.from_dict, plan)
+            ),
+            resilience=(
+                None
+                if policy is None
+                else _prefixed("resilience: ", ResiliencePolicy.from_dict, policy)
+            ),
         )
 
 
@@ -504,8 +533,11 @@ class SystemConfig:
         faults = data.get("faults")
         cloud = data.get("cloud")
         return cls(
-            workload=WorkloadConfig.from_dict(data["workload"]),
-            servers=tuple(ServerSpec.from_dict(s) for s in data["servers"]),
+            workload=WorkloadConfig.from_dict(_required(data, "workload")),
+            servers=tuple(
+                _prefixed(f"servers[{index}].", ServerSpec.from_dict, spec)
+                for index, spec in enumerate(_required(data, "servers"))
+            ),
             scheme=data.get("scheme", "JPS"),
             placement=PlacementConfig.from_dict(data.get("placement", {})),
             admission=AdmissionConfig.from_dict(data.get("admission", {})),

@@ -19,7 +19,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.plans import Schedule
 from repro.engine import PlanningEngine
 from repro.engine.keys import identity_token
@@ -135,21 +134,12 @@ class OnDeviceScheduler:
         # the lookup table's identity instead so recalibration invalidates
         # but repeated plans hit
         predictor_key = ("lookup", identity_token(self.lookup), network.name)
-        if scheme == "JPS":
-            schedule = self.engine.plan(
-                network, n, predicted_channel,  # type: ignore[arg-type]
-                predictor=predictor, predictor_key=predictor_key,
-            )
-        elif scheme in ("PO", "LO", "CO"):
-            # baselines historically plan on the linearized table even for
-            # general DAGs; keep that behaviour (the engine memoizes it)
-            table = self.engine.line_table(
-                network, predicted_channel,  # type: ignore[arg-type]
-                predictor=predictor, predictor_key=predictor_key,
-            )
-            builder = {"PO": partition_only, "LO": local_only, "CO": cloud_only}[scheme]
-            schedule = builder(table, n)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r} (use JPS, PO, LO or CO)")
+        # the baselines plan on the linearized table even for general DAGs,
+        # as the deployed scheduler always has; JPS on the auto table
+        schedule = self.engine.plan(
+            network, n, predicted_channel,  # type: ignore[arg-type]
+            scheme=scheme, structure="auto" if scheme == "JPS" else "line",
+            predictor=predictor, predictor_key=predictor_key,
+        )
         overhead = perf_counter() - started
         return PlanResult(schedule=schedule, overhead_s=overhead)

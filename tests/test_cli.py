@@ -42,6 +42,20 @@ def test_plan_baseline_scheme(capsys):
     assert "LO" in out
 
 
+def test_plan_structure_is_the_table_every_scheme_plans_on(capsys):
+    """``--structure`` picks the baselines' table too: LO on googlenet's
+    line table plans the clustered line, not the frontier cuts."""
+    argv = ("plan", "googlenet", "-n", "5", "--scheme", "LO", "--json")
+    assert '"model": "googlenet/frontier"' in run_cli(capsys, *argv)
+    line = run_cli(capsys, *argv, "--structure", "line")
+    assert '"model": "googlenet"' in line and "googlenet/frontier" not in line
+    assert main(["plan", "alexnet", "--scheme", "LO", "--structure", "paths"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "per-path tables" in lines[0]
+    with pytest.raises(SystemExit):  # --split ratio is the one spelling
+        build_parser().parse_args(["plan", "alexnet", "--scheme", "JPS-ratio"])
+
+
 def test_compare_command(capsys):
     out = run_cli(capsys, "compare", "alexnet", "-n", "20", "--mbps", "10")
     assert "LP-LB" in out

@@ -176,6 +176,8 @@ def test_validation_rejects_bad_configs():
 
 
 INF, NAN = math.inf, math.nan
+#: a ``value`` that deletes the key instead of setting it
+MISSING = object()
 
 
 @pytest.mark.parametrize(
@@ -226,11 +228,35 @@ INF, NAN = math.inf, math.nan
         ("observability.slos.0.fast_window", INF, "fast_window must be finite"),
         ("observability.slos.0.burn_threshold", INF, "burn_threshold must be finite"),
         ("observability.slos.0.bucket_width", INF, "bucket_width must be finite"),
+        # an error inside a server spec names the server's index and the field
+        ("servers.1.max_queue_depth", 2.5,
+         r"^servers\[1\]\.max_queue_depth must be a positive integer, got 2.5$"),
+        ("servers.1.bandwidth_steps", [[0.0, 8.0], [2.0, -1.0]],
+         r"^servers\[1\]\.bandwidth_steps\[1\] rate must be > 0"),
+        ("servers.0.bandwidth_steps", [[0.0, 8.0, 1.0]],
+         r"^servers\[0\]\.bandwidth_steps\[0\] must be a \(time, Mbps\) pair"),
+        ("servers.0.bandwidth_steps", [],
+         r"^servers\[0\]\.bandwidth_steps must hold at least one step$"),
+        ("servers.1.name", "", r"^servers\[1\]\.name must be non-empty$"),
+        ("servers.0.cloud_speedup", INF, r"^servers\[0\]\.cloud_speedup must be finite"),
+        ("servers.1.nominal_burst", True,
+         r"^servers\[1\]\.nominal_burst must be a positive integer, got True$"),
+        ("servers.1.fault_plan", {"blackouts": [[5.0, 3.0]]},
+         r"^servers\[1\]\.fault_plan: blackout end 3.0 must be > start 5.0$"),
+        ("servers.0.resilience", {"backoff_base": NAN},
+         r"^servers\[0\]\.resilience: backoff_base must be >= 0"),
+        # a missing required key is a ValueError naming its path, not a KeyError
+        ("workload", MISSING, r"^workload is required$"),
+        ("workload.clients", MISSING, r"^workload\.clients is required$"),
+        ("servers", MISSING, r"^servers is required$"),
+        ("servers.1.name", MISSING, r"^servers\[1\]\.name is required$"),
+        ("servers.0.bandwidth_steps", MISSING, r"^servers\[0\]\.bandwidth_steps is required$"),
     ],
 )
 def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
     """A config that would hang, or fail deep inside ``run_system``, is
-    rejected at construction by a ``ValueError`` naming the field."""
+    rejected at construction by a ``ValueError`` naming the field; inside
+    a server spec, or for a missing required key, by its whole path."""
     # every block a case can name is present: faults and SLO telemetry too
     config = with_slo_telemetry(default_fleet(servers=2, clients=2))
     data = replace(config, faults=FaultsConfig(resilience=ResiliencePolicy())).as_dict()
@@ -238,7 +264,10 @@ def test_from_dict_rejects_configs_that_cannot_run(path, value, message):
     node = data
     for key in parents:
         node = node[key]
-    node[leaf] = value
+    if value is MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
     with pytest.raises(ValueError, match=message):
         SystemConfig.from_dict(data)
 

@@ -32,10 +32,13 @@ def test_scheme_grid_shape(env):
 
 
 def test_jps_ratio_scheme_available(env):
-    ratio = env.run_scheme("alexnet", 10.0, 10, "JPS-ratio")
+    """JPS with the paper's ratio split is ``split="ratio"``, not a scheme."""
+    ratio = env.engine.plan("alexnet", 10, env.channel(10.0), split="ratio")
     exact = env.run_scheme("alexnet", 10.0, 10, "JPS")
     assert ratio.metadata["split"] == "ratio"
     assert exact.makespan <= ratio.makespan + 1e-12
+    with pytest.raises(ValueError, match="unknown scheme 'JPS-ratio'"):
+        env.run_scheme("alexnet", 10.0, 10, "JPS-ratio")
 
 
 def test_frontier_table_bandwidth_scaling(env):

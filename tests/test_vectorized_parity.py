@@ -295,16 +295,16 @@ def test_baselines_match_schedule_jobs_over_eager_plans(table, n):
 # plan_batch == per-call plan()/run_scheme() over real models
 # ----------------------------------------------------------------------
 
-BATCH_MODELS = ["alexnet", "googlenet"]  # one line model, one DAG
-BATCH_SCHEMES = ["LO", "CO", "PO", "JPS", "JPS-ratio"]
+BATCH_MODELS = ["alexnet", "googlenet"]  # one line model, one frontier model
+BATCH_SCHEMES = ["LO", "CO", "PO", "JPS"]
 BATCH_BANDWIDTHS = [1.0, FOUR_G, WIFI, 40.0]
 #: every frontier model of the zoo, beside the line model
 CELL_MODELS = BATCH_MODELS + ["mini-inception", "multitask-perception"]
-
-
-def _engine_terms(scheme: str) -> tuple[str, str]:
-    """(scheme, split) for the engine: JPS-ratio is JPS with the ratio split."""
-    return ("JPS", "ratio") if scheme == "JPS-ratio" else (scheme, "exact")
+#: one line, one frontier and one DAG model under ``auto``
+GRID_MODELS = BATCH_MODELS + ["inception-v4"]
+GRID_STRUCTURES = ["auto", "line", "frontier", "dag"]
+#: (scheme, split) pairs: every scheme, and JPS with the ratio split
+GRID_TERMS = [(scheme, "exact") for scheme in BATCH_SCHEMES] + [("JPS", "ratio")]
 
 
 @pytest.fixture(scope="module")
@@ -319,14 +319,11 @@ def test_plan_batch_matches_per_cell_run_scheme(batch_env, model, scheme):
     :meth:`PlanningEngine.plan` (what ``repro plan`` prints) returns:
     method, model name, cuts and mobile node sets included."""
     n = 12
-    chosen, split = _engine_terms(scheme)
     batch = batch_env.run_scheme_batch(model, list(BATCH_BANDWIDTHS), n, scheme)
     assert len(batch) == len(BATCH_BANDWIDTHS)
     for bandwidth, ours in zip(BATCH_BANDWIDTHS, batch):
         cell = batch_env.run_scheme(model, bandwidth, n, scheme)
-        planned = batch_env.engine.plan(
-            model, n, batch_env.channel(bandwidth), scheme=chosen, split=split
-        )
+        planned = batch_env.engine.plan(model, n, batch_env.channel(bandwidth), scheme=scheme)
         assert host_free(ours) == host_free(cell) == host_free(planned)
 
 
@@ -339,30 +336,31 @@ def _channel_at(uplink_bps: float) -> Channel:
 
 def test_plan_batch_matches_per_call_plan_over_bandwidth_grid():
     """plan_batch (one pricing kernel) == per-channel plan() (one cost
-    table per channel), scheme by scheme."""
+    table per channel) for every model kind, structure, scheme and split:
+    the structure picks the table every scheme plans on, on both paths."""
     engine = PlanningEngine()
     rates = [mbps(b) for b in np.linspace(0.5, 60.0, 24)]
     n = 8
-    for model in BATCH_MODELS:
-        for scheme in BATCH_SCHEMES:
-            chosen, split = _engine_terms(scheme)
-            batch = engine.plan_batch(model, n, rates, scheme=chosen, split=split)
-            for rate, ours in zip(rates, batch):
-                theirs = engine.plan(
-                    model, n, _channel_at(rate), scheme=chosen, split=split
+    differing = []
+    for model in GRID_MODELS:
+        for structure in GRID_STRUCTURES:
+            for scheme, split in GRID_TERMS:
+                batch = engine.plan_batch(
+                    model, n, rates, scheme=scheme, structure=structure, split=split
                 )
-                assert ours.makespan == theirs.makespan
-                assert ours.method == theirs.method
-                assert ours.metadata.get("split") == theirs.metadata.get("split")
-                assert [p.mobile_nodes for p in ours.jobs] == [
-                    p.mobile_nodes for p in theirs.jobs
-                ]
-                assert [p.cut_position for p in ours.jobs] == [
-                    p.cut_position for p in theirs.jobs
-                ]
-                assert [p.stages for p in ours.jobs] == [
-                    p.stages for p in theirs.jobs
-                ]
+                for rate, ours in zip(rates, batch):
+                    theirs = engine.plan(
+                        model,
+                        n,
+                        _channel_at(rate),
+                        scheme=scheme,
+                        structure=structure,
+                        split=split,
+                    )
+                    if host_free(ours) != host_free(theirs):
+                        differing.append((model, structure, scheme, split))
+                        break
+    assert differing == []
 
 
 @settings(max_examples=25, deadline=None)
