@@ -53,7 +53,9 @@ class Dag:
     tie-breaking) deterministic for a given construction sequence.
 
     The topological order is computed once per graph version:
-    :meth:`add_node` and :meth:`add_edge` drop the memoized order.
+    :meth:`add_node` and :meth:`add_edge` drop the memoized order. The
+    mobile node sets of :meth:`prefix_members` are memoized the same way
+    (:meth:`set_payload` drops them too: a payload names its members).
     """
 
     name: str = "dag"
@@ -63,6 +65,10 @@ class Dag:
     _volumes: dict[tuple[str, str], float] = field(default_factory=dict, repr=False)
     _order: list[str] | None = field(default=None, init=False, repr=False, compare=False)
     _position: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (topological order, position -> mobile node set) for prefix_members
+    _prefixes: tuple[tuple[str, ...], dict[int, frozenset[str]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -78,7 +84,7 @@ class Dag:
         self._payloads[node_id] = payload
         self._succ[node_id] = []
         self._pred[node_id] = []
-        self._order = self._position = None
+        self._order = self._position = self._prefixes = None
         return node_id
 
     def add_edge(self, tail: str, head: str, volume: float = 0.0) -> None:
@@ -97,7 +103,7 @@ class Dag:
         self._succ[tail].append(head)
         self._pred[head].append(tail)
         self._volumes[(tail, head)] = float(volume)
-        self._order = self._position = None
+        self._order = self._position = self._prefixes = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -125,6 +131,7 @@ class Dag:
         if node_id not in self._payloads:
             raise KeyError(f"unknown node {node_id!r}")
         self._payloads[node_id] = payload
+        self._prefixes = None
 
     def successors(self, node_id: str) -> list[str]:
         """Direct successors of ``node_id`` in edge-insertion order."""
@@ -212,6 +219,30 @@ class Dag:
         if self._position is None:
             self._position = {v: i for i, v in enumerate(self._topological_order())}
         return self._position
+
+    def prefix_members(self, positions: tuple[str, ...], position: int) -> frozenset[str]:
+        """Original node ids of ``positions[: position + 1]``.
+
+        A node whose payload is a virtual block stands for its members,
+        so the set addresses the original network's layers: the mobile
+        side of a cut after ``positions[position]`` on a clustered line.
+        When ``positions`` is the topological order (a line's cut
+        positions) each set is built once per graph version.
+        """
+        if self._prefixes is None:
+            self._prefixes = (tuple(self._topological_order()), {})
+        order, sets = self._prefixes
+        if positions != order:
+            return self._expand(positions[: position + 1])
+        members = sets.get(position)
+        if members is None:
+            members = sets[position] = self._expand(order[: position + 1])
+        return members
+
+    def _expand(self, node_ids: Iterable[str]) -> frozenset[str]:
+        from repro.dag.transform import expand_members  # deferred: transform imports graph
+
+        return frozenset(m for v in node_ids for m in expand_members(self, v))
 
     def ancestors(self, node_id: str) -> set[str]:
         """All strict ancestors of ``node_id`` (nodes with a path to it)."""

@@ -34,12 +34,20 @@ another, baselines included), and the ``scheme`` picks the schedule.
 :meth:`~PlanningEngine.plan_batch` through a pricing kernel per rate,
 bit for bit alike.
 
-A warm ``plan()`` therefore costs only the search: one
-``np.searchsorted`` crossing, the exact split (the one or two rows of
-its stage matrix that can win), and at most two prototype jobs (the
-run-length :class:`~repro.core.plans.RunLengthJobs` builds per-job
-plans only when read) — the cost the paper's Fig. 12(d) says the deployed scheduler
-pays per decision. The engine is the one network planner: it serves
+A warm ``plan()`` costs the search: one ``np.searchsorted`` crossing,
+the exact split (the one or two rows of its stage matrix that can
+win), and at most two prototype jobs (the run-length
+:class:`~repro.core.plans.RunLengthJobs` builds per-job plans only
+when read) — the cost the paper's Fig. 12(d) says the deployed
+scheduler pays per decision. At a rate the engine has not priced it
+also builds one table: a :class:`Channel`'s ``g`` column is one
+vectorized expression, shared with :class:`PricingKernel`, and the
+table's checks are a few fused array tests. On a 2-vCPU VM that table
+costs about as much as the exact split (~25 µs against ~27 µs), and a
+JPS plus an LO plan at a fresh rate ~155 µs over the zoo
+(``docs/performance.md``, "Warm planning").
+
+The engine is the one network planner: it serves
 the ``repro.api`` facade, the serving stack, the on-device scheduler and
 :class:`~repro.experiments.runner.ExperimentEnv` (every figure harness).
 Nothing else plans a network, so its checks do not share its caches:
@@ -54,10 +62,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-
-from typing import Sequence
 
 from repro.core.baselines import cloud_only, local_only, partition_only
 from repro.core.joint import SplitMode, Structure, attach_frontier_cuts, jps_line
@@ -145,6 +152,41 @@ class _CutSpace:
     graph: Dag | None               # the clustered line graph (line kind)
     cuts: tuple[Cut, ...] | None    # the graph cuts (frontier and dag kinds)
 
+    def __post_init__(self) -> None:
+        # checked once here, so no per-channel table re-checks a payload
+        if not (self.payloads >= 0).all():  # NaN fails too
+            at = int(np.argmin(self.payloads >= 0))
+            raise ValueError(
+                f"{self.model_name}: upload payloads must be >= 0, "
+                f"got payloads[{at}] = {self.payloads[at]}"
+            )
+
+
+def _wire_bits(
+    payloads: np.ndarray, header_bytes: float, protocol_overhead: float
+) -> np.ndarray:
+    """The bits each position puts on the wire, 0 where nothing crosses.
+
+    ``(payload + header) * overhead * 8``, in
+    :meth:`Channel.uplink_time <repro.net.channel.Channel.uplink_time>`'s
+    operation order.
+    """
+    return np.where(
+        payloads > 0, ((payloads + header_bytes) * protocol_overhead) * BITS_PER_BYTE, 0.0
+    )
+
+
+def _uplink_times(
+    wire_bits: np.ndarray, setup_latency: float, rates: float | np.ndarray
+) -> np.ndarray:
+    """``g`` at a rate, or one ``g`` row per rate of a column of rates.
+
+    ``setup + bits / rate`` where something crosses and exactly 0
+    elsewhere: bit for bit what ``Channel.uplink_time`` returns for each
+    payload, since :func:`_wire_bits` keeps its operation order.
+    """
+    return np.where(wire_bits > 0, setup_latency + wire_bits / rates, 0.0)
+
 
 @dataclass(frozen=True)
 class PricingKernel:
@@ -188,14 +230,10 @@ class PricingKernel:
         # the same subtraction as CostTable.cloud_rest, once per kernel
         object.__setattr__(self, "rest", self.cloud[-1] - self.cloud)
 
-    def _g(self, rates: float | np.ndarray) -> np.ndarray:
-        # a rate, or a column of rates for one g row per rate
-        return np.where(self.wire_bits > 0, self.setup_latency + self.wire_bits / rates, 0.0)
-
     def g_at(self, uplink_bps: float) -> np.ndarray:
         """The ``g`` column at one uplink rate (bit-exact channel pricing)."""
         require_finite(require_positive(uplink_bps, "uplink_bps"), "uplink_bps")
-        return self._g(uplink_bps)
+        return _uplink_times(self.wire_bits, self.setup_latency, uplink_bps)
 
     def table_at(self, uplink_bps: float) -> CostTable:
         return CostTable(
@@ -223,7 +261,7 @@ class PricingKernel:
         rates = np.asarray(rates, dtype=float)
         if not ((rates > 0) & np.isfinite(rates)).all():
             raise ValueError(f"uplink rates must be > 0 and finite, got {rates.tolist()!r}")
-        g = self._g(rates[:, None])
+        g = _uplink_times(self.wire_bits, self.setup_latency, rates[:, None])
         totals = self.f + g
         if include_cloud:
             totals = totals + self.rest
@@ -467,8 +505,13 @@ class PlanningEngine:
         predictor_key,
     ) -> PricedModel:
         """The ``kind`` record priced through ``channel``, memoized per
-        channel. Nothing crosses the network at a zero payload, so its
-        ``g`` is 0 without asking the channel."""
+        channel.
+
+        A :class:`Channel` prices every position at once with the
+        pricing kernel's formula, bit for bit its ``uplink_time``; a
+        duck-typed channel is asked per position. Nothing crosses the
+        network at a zero payload, so its ``g`` is 0 either way.
+        """
         # a Structure is a str: concatenating skips the Enum.value
         # descriptor on every warm lookup
         key = (
@@ -479,13 +522,19 @@ class PlanningEngine:
 
         def build() -> PricedModel:
             space = self._cut_space(kind, network, predictor, predictor_key)
+            if type(channel) is Channel:
+                g = _uplink_times(
+                    _wire_bits(space.payloads, channel.header_bytes, channel.protocol_overhead),
+                    channel.setup_latency,
+                    channel.uplink_bps,
+                )
+            else:
+                g = np.array([channel.uplink_time(b) if b > 0 else 0.0 for b in space.payloads])
             table = CostTable(
                 model_name=space.model_name,
                 positions=space.positions,
                 f=space.f.copy(),
-                g=np.array(
-                    [channel.uplink_time(b) if b > 0 else 0.0 for b in space.payloads]
-                ),
+                g=g,
                 cloud=space.cloud.copy(),
                 graph=space.graph,
             )
@@ -613,19 +662,13 @@ class PlanningEngine:
 
         def build() -> PricingKernel:
             space = self._cut_space(kind, network, predictor, predictor_key)
-            # same operation order as Channel.uplink_time, element by element
-            wire_bits = np.where(
-                space.payloads > 0,
-                ((space.payloads + header_bytes) * protocol_overhead) * BITS_PER_BYTE,
-                0.0,
-            )
             return PricingKernel(
                 model_name=space.model_name,
                 positions=space.positions,
                 f=space.f,
                 cloud=space.cloud,
                 payload_bytes=space.payloads,
-                wire_bits=wire_bits,
+                wire_bits=_wire_bits(space.payloads, header_bytes, protocol_overhead),
                 setup_latency=setup_latency,
                 graph=space.graph,
                 cuts=space.cuts,

@@ -4,9 +4,13 @@ A memoized intermediate (cost table, frontier structure, Alg. 3 path
 plans) is only reusable when *everything* that went into it is
 identical: the network's layers and edge volumes, both device models,
 the channel parameters, and the predictor used in place of ground
-truth. Each of those is reduced to a short hex digest; the engine keys
-its caches on tuples of digests, so two networks that merely share a
-name never alias, and a re-built but identical network hits.
+truth. Networks, devices and predictors are reduced to short hex
+digests; a real :class:`~repro.net.channel.Channel` is keyed by the
+tuple of its five pricing values, as the pricing kernels' framing
+already is, since hashing a channel's ``repr`` on every warm plan cost
+more than the lookup it keys. The engine keys its caches on tuples of
+these, so two networks that merely share a name never alias, and a
+re-built but identical network or channel hits.
 
 Fingerprints hash *values*, not object identities, with one deliberate
 exception: predictors are opaque callables, so callers that want warm
@@ -108,20 +112,24 @@ def device_fingerprint(device: DeviceModel) -> str:
     )
 
 
-def channel_fingerprint(channel: Channel | Any) -> str:
-    """Digest of the parameters that determine ``uplink_time``.
+def channel_fingerprint(channel: Channel | Any) -> str | tuple:
+    """Key of the parameters that determine ``uplink_time``.
 
-    Real :class:`~repro.net.channel.Channel` objects hash their rate and
-    framing constants. Duck-typed channels (the on-device scheduler's
-    regression-backed channel) may expose ``cache_token()`` returning a
-    tuple of defining values; anything else is keyed by its
-    :func:`identity_token`, which disables cross-object reuse.
+    Real :class:`~repro.net.channel.Channel` objects are keyed by the
+    tuple of their rates and framing constants: values compare exactly,
+    so two channels share cached tables only when they price every
+    payload alike (``header_bytes=256`` and ``256.0`` do). Duck-typed
+    channels (the on-device scheduler's regression-backed channel) may
+    expose ``cache_token()`` returning a tuple of defining values;
+    anything else is keyed by its :func:`identity_token`, which disables
+    cross-object reuse. Both are digests, so no key of theirs equals a
+    real channel's.
     """
     token = getattr(channel, "cache_token", None)
     if callable(token):
         return stable_digest("token", token())
     if isinstance(channel, Channel):
-        return stable_digest(
+        return (
             "channel",
             channel.uplink_bps,
             channel.downlink_bps,

@@ -35,18 +35,19 @@ gateway, mid-run rate drop), :func:`blackout_fleet_scenario` (blackout
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from repro.cloud.config import CloudConfig
 from repro.cloud.model import CloudGpuModel
-from repro.faults.plan import Blackout, FaultPlan
+from repro.faults.plan import Blackout, CostMisestimation, FaultPlan, TransferCorruption
 from repro.faults.policy import ResiliencePolicy
 from repro.net.channel import DEFAULT_HEADER_BYTES, DEFAULT_SETUP_LATENCY
-from repro.obs.slo import SloConfig, default_slos
 from repro.net.timeline import BandwidthTimeline
 from repro.nn.zoo import MODELS
+from repro.obs.slo import SloConfig, default_slos
 from repro.serving.gateway import GATEWAY_SCHEMES
 from repro.serving.workload import ClientSpec
 from repro.utils.rng import DEFAULT_SEED
@@ -90,12 +91,71 @@ def _required(data: dict, key: str, path: str | None = None):
     return data[key]
 
 
-def _prefixed(prefix: str, build, data):
-    """``build(data)``, with ``prefix`` (a path) in front of its ``ValueError``."""
+def _block(data, path: str, cls) -> dict:
+    """``data`` as the ``cls`` block at ``path``: a mapping whose keys
+    all name fields of ``cls`` (a typo must not fall back to a default)."""
+    where = f"{path}: " if path else ""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}expected a mapping, got {type(data).__name__}")
+    known = [f.name for f in fields(cls) if f.init]
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{where}unknown key {key!r} (known: {', '.join(known)})")
+    return data
+
+
+def _items(data, path: str) -> list | tuple:
+    """``data`` as the list at ``path``."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"{path}: expected a list, got {type(data).__name__}")
+    return data
+
+
+#: A message that starts with a path of its own (``fault_plan: …``,
+#: ``bandwidth_steps[1] …``), which a parent path joins with a dot.
+_NESTED = re.compile(r"[A-Za-z_]\w*[.:\[]")
+
+
+def _prefixed(path: str, build, data, sep: str = ": "):
+    """``build(data)``, with ``path`` in front of what it raises.
+
+    A ``ValueError``, or the ``TypeError`` or ``OverflowError`` of a
+    value of the wrong type or size, is re-raised as a ``ValueError``
+    naming ``path``: joined by ``sep`` (a dot, for blocks whose messages
+    start with their field), by a dot to a nested path, and left alone
+    when the message already starts with ``path``.
+    """
     try:
         return build(data)
-    except ValueError as error:
-        raise ValueError(f"{prefix}{error}") from None
+    except (ValueError, TypeError, OverflowError) as error:
+        message = str(error)
+        if message.startswith(path):
+            raise ValueError(message) from None
+        if not isinstance(error, ValueError):
+            sep = ": "
+        elif _NESTED.match(message):
+            sep = "."
+        raise ValueError(f"{path}{sep}{message}") from None
+
+
+def _fault_plan(data) -> FaultPlan:
+    _block(data, "", FaultPlan)
+    for key, cls in (("corruption", TransferCorruption), ("misestimation", CostMisestimation)):
+        if data.get(key) is not None:
+            _block(data[key], key, cls)
+    return FaultPlan.from_dict(data)
+
+
+def _resilience(data) -> ResiliencePolicy:
+    return ResiliencePolicy.from_dict(_block(data, "", ResiliencePolicy))
+
+
+def _cloud(data) -> CloudConfig:
+    model = data.get("model")
+    if model is not None:
+        # built here once for its path; CloudConfig.from_dict builds the same model
+        _prefixed("model", CloudGpuModel.from_dict, _block(model, "model", CloudGpuModel))
+    return CloudConfig.from_dict(data)
 
 
 def _client_as_dict(client: ClientSpec) -> dict:
@@ -150,9 +210,15 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
+        clients = _items(_required(data, "clients", "workload.clients"), "workload.clients")
         return cls(
             clients=tuple(
-                ClientSpec(**c) for c in _required(data, "clients", "workload.clients")
+                _prefixed(
+                    f"workload.clients[{index}]",
+                    lambda c: ClientSpec(**_block(c, "", ClientSpec)),
+                    client,
+                )
+                for index, client in enumerate(clients)
             ),
             horizon=data.get("horizon", 60.0),
             seed=data.get("seed", DEFAULT_SEED),
@@ -218,6 +284,8 @@ class ServerSpec:
     def __post_init__(self) -> None:
         # every message starts with its field, so SystemConfig.from_dict
         # can name the server's path in front of it
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("name must be non-empty")
         steps = tuple(self.bandwidth_steps)
@@ -267,19 +335,15 @@ class ServerSpec:
         policy = data.get("resilience")
         return cls(
             name=_required(data, "name"),
-            bandwidth_steps=_required(data, "bandwidth_steps"),
+            bandwidth_steps=_items(_required(data, "bandwidth_steps"), "bandwidth_steps"),
             mobile_speedup=data.get("mobile_speedup", 1.0),
             cloud_speedup=data.get("cloud_speedup", 1.0),
             max_queue_depth=data.get("max_queue_depth", 64),
             nominal_burst=data.get("nominal_burst", 8),
             include_cloud=data.get("include_cloud", True),
-            fault_plan=(
-                None if plan is None else _prefixed("fault_plan: ", FaultPlan.from_dict, plan)
-            ),
+            fault_plan=None if plan is None else _prefixed("fault_plan", _fault_plan, plan),
             resilience=(
-                None
-                if policy is None
-                else _prefixed("resilience: ", ResiliencePolicy.from_dict, policy)
+                None if policy is None else _prefixed("resilience", _resilience, policy)
             ),
         )
 
@@ -379,8 +443,8 @@ class FaultsConfig:
         plan = data.get("plan")
         policy = data.get("resilience")
         return cls(
-            plan=None if plan is None else FaultPlan.from_dict(plan),
-            resilience=None if policy is None else ResiliencePolicy.from_dict(policy),
+            plan=None if plan is None else _prefixed("plan", _fault_plan, plan),
+            resilience=None if policy is None else _prefixed("resilience", _resilience, policy),
             compare_no_policy=data.get("compare_no_policy", False),
         )
 
@@ -436,7 +500,10 @@ class ObservabilityConfig:
             fleet_events=data.get("fleet_events", True),
             telemetry=data.get("telemetry", False),
             telemetry_bucket=data.get("telemetry_bucket", 0.5),
-            slos=tuple(SloConfig.from_dict(s) for s in data.get("slos", ())),
+            slos=tuple(
+                _prefixed(f"slos[{index}]", SloConfig.from_dict, _block(slo, f"slos[{index}]", SloConfig))
+                for index, slo in enumerate(_items(data.get("slos", ()), "slos"))
+            ),
         )
 
 
@@ -530,21 +597,40 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
-        faults = data.get("faults")
-        cloud = data.get("cloud")
+        """Inverse of :meth:`as_dict`.
+
+        Every malformed document raises ``ValueError`` naming the path of
+        what is wrong (``servers[1].max_queue_depth …``,
+        ``workload.clients[0]: rate …``): a missing required key, a
+        block that is not a mapping or a list that is not a list, an
+        unknown key in any block, and a value of the wrong type.
+        """
+        _block(data, "", cls)
+        workload = _block(_required(data, "workload"), "workload", WorkloadConfig)
+        servers = _items(_required(data, "servers"), "servers")
+
+        def block(key: str, config_cls, build=None):
+            value = _block(data.get(key, {}), key, config_cls)
+            return _prefixed(key, build or config_cls.from_dict, value)
+
         return cls(
-            workload=WorkloadConfig.from_dict(_required(data, "workload")),
+            workload=_prefixed("workload", WorkloadConfig.from_dict, workload),
             servers=tuple(
-                _prefixed(f"servers[{index}].", ServerSpec.from_dict, spec)
-                for index, spec in enumerate(_required(data, "servers"))
+                _prefixed(
+                    f"servers[{index}]",
+                    ServerSpec.from_dict,
+                    _block(spec, f"servers[{index}]", ServerSpec),
+                    sep=".",
+                )
+                for index, spec in enumerate(servers)
             ),
             scheme=data.get("scheme", "JPS"),
-            placement=PlacementConfig.from_dict(data.get("placement", {})),
-            admission=AdmissionConfig.from_dict(data.get("admission", {})),
-            channel=ChannelConfig.from_dict(data.get("channel", {})),
-            faults=None if faults is None else FaultsConfig.from_dict(faults),
-            cloud=None if cloud is None else CloudConfig.from_dict(cloud),
-            observability=ObservabilityConfig.from_dict(data.get("observability", {})),
+            placement=block("placement", PlacementConfig),
+            admission=block("admission", AdmissionConfig),
+            channel=block("channel", ChannelConfig),
+            faults=None if data.get("faults") is None else block("faults", FaultsConfig),
+            cloud=None if data.get("cloud") is None else block("cloud", CloudConfig, _cloud),
+            observability=block("observability", ObservabilityConfig),
         )
 
 

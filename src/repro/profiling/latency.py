@@ -79,6 +79,22 @@ class CostTable:
     graph: Dag | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        # the column checks as a few fused array tests; the per-column
+        # scan only words a failure, the first in the order it checks
+        k = len(self.positions)
+        f, g, cloud = self.f, self.g, self.cloud
+        if k == 0 or f.shape != (k,) or g.shape != (k,) or cloud.shape != (k,):
+            self._check_columns()
+        values = np.concatenate((f, g, cloud))
+        if not ((values >= 0) & (values < np.inf)).all():  # NaN fails both
+            self._check_columns()
+        if (f[1:] < f[:-1]).any():
+            raise ValueError("f must be non-decreasing")
+        if (cloud[1:] < cloud[:-1]).any():
+            raise ValueError("cloud must be non-decreasing")
+
+    def _check_columns(self) -> None:
+        """Each column's shape, then its values: finite and non-negative."""
         k = len(self.positions)
         if k == 0:
             raise ValueError("cost table must have at least one position")
@@ -90,10 +106,6 @@ class CostTable:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {name}[{at}] = {arr[at]}"
                 )
-        if np.any(np.diff(self.f) < 0):
-            raise ValueError("f must be non-decreasing")
-        if np.any(np.diff(self.cloud) < 0):
-            raise ValueError("cloud must be non-decreasing")
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +129,8 @@ class CostTable:
 
     def is_g_non_increasing(self, tolerance: float = 1e-12) -> bool:
         """True when clustering achieved the §3.2 monotonicity of g."""
-        return bool(np.all(np.diff(self.g) <= tolerance))
+        g = self.g
+        return bool((g[1:] - g[:-1] <= tolerance).all())
 
     def stage_lengths(self, position: int) -> tuple[float, float]:
         """(computation stage, communication stage) of a job cut at ``position``."""
@@ -165,12 +178,7 @@ class CostTable:
             )
         if not 0 <= position < self.k:
             raise IndexError(f"position must be in [0, {self.k}), got {position}")
-        from repro.dag.transform import expand_members  # deferred: avoid cycle
-
-        nodes: list[str] = []
-        for block_id in self.positions[: position + 1]:
-            nodes.extend(expand_members(self.graph, block_id))
-        return frozenset(nodes)
+        return self.graph.prefix_members(self.positions, position)
 
     def with_channel_scaled(self, factor: float) -> "CostTable":
         """A table with all communication times scaled by ``factor``.

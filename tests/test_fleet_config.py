@@ -9,9 +9,12 @@ plans and the fleet-wide FaultsConfig sub-config.
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import CloudConfig
 from repro.faults.plan import (
@@ -24,6 +27,7 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import ResiliencePolicy
 from repro.fleet import (
+    SLO_SCENARIOS,
     AdmissionConfig,
     FaultsConfig,
     ObservabilityConfig,
@@ -32,8 +36,12 @@ from repro.fleet import (
     SystemConfig,
     WorkloadConfig,
     bandwidth_drop_scenario,
+    blackout_fleet_scenario,
     capacity_scenario,
+    contended_cloud_scenario,
     default_fleet,
+    slo_acceptance_scenario,
+    steady_fleet_scenario,
     with_slo_telemetry,
 )
 from repro.serving.workload import ClientSpec
@@ -312,3 +320,141 @@ def test_workload_accepts_any_non_negative_integer_seed():
     clients = (ClientSpec(name="c"),)
     for seed in (0, 7, np.int64(3), 2**40):
         assert WorkloadConfig(clients=clients, seed=seed).seed == seed
+
+
+def _every_block() -> dict:
+    """A document with every block present: faults, cloud, SLO telemetry."""
+    config = replace(
+        with_slo_telemetry(_rich_config()), cloud=CloudConfig(gpus=2, max_batch=4)
+    )
+    return json.loads(json.dumps(config.as_dict()))
+
+
+def test_every_written_and_committed_config_loads():
+    configs = [
+        _rich_config(),
+        default_fleet(servers=2, clients=2),
+        bandwidth_drop_scenario(),
+        capacity_scenario(),
+        contended_cloud_scenario(),
+        blackout_fleet_scenario(),
+        steady_fleet_scenario(),
+        *(slo_acceptance_scenario(name) for name in SLO_SCENARIOS),
+    ]
+    for config in configs:
+        assert SystemConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+    assert SystemConfig.from_dict(_every_block()).as_dict() == _every_block()
+    golden = json.loads((Path(__file__).parent / "data" / "golden_eft_reports.json").read_text())
+    for report in golden.values():
+        assert SystemConfig.from_dict(report["config"]).as_dict() == report["config"]
+
+
+def _set(data: dict, path: str, value) -> dict:
+    *parents, leaf = [int(key) if key.isdigit() else key for key in path.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # a bad client names its index
+        ("workload.clients.1.rate", INF, r"^workload\.clients\[1\]: rate must be finite, got inf$"),
+        ("workload.clients.0.process", "x", r"^workload\.clients\[0\]: unknown arrival process"),
+        # unknown keys are rejected in every block, not dropped or a TypeError
+        ("shceme", "LO", r"^unknown key 'shceme' \(known: workload, servers, scheme,"),
+        ("workload.bogus", 1, r"^workload: unknown key 'bogus'"),
+        ("workload.clients.1.bogus", 1, r"^workload\.clients\[1\]: unknown key 'bogus'"),
+        ("servers.1.bogus", 1, r"^servers\[1\]: unknown key 'bogus'"),
+        ("servers.1.fault_plan.bogus", 1, r"^servers\[1\]\.fault_plan: unknown key 'bogus'"),
+        ("servers.1.fault_plan.corruption.bogus", 1,
+         r"^servers\[1\]\.fault_plan\.corruption: unknown key 'bogus'"),
+        ("servers.1.resilience.bogus", 1, r"^servers\[1\]\.resilience: unknown key 'bogus'"),
+        ("placement.bogus", 1, r"^placement: unknown key 'bogus'"),
+        ("admission.bogus", 1, r"^admission: unknown key 'bogus'"),
+        ("channel.bogus", 1, r"^channel: unknown key 'bogus'"),
+        ("faults.bogus", 1, r"^faults: unknown key 'bogus'"),
+        ("faults.plan.bogus", 1, r"^faults\.plan: unknown key 'bogus'"),
+        ("faults.resilience.bogus", 1, r"^faults\.resilience: unknown key 'bogus'"),
+        ("cloud.bogus", 1, r"^cloud: unknown key 'bogus'"),
+        ("cloud.model.bogus", 1, r"^cloud\.model: unknown key 'bogus'"),
+        ("observability.bogus", 1, r"^observability: unknown key 'bogus'"),
+        ("observability.slos.0.bogus", 1, r"^observability\.slos\[0\]: unknown key 'bogus'"),
+        # a scalar where a list or a mapping belongs
+        ("servers.0.bandwidth_steps", 5,
+         r"^servers\[0\]\.bandwidth_steps: expected a list, got int$"),
+        ("workload.clients", 3, r"^workload\.clients: expected a list, got int$"),
+        ("servers", {"a": {"name": "a"}}, r"^servers: expected a list, got dict$"),
+        ("servers.0", "edge0", r"^servers\[0\]: expected a mapping, got str$"),
+        ("placement", None, r"^placement: expected a mapping, got NoneType$"),
+        ("cloud.model", [1], r"^cloud\.model: expected a mapping, got list$"),
+        ("observability.slos", 2, r"^observability\.slos: expected a list, got int$"),
+        # a value of the wrong type names the block it sits in
+        ("servers.1.name", ["edge1"], r"^servers\[1\]\.name must be a string, got \['edge1'\]$"),
+        ("workload.horizon", "12", r"^workload: '>' not supported"),
+        ("channel.setup_latency", "5ms", r"^channel: must be real number, not str$"),
+        ("cloud.model.speedup", INF, r"^cloud\.model: speedup must be finite"),
+        ("servers.1.fault_plan.blackouts", 4, r"^servers\[1\]\.fault_plan: "),
+        ("faults.plan.metadata", "ab", r"^faults\.plan: dictionary update sequence"),
+    ],
+)
+def test_from_dict_names_the_path_of_every_malformed_block(path, value, message):
+    with pytest.raises(ValueError, match=message):
+        SystemConfig.from_dict(_set(_every_block(), path, value))
+
+
+def _paths(node, prefix: tuple = ()):
+    """Every key path in a JSON document, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(("JPS", "alexnet", "poisson", "batch", "eft")),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_dict_raises_only_value_errors(data):
+    """Whatever a document holds, ``from_dict`` builds a config or raises
+    ``ValueError``; never a TypeError, KeyError or AttributeError."""
+    document = _every_block()
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(document))
+        *parents, leaf = data.draw(st.sampled_from(paths))
+        node = document
+        for key in parents:
+            node = node[key]
+        action = data.draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "delete":
+            del node[leaf]
+        elif action == "add" and isinstance(node[leaf], dict):
+            node[leaf][data.draw(st.text(max_size=6))] = data.draw(JSON)
+        else:
+            node[leaf] = data.draw(JSON)
+    try:
+        SystemConfig.from_dict(document)
+    except ValueError:
+        pass
